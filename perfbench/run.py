@@ -7,9 +7,11 @@ One process runs one workload (``all`` runs each in a fresh child process).
 A single caller runs the operations one after another in a closed loop, in
 whole rounds of the same inputs, until ``--seconds`` have passed; a warm-up
 operation comes first and is not timed. ``--trace 0`` prints the end-to-end
-metrics; ``--trace 1`` alternates untraced and traced rounds and prints the
-per-layer metrics and the tracing overhead. The last line of standard output
-is one JSON object: ``correct``, ``attempted``, ``failed`` and ``metrics``.
+metrics, each time scaled to a fixed machine speed that :mod:`speed`
+measures around every operation; ``--trace 1`` alternates untraced and
+traced rounds and prints the per-layer metrics and the tracing overhead.
+The last line of standard output is one JSON object: ``correct``,
+``attempted``, ``failed`` and ``metrics``.
 The program is imported from ``src/`` of the checkout this file sits in.
 """
 
@@ -28,6 +30,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import speed
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -69,23 +73,35 @@ class Run:
     def __init__(self, workload, seed, work):
         self.w, self.seed, self.work = workload, seed, work
         self.op_s, self.round_p50, self.fidelity, self.digests = [], [], [], []
+        self.scaled_op_s = []  # [item index] -> that item's scaled times, one a round
+        self.ref_s = []
         self.attempted = self.failed = 0
         self.problems, self.failed_cases = [], {}
 
     def setup(self, tracer=None):
+        """One set-up pass; returns its wall time, its time at the
+        reference speed, the items and the warm-up item."""
+        before = speed.sample()
         t0 = time.perf_counter()
         with tracer or contextlib.nullcontext():
             items, warm = self.w.setup(self.seed, self.work)
-        return time.perf_counter() - t0, items, warm
+        dt = time.perf_counter() - t0
+        after = speed.sample()
+        self.ref_s += [before, after]
+        return dt, speed.scaled(dt, before, after), items, warm
 
     def round(self, items, tracer=None) -> dict:
         """One pass over every item; returns the summed operation time by
         side (False: untraced, True: traced). With a tracer each item runs
         twice in a row, untraced and traced, the order flipping from item to
-        item, so a drift in machine speed falls on both sides alike."""
+        item, so a drift in machine speed falls on both sides alike.
+        Without a tracer, the reference kernel runs right before and right
+        after each operation, outside its timing, to scale it."""
         from checks import Reject
 
         spent, digests, first = {False: 0.0, True: 0.0}, [], len(self.op_s)
+        if tracer is None and not self.scaled_op_s:
+            self.scaled_op_s = [[] for _ in items]
         for i, item in enumerate(items):
             if tracer is None:
                 sides = (False,)
@@ -95,10 +111,15 @@ class Run:
                 sides = (False, True)
             seen = set()
             for traced in sides:
+                before = speed.sample() if tracer is None else None
                 t0 = time.perf_counter()
                 with tracer if traced else contextlib.nullcontext():
                     result = self.w.run(item)
                 dt = time.perf_counter() - t0
+                if tracer is None:
+                    after = speed.sample()
+                    self.ref_s += [before, after]
+                    self.scaled_op_s[i].append(speed.scaled(dt, before, after))
                 spent[traced] += dt
                 self.op_s.append(dt)
                 self.attempted += 1
@@ -139,10 +160,11 @@ def run_workload(name, seed, seconds, trace) -> dict:
     work.mkdir(parents=True)
     run = Run(WORKLOADS[name], seed, str(work))
 
-    setup_s = []
+    setup_s, scaled_setup_s = [], []
     while len(setup_s) < SETUP_REPEATS or sum(setup_s) < SETUP_SECONDS:
-        dt, items, warm = run.setup()
+        dt, scaled_dt, items, warm = run.setup()
         setup_s.append(dt)
+        scaled_setup_s.append(scaled_dt)
     setup_tracer = Tracer() if trace else None
     if trace:
         run.setup(setup_tracer)
@@ -185,13 +207,21 @@ def run_workload(name, seed, seconds, trace) -> dict:
         tracer.dump(work / "spans.json")
         metrics = {k: _metric(v, _unit(k)) for k, v in per_layer.items()}
     else:
-        op_s = np.array(run.op_s)
+        op_s = np.concatenate(run.scaled_op_s)
+        # each item's median over the rounds: one slow round moves no figure
+        typical = [statistics.median(times) for times in run.scaled_op_s]
         if len(op_s) >= 100:
             print(f"info: op_s_p90={np.percentile(op_s, 90):.6f} s over {len(op_s)} operations")
+        ref = statistics.quantiles(run.ref_s, n=4)
+        print(f"info: reference speed {len(run.ref_s)} samples, wall time quartiles "
+              f"{ref[0]:.5f} {ref[1]:.5f} {ref[2]:.5f} s, scaled to {speed.REF_S} s")
+        print(f"info: wall clock: setup_s={statistics.median(setup_s):.6f} s "
+              f"tris_per_s={statistics.median(round_tris / t for t in plain):.2f} 1/s "
+              f"op_s_p50={statistics.median(run.round_p50):.6f} s")
         metrics = {
-            "setup_s": _metric(statistics.median(setup_s), "s"),
-            "tris_per_s": _metric(statistics.median(round_tris / t for t in plain), "1/s"),
-            "op_s_p50": _metric(statistics.median(run.round_p50), "s"),
+            "setup_s": _metric(statistics.median(scaled_setup_s), "s"),
+            "tris_per_s": _metric(round_tris / sum(typical), "1/s"),
+            "op_s_p50": _metric(statistics.median(typical), "s"),
             "peak_rss_mb": _metric(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MiB"),
             "fidelity": _metric(statistics.fmean(run.fidelity), "ratio"),
         }

@@ -1,5 +1,5 @@
 """Each output check of the benchmark passes a right output and rejects a
-wrong one; the tracer changes no output.
+wrong one; the tracer changes no output; the speed scaling does what it says.
 
     python3 -m pytest perfbench -q
 """
@@ -16,6 +16,7 @@ import pytest  # noqa: E402
 
 import checks  # noqa: E402
 import inputs  # noqa: E402
+import speed  # noqa: E402
 import workloads  # noqa: E402
 from checks import Geometry, Reject  # noqa: E402
 from polycubelabel import cli, io, labeling, operators, pipeline, shapes  # noqa: E402
@@ -201,3 +202,24 @@ def test_self_time_excludes_children():
     calls, total, own = tracer.totals()
     assert calls["inner"] == 2 and total["inner"] == 4.0
     assert own["outer"] == 6.0 and own["inner"] == 4.0
+
+
+def test_scaled_time_follows_wall_time_and_machine_speed():
+    assert speed.scaled(1.0, speed.REF_S, speed.REF_S) == pytest.approx(1.0)
+    assert speed.scaled(2.0, speed.REF_S, speed.REF_S) == pytest.approx(2.0)
+    # a machine half as fast: reference and operation both take twice as long
+    assert speed.scaled(2.0, 2 * speed.REF_S, 2 * speed.REF_S) == pytest.approx(1.0)
+    assert speed.scaled(1.0, speed.REF_S, 3 * speed.REF_S) == pytest.approx(0.5)
+
+
+def test_sample_is_positive_and_leaves_the_garbage_collector_as_it_was():
+    import gc
+
+    assert gc.isenabled()
+    assert speed.sample() > 0 and gc.isenabled()
+    gc.disable()
+    try:
+        assert speed.sample() > 0 and not gc.isenabled()
+    finally:
+        gc.enable()
+    assert speed.reference() == speed.reference()

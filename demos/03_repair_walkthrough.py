@@ -66,8 +66,8 @@ m = SurfaceMesh(verts, tris, feature_edges=detect_feature_edges(
     SurfaceMesh(verts, tris), math.pi / 4))
 labels = naive_labeling(m)
 print()
-show("tilted torus before", m, labels)
+g = show("tilted torus before", m, labels)
 log = []
-fixed, g, report = run_monotonicity_routine(m, labels, log=log)
+fixed, g, report = run_monotonicity_routine(g, log=log)  # starts from the graph
 show("tilted torus after ", m, fixed)
 print("  applied:", *log, sep="\n  ")

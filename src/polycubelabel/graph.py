@@ -167,29 +167,35 @@ class LabelingGraph:
 
     def _build_charts(self):
         mesh, labels = self.mesh, self.labels
-        parent = np.arange(mesh.n_triangles)
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
         same = labels[mesh.edge_tris[:, 0]] == labels[mesh.edge_tris[:, 1]]
-        for t1, t2 in mesh.edge_tris[same]:
-            r1, r2 = find(t1), find(t2)
-            if r1 != r2:
-                parent[max(r1, r2)] = min(r1, r2)
+        a, b = mesh.edge_tris[same].T
+        # min-label propagation between the roots of both ends of each
+        # same-label edge, then pointer jumping; roots only ever point to
+        # smaller triangles, so every triangle ends up holding the smallest
+        # triangle index of its chart
+        root = np.arange(mesh.n_triangles)
+        while True:
+            ra, rb = root[a], root[b]
+            differ = ra != rb
+            if not differ.any():
+                break
+            ra, rb = ra[differ], rb[differ]
+            low = np.minimum(ra, rb)
+            np.minimum.at(root, ra, low)
+            np.minimum.at(root, rb, low)
+            while True:
+                jumped = root[root]
+                if np.array_equal(jumped, root):
+                    break
+                root = jumped
 
-        roots = np.array([find(t) for t in range(mesh.n_triangles)])
-        order = {r: i for i, r in enumerate(sorted(set(roots.tolist())))}
-        self.chart_of = np.array([order[r] for r in roots], dtype=np.int64)
+        firsts, chart_of = np.unique(root, return_inverse=True)
+        self.chart_of = chart_of.astype(np.int64)
+        members = np.argsort(self.chart_of, kind="stable")
+        splits = np.cumsum(np.bincount(self.chart_of, minlength=len(firsts)))[:-1]
         self.charts = [
-            Chart(i, int(labels[np.nonzero(roots == r)[0][0]]),
-                  np.nonzero(self.chart_of == i)[0])
-            for r, i in sorted(order.items(), key=lambda kv: kv[1])
+            Chart(i, int(labels[first]), tris)
+            for i, (first, tris) in enumerate(zip(firsts, np.split(members, splits)))
         ]
 
     # -- boundaries ----------------------------------------------------------
@@ -328,6 +334,10 @@ class LabelingGraph:
     @property
     def total_turning_points(self) -> int:
         return sum(len(b.turning_points) for b in self.boundaries)
+
+    def turning_point_vertices(self) -> tuple:
+        """Vertices holding a turning point of any boundary, sorted, once each."""
+        return tuple(sorted({v for b in self.boundaries for v in b.turning_point_vertices()}))
 
     def boundaries_between(self, c1: int, c2: int) -> list:
         pair = {c1, c2}

@@ -54,10 +54,6 @@ def same_axis(a: int, b: int) -> bool:
     return a >> 1 == b >> 1
 
 
-def label_name(label: int) -> str:
-    return LABEL_NAMES[label]
-
-
 def nearest_label(normals) -> np.ndarray:
     """Closest signed axis per normal; ties go to the lowest encoding."""
     return np.argmax(np.asarray(normals) @ LABEL_DIRECTIONS.T, axis=1).astype(np.int64)

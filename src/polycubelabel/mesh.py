@@ -8,7 +8,7 @@ edges) are computed once and the underlying arrays are marked read-only.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,6 +233,10 @@ class SurfaceMesh:
         key = (a, b) if a < b else (b, a)
         return key in self.feature_edges
 
+    def is_feature_vertex(self, v) -> bool:
+        """True when a sharp feature edge ends at vertex ``v``."""
+        return any(self.is_feature_edge(v, nbr) for nbr in self.vertex_neighbors_ordered(v))
+
     def vertex_triangles(self, v) -> tuple:
         """Triangles incident to vertex ``v``, in triangle-index order."""
         return self._vertex_tris[v]
@@ -286,8 +290,3 @@ def detect_feature_edges(mesh: SurfaceMesh, threshold: float) -> frozenset:
     """Edges whose dihedral deviation |theta_int - pi| reaches ``threshold``."""
     deviation = np.abs(mesh.dihedral_angles - np.pi)
     return frozenset(tuple(mesh.edges[i]) for i in np.nonzero(deviation >= threshold)[0])
-
-
-def boundary_edge_set(mesh: SurfaceMesh, pairs: Iterable) -> frozenset:
-    """Canonicalize an iterable of vertex pairs to (min, max) tuples."""
-    return frozenset((a, b) if a < b else (b, a) for a, b in pairs)

@@ -117,25 +117,10 @@ def _flood(mesh: SurfaceMesh, seeds, allowed, barrier_edges) -> set:
     return region
 
 
-def _edge_to_boundary(graph: LabelingGraph) -> dict:
-    out = {}
-    for b in graph.boundaries:
-        for e in b.edge_ids:
-            out[e] = b.index
-    return out
-
-
 def _boundary_vertex_set(graph: LabelingGraph) -> set:
     out = set()
     for b in graph.boundaries:
         out.update(b.vertices)
-    return out
-
-
-def _turning_point_vertex_set(graph: LabelingGraph) -> set:
-    out = set()
-    for b in graph.boundaries:
-        out.update(b.turning_point_vertices())
     return out
 
 
@@ -184,7 +169,7 @@ def is_feature_surrounded(graph: LabelingGraph, chart_id: int) -> bool:
             edges.extend(b.edge_ids)
     if not edges:
         return False
-    return all(tuple(mesh.edges[e]) in mesh.feature_edges for e in edges)
+    return all(mesh.is_feature_edge(*mesh.edges[e]) for e in edges)
 
 
 def trace_path(
@@ -219,7 +204,7 @@ def trace_path(
             eid = mesh.edge_id(cur, nbr)
             if eid in forbidden_edges:
                 continue
-            if feature_only and tuple(mesh.edges[eid]) not in mesh.feature_edges:
+            if feature_only and not mesh.is_feature_edge(cur, nbr):
                 continue
             d = float(np.dot(_unit(mesh.vertices[nbr] - mesh.vertices[cur]), direction))
             if best is None or d > best[0] + 1e-12 or (abs(d - best[0]) <= 1e-12 and nbr < best[1]):
@@ -287,7 +272,11 @@ def fix_invalid_corner(
     radius: int = 3,
     rule: str = "improved",
 ) -> OperatorOutcome:
-    """Bury an invalid corner under a small disk chart with a fresh axis."""
+    """Bury an invalid corner under a small disk chart with a fresh axis.
+
+    The disk is the widest one of at most `radius` triangle rings around the
+    corner that stays inside the charts incident to it.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     corner = graph.corners[corner_id]
     if corner_is_valid(corner, rule)[0]:
@@ -296,9 +285,10 @@ def fix_invalid_corner(
     star = [int(t) for t in mesh.vertex_triangles(v)]
     incident_charts = sorted({int(graph.chart_of[t]) for t in star})
     allowed = np.isin(graph.chart_of, incident_charts)
-    region = _ring_grow(mesh, star, radius)
-    if any(not allowed[t] for t in region):  # disk must stay inside the incident charts
-        raise ValueError("radius exceeds adjacent charts")
+    for r in range(max(radius, 1), 0, -1):
+        region = _ring_grow(mesh, star, r)
+        if all(allowed[t] for t in region):
+            break  # at r = 1 the disk is the vertex star, which always fits
     used_axes = {graph.charts[c].label >> 1 for c in incident_charts}
     candidates = [l for l in range(6) if l >> 1 not in used_axes]
     if not candidates:
@@ -327,7 +317,6 @@ def increase_chart_valence(
     """
     labels = np.asarray(labels, dtype=np.int64)
     chart = graph.charts[chart_id]
-    edge2b = _edge_to_boundary(graph)
     loops = _chart_contour_loops(graph, chart_id)
     pts = mesh.vertices
 
@@ -446,7 +435,7 @@ def increase_chart_valence(
 
     contour_edges = {e for _, _, e, _ in loop}
     stop = _boundary_vertex_set(graph)
-    tp_set = _turning_point_vertex_set(graph)
+    tp_set = frozenset(graph.turning_point_vertices())
     boundary_edges = frozenset(e for b in graph.boundaries for e in b.edge_ids)
     paths = []
     for o in (v, o_far):
@@ -482,7 +471,7 @@ def join_turning_points_pair(
     labels = np.asarray(labels, dtype=np.int64)
     if t1 == t2:
         return _skip(labels)
-    tp_set = _turning_point_vertex_set(graph)
+    tp_set = graph.turning_point_vertices()
     if t1 not in tp_set or t2 not in tp_set:
         return _skip(labels)
 
@@ -627,10 +616,6 @@ def pull_closest_corner(
         return _skip(labels)
     direction = _unit(mesh.vertices[nxt] - mesh.vertices[c])
 
-    on_feature = any(
-        tuple(mesh.edges[mesh.edge_id(tp, nbr)]) in mesh.feature_edges
-        for nbr in mesh.vertex_neighbors_ordered(tp)
-    )
     stop = _boundary_vertex_set(graph) - set(
         b.vertices[1:-1]
     )  # passing along b itself must not stop the trace
@@ -638,7 +623,7 @@ def pull_closest_corner(
         mesh, tp, direction,
         stop_vertices=stop,
         forbidden_edges=frozenset(b.edge_ids),
-        feature_only=on_feature,
+        feature_only=mesh.is_feature_vertex(tp),
     )
     if path.reason == "max-steps":
         return _skip(labels)
@@ -667,9 +652,8 @@ def move_boundary_near_turning_point(
     if b is None:
         return _skip(labels)
     tp = turning_point
-    for nbr in mesh.vertex_neighbors_ordered(tp):
-        if tuple(sorted((tp, nbr))) in mesh.feature_edges:
-            return _skip(labels)  # feature turning-points belong to pull_closest_corner
+    if mesh.is_feature_vertex(tp):
+        return _skip(labels)  # feature turning-points belong to pull_closest_corner
 
     angle_sum = {b.left_label: 0.0, b.right_label: 0.0}
     for t in mesh.vertex_triangles(tp):
@@ -699,7 +683,7 @@ def straighten_boundary(
     b = graph.boundaries[boundary_id]
     if b.cyclic:
         return _skip(labels)
-    if any(tuple(mesh.edges[e]) in mesh.feature_edges for e in b.edge_ids):
+    if any(mesh.is_feature_edge(*mesh.edges[e]) for e in b.edge_ids):
         return _skip(labels)  # feature boundaries keep their path
     c_start, c_end = b.vertices[0], b.vertices[-1]
     union = np.isin(graph.chart_of, (b.left_chart, b.right_chart))

@@ -3,9 +3,22 @@
 Two routines run after the initial graph-cut labeling: the validity routine
 inserts/removes charts until every chart, boundary and corner passes its
 rule, then the monotonicity routine removes turning points while keeping the
-labeling valid. Validity is always worth more than quality: the second
-routine rolls back any step that breaks validity or fails to reduce the
-turning-point count, the first one never rolls back.
+labeling valid.
+
+Both routines apply operators through one step, `_State.attempt`: run the
+operator, build the outcome's LabelingGraph and ValidityReport once, ask the
+step's accept predicate, then commit and log the outcome or drop it. An
+outcome that changed nothing is always dropped. Validity is worth more than
+quality: the validity routine commits every change (increase_chart_valence
+only when the target chart gains a neighbor), while the monotonicity routine
+drops any outcome that breaks validity or fails to reduce the turning-point
+count (for straightening: raises it).
+
+Most steps run as a sweep (`_sweep`): try the current targets in order,
+start over after the first commit, and stop once a whole pass commits
+nothing. Each labeling's graph is built once: either where a routine starts
+from raw labels, or in `attempt`; `run_monotonicity_routine` takes over the
+graph the validity routine ends with.
 
 The validity routine carries a visited-state set of tuples
 (#charts, #boundaries, #corners, #invalid of each, #turning-points); seeing
@@ -78,145 +91,100 @@ def labeling_status(graph: LabelingGraph, report: ValidityReport) -> str:
 
 
 class _State:
-    """(labels, graph, report) kept in sync through operator applications."""
+    """(labels, graph, report) of the current labeling; every operator
+    application goes through `attempt`."""
 
-    def __init__(self, mesh, labels, cfg: PipelineConfig, log=None):
-        self.mesh = mesh
+    def __init__(self, labels, graph: LabelingGraph, cfg: PipelineConfig, log=None):
+        self.mesh = graph.mesh
         self.cfg = cfg
         self.log = log if log is not None else []
-        self.set(np.asarray(labels, dtype=np.int64))
+        self.labels, self.graph, self.report = labels, graph, self._validate(graph)
 
-    def set(self, labels):
-        self.labels = labels
-        self.graph = LabelingGraph(self.mesh, labels, self.cfg.turning_point_penalty)
-        self.report = validate(
-            self.graph,
-            self.cfg.allow_opposite_labels,
-            self.cfg.min_reflex_fraction,
-            self.cfg.corner_rule,
-        )
-
-    def note(self, op, target, changed, extra=""):
-        suffix = f" {extra}" if extra else ""
-        self.log.append(f"{op} target={target} changed={changed}{suffix}")
+    def _validate(self, graph):
+        cfg = self.cfg
+        return validate(graph, cfg.allow_opposite_labels, cfg.min_reflex_fraction, cfg.corner_rule)
 
     @property
     def valid(self):
         return self.report.is_valid
 
-
-def _increase_valence_phase(st: _State) -> None:
-    cfg = st.cfg
-    for _ in range(100):
-        if st.valid:
-            return
-        applied = False
-        for cid in st.report.invalid_charts:
-            if not ops.is_feature_surrounded(st.graph, cid):
-                continue
-            old_chart = st.graph.charts[cid]
-            anchor, old_valence = int(old_chart.triangles[0]), old_chart.valence
-            out = ops.increase_chart_valence(st.mesh, st.labels, st.graph, cid)
-            if not out.applied:
-                continue
-            g2 = LabelingGraph(st.mesh, out.labels, cfg.turning_point_penalty)
-            if g2.charts[int(g2.chart_of[anchor])].valence <= old_valence:
-                continue  # no valence gain: treat as failed, keep the old labeling
-            st.set(out.labels)
-            st.note("increase_chart_valence", cid, len(out.changed))
-            applied = True
-            break
-        if not applied:
-            return
+    def attempt(self, op, *args, target=None, accept=None, extra="") -> bool:
+        """Apply `op` at `args` and commit the outcome if it changed the
+        labeling and `accept(old_graph, new_graph, new_report)` holds (no
+        predicate: always). Returns whether it committed; the log names
+        `target`, by default the args joined with '/'."""
+        out = op(self.mesh, self.labels, self.graph, *args)
+        if not out.applied:
+            return False
+        graph = LabelingGraph(self.mesh, out.labels, self.cfg.turning_point_penalty)
+        report = self._validate(graph)
+        if accept is not None and not accept(self.graph, graph, report):
+            return False
+        self.labels, self.graph, self.report = out.labels, graph, report
+        if target is None:
+            target = "/".join(str(a) for a in args)
+        suffix = f" {extra}" if extra else ""
+        self.log.append(f"{op.__name__} target={target} changed={len(out.changed)}{suffix}")
+        return True
 
 
-def _fix_boundaries_phase(st: _State) -> None:
-    for _ in range(100):
-        if st.valid:
-            return
-        applied = False
-        for bid in st.report.invalid_boundaries:
-            out = ops.fix_invalid_boundary(
-                st.mesh, st.labels, st.graph, bid, st.cfg.insert_width
-            )
-            if out.applied:
-                st.set(out.labels)
-                st.note("fix_invalid_boundary", bid, len(out.changed))
-                applied = True
-                break
-        if not applied:
-            return
+def _start(mesh: SurfaceMesh, labels, cfg: PipelineConfig, log=None) -> _State:
+    labels = np.asarray(labels, dtype=np.int64)
+    return _State(labels, LabelingGraph(mesh, labels, cfg.turning_point_penalty), cfg, log)
 
 
-def _fix_corners_phase(st: _State) -> None:
-    for _ in range(100):
-        if st.valid:
-            return
-        applied = False
-        for cid in st.report.invalid_corners:
-            out = None
-            for radius in range(st.cfg.insert_radius, 0, -1):
-                try:
-                    out = ops.fix_invalid_corner(
-                        st.mesh, st.labels, st.graph, cid, radius, st.cfg.corner_rule
-                    )
-                    break
-                except ValueError:  # radius exceeds adjacent charts: shrink
-                    continue
-            if out is not None and out.applied:
-                st.set(out.labels)
-                st.note("fix_invalid_corner", cid, len(out.changed))
-                applied = True
-                break
-        if not applied:
-            return
+def _sweep(targets, step, limit: int = 100) -> bool:
+    """Try `step` on each of `targets()` in order and start over after the
+    first success, until a whole pass succeeds nowhere or `limit` steps
+    have succeeded. Returns whether any step succeeded."""
+    done = 0
+    while done < limit and any(step(t) for t in targets()):
+        done += 1
+    return done > 0
+
+
+def _valence_gain(chart_id):
+    """Accept when the chart holding the target chart's first triangle has
+    more neighbors than the target had."""
+    def accept(old, new, report):
+        chart = old.charts[chart_id]
+        return new.charts[int(new.chart_of[chart.triangles[0]])].valence > chart.valence
+    return accept
+
+
+def _fewer_turning_points(old, new, report):
+    return report.is_valid and new.total_turning_points < old.total_turning_points
+
+
+def _no_more_turning_points(old, new, report):
+    return report.is_valid and new.total_turning_points <= old.total_turning_points
 
 
 def _remove_invalid_charts(st: _State) -> bool:
-    """One sweep of chart removal over non-feature-surrounded invalid charts."""
-    any_applied = False
-    for _ in range(100):
-        target = next(
-            (
-                cid
-                for cid in st.report.invalid_charts
-                if not ops.is_feature_surrounded(st.graph, cid)
-            ),
-            None,
-        )
-        if target is None:
-            return any_applied
-        out = ops.remove_chart(st.mesh, st.labels, st.graph, target)
-        if not out.applied:
-            return any_applied
-        st.set(out.labels)
-        st.note("remove_chart", target, len(out.changed))
-        any_applied = True
-        if st.valid:
-            return True
-    return any_applied
+    """Dissolve the first invalid chart not surrounded by feature edges,
+    again and again, until that fails."""
+    return _sweep(
+        lambda: itertools.islice(
+            (c for c in st.report.invalid_charts if not ops.is_feature_surrounded(st.graph, c)), 1
+        ),
+        lambda c: st.attempt(ops.remove_chart, c),
+    )
 
 
 def _remove_charts_around_invalid_boundaries(st: _State) -> bool:
     """Escape hatch when the state tuple repeats: dissolve both charts
     adjacent to each invalid boundary."""
-    any_applied = False
-    for _ in range(2 * max(1, st.graph.n_boundaries)):
-        if not st.report.invalid_boundaries or st.valid:
-            return any_applied
+    def targets():
+        if not st.report.invalid_boundaries:
+            return ()
         b = st.graph.boundaries[st.report.invalid_boundaries[0]]
-        progressed = False
-        for cid in sorted({b.left_chart, b.right_chart}):
-            out = ops.remove_chart(st.mesh, st.labels, st.graph, cid)
-            if out.applied:
-                st.set(out.labels)
-                st.note("remove_chart", cid, len(out.changed), "escape")
-                progressed = True
-                break  # chart ids are stale after the rebuild
-        if not progressed:
-            return any_applied
-        any_applied = True
-    return any_applied
+        return sorted({b.left_chart, b.right_chart})
+
+    return _sweep(
+        targets,
+        lambda c: st.attempt(ops.remove_chart, c, extra="escape"),
+        limit=2 * max(1, st.graph.n_boundaries),
+    )
 
 
 def run_validity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, log=None):
@@ -226,20 +194,25 @@ def run_validity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, 
     converge: an invalid report after max_iterations is the caller's signal.
     """
     cfg = cfg or PipelineConfig()
-    st = _State(mesh, labels, cfg, log)
+    st = _start(mesh, labels, cfg, log)
     visited = set()  # grows for the whole run
     n = 0
     while not st.valid and n < cfg.max_iterations:
         n += 1
-        _increase_valence_phase(st)
-        if st.valid:
-            break
-        _fix_boundaries_phase(st)
-        if st.valid:
-            break
-        _fix_corners_phase(st)
-        if st.valid:
-            break
+        _sweep(  # charts walled in by features cannot dissolve: add a neighbor
+            lambda: (c for c in st.report.invalid_charts if ops.is_feature_surrounded(st.graph, c)),
+            lambda c: st.attempt(ops.increase_chart_valence, c, accept=_valence_gain(c)),
+        )
+        _sweep(
+            lambda: st.report.invalid_boundaries,
+            lambda b: st.attempt(ops.fix_invalid_boundary, b, cfg.insert_width, target=b),
+        )
+        _sweep(
+            lambda: st.report.invalid_corners,
+            lambda c: st.attempt(
+                ops.fix_invalid_corner, c, cfg.insert_radius, cfg.corner_rule, target=c
+            ),
+        )
         while True:
             removed = _remove_invalid_charts(st)
             if st.valid:
@@ -254,93 +227,47 @@ def run_validity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, 
     return st.labels, st.graph, st.report, n
 
 
-def _try_quality_op(st: _State, op, *args, require_tp_decrease=True):
-    """Apply a monotonicity operator with rollback.
-
-    Rejects the result unless the labeling stays valid and the total
-    turning-point count strictly decreases (or at least does not increase,
-    for straightening).
-    """
-    before_tp = st.graph.total_turning_points
-    out = op(st.mesh, st.labels, st.graph, *args)
-    if not out.applied:
-        return False
-    g2 = LabelingGraph(st.mesh, out.labels, st.cfg.turning_point_penalty)
-    r2 = validate(
-        g2, st.cfg.allow_opposite_labels, st.cfg.min_reflex_fraction, st.cfg.corner_rule
-    )
-    if not r2.is_valid:
-        return False
-    after_tp = g2.total_turning_points
-    if require_tp_decrease and after_tp >= before_tp:
-        return False
-    if not require_tp_decrease and after_tp > before_tp:
-        return False
-    st.labels, st.graph, st.report = out.labels, g2, r2
-    st.note(op.__name__, "/".join(str(a) for a in args), len(out.changed))
-    return True
-
-
-def _turning_point_vertices(graph: LabelingGraph) -> list:
-    out = set()
-    for b in graph.boundaries:
-        out.update(b.turning_point_vertices())
-    return sorted(out)
-
-
-def _on_feature(mesh, v) -> bool:
-    return any(
-        tuple(sorted((v, nbr))) in mesh.feature_edges
-        for nbr in mesh.vertex_neighbors_ordered(v)
-    )
-
-
-def run_monotonicity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, log=None):
+def run_monotonicity_routine(graph: LabelingGraph, cfg: PipelineConfig = None, log=None):
     """Remove turning points from a valid labeling, keeping it valid.
 
-    Step order: join feature-linked turning-point pairs, pull corners onto
-    feature turning-points, push boundaries across smooth turning-points,
-    then straighten the remaining smooth boundaries.
+    Starts from the labeling's graph, which must have been built with
+    ``cfg.turning_point_penalty`` (ValueError otherwise). Step order: join
+    feature-linked turning-point pairs, pull corners onto feature
+    turning-points, push boundaries across smooth turning-points, then
+    straighten the remaining smooth boundaries.
     """
     cfg = cfg or PipelineConfig()
-    st = _State(mesh, labels, cfg, log)
-    if st.graph.total_turning_points == 0:
-        return st.labels, st.graph, st.report
+    if graph.mu != cfg.turning_point_penalty:
+        raise ValueError(
+            f"graph built with turning-point penalty {graph.mu},"
+            f" config has {cfg.turning_point_penalty}"
+        )
+    st = _State(np.array(graph.labels), graph, cfg, log)  # graph.labels is read-only
 
-    for _ in range(100):  # join pairs bridged by lost feature edges
-        tps = _turning_point_vertices(st.graph)
-        if not any(
-            _try_quality_op(st, ops.join_turning_points_pair, t1, t2)
-            for t1, t2 in itertools.combinations(tps, 2)
-        ):
-            break
-    if st.graph.total_turning_points == 0:
-        return st.labels, st.graph, st.report
+    def tps():
+        return st.graph.turning_point_vertices()
 
-    for _ in range(100):  # pull corners onto feature turning-points
-        targets = [v for v in _turning_point_vertices(st.graph) if _on_feature(mesh, v)]
-        if not any(_try_quality_op(st, ops.pull_closest_corner, v) for v in targets):
-            break
-    if st.graph.total_turning_points == 0:
-        return st.labels, st.graph, st.report
-
-    for _ in range(100):  # move boundaries across smooth turning-points
-        targets = _turning_point_vertices(st.graph)
-        if not any(
-            _try_quality_op(st, ops.move_boundary_near_turning_point, v, cfg.insert_radius)
-            for v in targets
-        ):
-            break
-    if st.graph.total_turning_points == 0:
+    stages = (
+        (lambda: itertools.combinations(tps(), 2),  # pairs bridged by lost feature edges
+         lambda pair: st.attempt(ops.join_turning_points_pair, *pair, accept=_fewer_turning_points)),
+        (lambda: [v for v in tps() if st.mesh.is_feature_vertex(v)],
+         lambda v: st.attempt(ops.pull_closest_corner, v, accept=_fewer_turning_points)),
+        (tps,
+         lambda v: st.attempt(ops.move_boundary_near_turning_point, v, cfg.insert_radius,
+                              accept=_fewer_turning_points)),
+    )
+    for targets, step in stages:
+        if st.graph.total_turning_points:
+            _sweep(targets, step)
+    if not st.graph.total_turning_points:
         return st.labels, st.graph, st.report
 
     bid = 0
     for _ in range(2 * max(1, st.graph.n_boundaries)):  # straighten what remains
         if bid >= st.graph.n_boundaries:
             break
-        if _try_quality_op(st, ops.straighten_boundary, bid, require_tp_decrease=False):
-            continue  # ids reshuffled, retry the same index on the new graph
-        bid += 1
+        if not st.attempt(ops.straighten_boundary, bid, accept=_no_more_turning_points):
+            bid += 1  # on success ids reshuffle: retry the same index on the new graph
     return st.labels, st.graph, st.report
 
 
@@ -374,10 +301,10 @@ def label_mesh(
 
         t2 = time.perf_counter()
         if report.is_valid:
-            labels, graph, report = run_monotonicity_routine(mesh, labels, cfg, op_log)
+            labels, graph, report = run_monotonicity_routine(graph, cfg, op_log)
         durations["monotonicity"] = time.perf_counter() - t2
     except Exception as exc:  # a crash is a result, not an abort
-        st = _State(mesh, init_labels if init_labels is not None else
+        st = _start(mesh, init_labels if init_labels is not None else
                     np.zeros(mesh.n_triangles, dtype=np.int64), cfg)
         durations["total"] = time.perf_counter() - t0
         return PipelineResult(

@@ -5,6 +5,7 @@ enumeration) so it cannot share a bug with the production code.
 """
 
 import itertools
+from collections import deque
 
 import numpy as np
 
@@ -73,3 +74,26 @@ def brute_force_directions(signs, mu, cyclic):
         direction_cost(assign, signs, mu, cyclic)
         for assign in itertools.product((1, -1), repeat=len(signs))
     )
+
+
+def flood_fill_charts(mesh, labels):
+    """Charts by breadth-first flood fill over same-label neighbour
+    triangles, seeded in triangle order so charts come out numbered by their
+    smallest triangle. Returns (chart_of, chart labels, sorted triangle
+    lists)."""
+    chart_of = [-1] * mesh.n_triangles
+    members = []
+    for seed in range(mesh.n_triangles):
+        if chart_of[seed] >= 0:
+            continue
+        chart_of[seed] = len(members)
+        found, queue = [seed], deque([seed])
+        while queue:
+            t = queue.popleft()
+            for nb in mesh.triangle_adjacency[t].tolist():
+                if chart_of[nb] < 0 and labels[nb] == labels[t]:
+                    chart_of[nb] = chart_of[seed]
+                    found.append(nb)
+                    queue.append(nb)
+        members.append(sorted(found))
+    return chart_of, [int(labels[tris[0]]) for tris in members], members

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycubelabel import shapes
 from polycubelabel.graph import LabelingGraph, discontinuity_edges, optimal_edge_directions
 from polycubelabel.labeling import naive_labeling
 from polycubelabel.mesh import SurfaceMesh
 
-from helpers import chart_euler
-from oracles import brute_force_directions, direction_cost
+from helpers import build, chart_euler
+from oracles import brute_force_directions, direction_cost, flood_fill_charts
 
 
 def test_cube_graph_counts(cube_mesh):
@@ -183,3 +185,37 @@ def test_rotated_torus_has_turning_points(torus_mesh):
             assert 0 <= i < len(b.vertices)
         if b.axis is None:
             assert b.turning_points == ()
+
+
+NOISE_SHAPES = {
+    "cube": lambda: build(*shapes.subdivide(*shapes.cube(), 2)),
+    "l-prism": lambda: build(*shapes.subdivide(*shapes.l_prism(), 2)),
+    "cylinder": lambda: build(*shapes.cylinder(16)),
+    "sphere": lambda: build(*shapes.icosphere(2)),
+    "torus": lambda: build(*shapes.torus()),
+}
+_noise_meshes = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(NOISE_SHAPES)),
+    st.sampled_from([0.0, 0.02, 0.2, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_charts_match_flood_fill_on_label_noise(shape, noise, seed):
+    if shape not in _noise_meshes:
+        _noise_meshes[shape] = NOISE_SHAPES[shape]()
+    m = _noise_meshes[shape]
+    rng = np.random.default_rng(seed)
+    labels = naive_labeling(m)
+    flip = rng.random(m.n_triangles) < noise
+    labels[flip] = rng.integers(0, 6, size=int(flip.sum()))
+
+    g = LabelingGraph(m, labels)
+    chart_of, chart_labels, members = flood_fill_charts(m, labels)
+    assert g.chart_of.tolist() == chart_of
+    assert [c.label for c in g.charts] == chart_labels
+    assert [c.triangles.tolist() for c in g.charts] == members
+    firsts = [int(c.triangles[0]) for c in g.charts]
+    assert firsts == sorted(firsts)  # charts ordered by smallest triangle index

@@ -10,7 +10,6 @@ a determinism re-run).
 import math
 
 import numpy as np
-import pytest
 
 from polycubelabel import shapes
 from polycubelabel.graph import LabelingGraph
@@ -178,11 +177,13 @@ def test_fix_invalid_corner_buries_cone_apex():
 
 
 def test_fix_invalid_corner_needs_room():
-    m, labels = cone_quadrants(0)  # coarse: the disk would swallow the base
+    m, labels = cone_quadrants(0)  # coarse: a 3-ring disk would swallow the base
     g = LabelingGraph(m, labels)
     apex = int(np.argmax(m.vertices[:, 2]))
-    with pytest.raises(ValueError, match="radius exceeds"):
-        fix_invalid_corner(m, labels, g, g.corner_at[apex], radius=3)
+    out = run(fix_invalid_corner, m, labels, g, g.corner_at[apex], radius=3)
+    assert out.applied  # the disk shrinks until it fits
+    incident = {int(g.chart_of[t]) for t in m.vertex_triangles(apex)}
+    assert {int(g.chart_of[t]) for t in out.changed} <= incident
 
 
 def test_fix_invalid_corner_skips_valid_corner(cube_mesh):

@@ -1,10 +1,13 @@
 """End-to-end repair pipeline behaviour."""
 
+import functools
 import json
 import math
 
 import numpy as np
+import pytest
 
+from polycubelabel import operators
 from polycubelabel import pipeline as pl
 from polycubelabel import shapes
 from polycubelabel.graph import LabelingGraph
@@ -47,10 +50,17 @@ def test_monotonicity_routine_reduces_turning_points():
     before = LabelingGraph(m, labels).total_turning_points
     assert before > 0
     log = []
-    out, g, report = pl.run_monotonicity_routine(m, labels, log=log)
+    out, g, report = pl.run_monotonicity_routine(LabelingGraph(m, labels), log=log)
     assert report.is_valid
     assert g.total_turning_points < before
     assert log  # the improvement was made by logged operator steps
+
+
+def test_monotonicity_routine_rejects_graph_of_other_penalty():
+    m = rotated_torus()
+    g = LabelingGraph(m, naive_labeling(m), turning_point_penalty=2.0)
+    with pytest.raises(ValueError, match="turning-point penalty"):
+        pl.run_monotonicity_routine(g)
 
 
 def test_validity_routine_fixes_same_axis_boundary():
@@ -80,7 +90,7 @@ def test_validity_routine_noop_on_valid_input(cube_mesh):
 
 def test_escape_hatch_dissolves_boundary_charts():
     m, labels, _ = split_top_box()
-    st = pl._State(m, labels, pl.PipelineConfig())
+    st = pl._start(m, labels, pl.PipelineConfig())
     assert st.report.invalid_boundaries
     assert pl._remove_charts_around_invalid_boundaries(st)
     assert any("escape" in e for e in st.log)
@@ -135,3 +145,48 @@ def test_status_classification(cube_mesh):
 
     m, labels, g = split_top_box()
     assert pl.labeling_status(g, validate(g)) == "invalid"
+
+
+OPERATORS = (
+    "remove_chart", "fix_invalid_boundary", "fix_invalid_corner",
+    "increase_chart_valence", "join_turning_points_pair", "pull_closest_corner",
+    "move_boundary_near_turning_point", "straighten_boundary",
+)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts LabelingGraph builds in the pipeline and applied operator outcomes."""
+    counts = {"builds": 0, "applied": 0}
+
+    class CountingGraph(LabelingGraph):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts["builds"] += 1
+
+    def counting(op):
+        @functools.wraps(op)
+        def wrapper(*args, **kwargs):
+            out = op(*args, **kwargs)
+            counts["applied"] += out.applied
+            return out
+        return wrapper
+
+    monkeypatch.setattr(pl, "LabelingGraph", CountingGraph)
+    for name in OPERATORS:
+        monkeypatch.setattr(operators, name, counting(getattr(operators, name)))
+    return counts
+
+
+def test_label_mesh_builds_a_valid_start_once(cube_mesh, counted):
+    res = pl.label_mesh(cube_mesh, init_labels=naive_labeling(cube_mesh))
+    assert res.status == "valid-all-monotone"
+    assert counted == {"builds": 1, "applied": 0}
+
+
+def test_label_mesh_builds_one_graph_per_applied_outcome(counted):
+    m, labels = cone_quadrants(2)
+    res = pl.label_mesh(m, init_labels=labels)
+    assert res.status.startswith("valid")
+    assert counted["applied"] >= len(res.op_log) > 0
+    assert counted["builds"] == 1 + counted["applied"]

@@ -12,8 +12,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .io import (FileFormatError, load_mesh, read_labeling, write_labeling,
                  write_ply)
 from .graph import LabelingGraph

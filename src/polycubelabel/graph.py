@@ -9,7 +9,8 @@ by vertex index. Rebuilding from the same labeling yields identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -89,43 +90,34 @@ def optimal_edge_directions(signs, mu: float = 1.0, cyclic: bool = False):
     n = len(signs)
     if n == 0:
         return (), 0.0
-
-    def unary(s, x):
-        return (1.0 - x * s) / 2.0
-
     best = None
     for forced in ((1, -1) if cyclic else (None,)):
-        states = (1, -1)
-        cost = {}
-        for x in states:
-            if forced is not None and x != forced:
-                cost[x] = float("inf")
-            else:
-                cost[x] = unary(signs[0], x)
-        back = []
-        for i in range(1, n):
-            nxt, bk = {}, {}
-            for x in states:
-                # prefer no flip, then +1, on exact ties
-                options = sorted(
-                    (cost[y] + (0.0 if x == y else mu), 0 if y == x else 1, -y)
-                    for y in states
-                )
-                nxt[x] = options[0][0] + unary(signs[i], x)
-                bk[x] = -options[0][2]
-            cost = nxt
-            back.append(bk)
-        if cyclic and forced is not None:
-            for x in states:
-                cost[x] += 0.0 if x == forced else mu
-        end = 1 if cost[1] <= cost[-1] else -1
-        total = cost[end]
-        dirs = [end]
-        for bk in reversed(back):
-            dirs.append(bk[dirs[-1]])
-        dirs.reverse()
+        # cost of the best prefix ending in +1 / -1; flips[i - 1] says
+        # whether each state of edge i was reached by a flip, which happens
+        # only when flipping is strictly cheaper
+        plus = (1.0 - signs[0]) / 2.0 if forced != -1 else math.inf
+        minus = (1.0 + signs[0]) / 2.0 if forced != 1 else math.inf
+        flips = []
+        for sign in signs[1:]:
+            to_plus, to_minus = minus + mu < plus, plus + mu < minus
+            plus, minus = (
+                (minus + mu if to_plus else plus) + (1.0 - sign) / 2.0,
+                (plus + mu if to_minus else minus) + (1.0 + sign) / 2.0,
+            )
+            flips.append((to_plus, to_minus))
+        if forced == 1:
+            minus += mu
+        elif forced == -1:
+            plus += mu
+        state = 0 if plus <= minus else 1
+        total = (plus, minus)[state]
+        dirs = [state]
+        for flip in reversed(flips):
+            state ^= flip[state]
+            dirs.append(state)
+        dirs = tuple(1 - 2 * x for x in reversed(dirs))
         if best is None or total < best[1] - 1e-12:
-            best = (tuple(dirs), total)
+            best = (dirs, total)
     return best
 
 
@@ -200,14 +192,6 @@ class LabelingGraph:
 
     # -- boundaries ----------------------------------------------------------
 
-    def _left_right_charts(self, a, b):
-        """Charts left/right of the directed walk a -> b."""
-        eid = self.mesh.edge_id(a, b)
-        t_fwd, t_bwd = self.mesh.edge_tris[eid]
-        if self.mesh.edges[eid, 0] != a:
-            t_fwd, t_bwd = t_bwd, t_fwd
-        return int(self.chart_of[t_fwd]), int(self.chart_of[t_bwd])
-
     def _walk_boundaries(self):
         mesh = self.mesh
         on_boundary = np.nonzero(discontinuity_edges(mesh, self.labels))[0]
@@ -225,8 +209,8 @@ class LabelingGraph:
         self._endpoint_map = {}  # corner vertex -> boundary ids (with multiplicity)
 
         def record(verts, eids, cyclic):
-            a, b = verts[0], verts[1]
-            left, right = self._left_right_charts(a, b)
+            # charts left and right of the walk's first edge
+            left, right = (int(self.chart_of[t]) for t in mesh.edge_sides(verts[0], verts[1]))
             bid = len(self.boundaries)
             self.boundaries.append(
                 Boundary(
@@ -307,14 +291,13 @@ class LabelingGraph:
         for b in self.boundaries:
             if b.axis is None or b.n_edges == 0:
                 continue
-            signs = []
             verts = b.vertices + ((b.vertices[0],) if b.cyclic else ())
-            for i in range(b.n_edges):
-                d = pts[verts[i + 1]] - pts[verts[i]]
-                proj = d[b.axis] / np.linalg.norm(d)
-                signs.append(0 if abs(proj) < _SIGN_TOL else (1 if proj > 0 else -1))
-            b.raw_signs = tuple(signs)
-            b.edge_signs, _ = optimal_edge_directions(signs, self.mu, b.cyclic)
+            d = np.diff(pts[list(verts)], axis=0)
+            proj = d[:, b.axis] / np.linalg.norm(d, axis=1)
+            signs = np.sign(proj).astype(np.int64)
+            signs[np.abs(proj) < _SIGN_TOL] = 0
+            b.raw_signs = tuple(signs.tolist())
+            b.edge_signs, _ = optimal_edge_directions(b.raw_signs, self.mu, b.cyclic)
             b.turning_points = _flip_positions(b.edge_signs, b.cyclic)
 
     # -- queries -----------------------------------------------------------------

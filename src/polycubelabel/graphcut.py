@@ -1,10 +1,11 @@
 """Mesh-agnostic discrete optimizers: s-t max-flow / min-cut (Dinic) and
 multi-label energy minimization by alpha-expansion.
 
-The kernels are plain array code compiled with numba when available
-(set POLYCUBELABEL_NO_NUMBA=1 to force the pure-python fallback; results are
-identical, just slower). Capacities are float64; disallowed assignments are
-encoded as BIG rather than inf so residual arithmetic never produces NaN.
+Graph construction and energies are numpy. Only the Dinic augmenting loop is
+compiled, with numba when available (set POLYCUBELABEL_NO_NUMBA=1 to force
+the pure-python loop; results are identical, just slower). Capacities are
+float64; disallowed assignments are encoded as BIG rather than inf so
+residual arithmetic never produces NaN.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ _EPS = 1e-12
 
 @njit(cache=True)
 def _dinic(n_nodes, head, nxt, to, cap, s, t):
-    """Max flow on a paired-arc graph; mutates cap to the residual."""
-    flow = 0.0
+    """Max flow on a paired-arc graph; mutates cap to the residual.
+
+    Returns the source side of the minimum cut: the nodes the final
+    breadth-first search reaches from s through arcs with residual capacity.
+    """
     level = np.empty(n_nodes, dtype=np.int64)
     iters = np.empty(n_nodes, dtype=np.int64)
     queue = np.empty(n_nodes, dtype=np.int64)
@@ -62,7 +66,7 @@ def _dinic(n_nodes, head, nxt, to, cap, s, t):
                     qt += 1
                 e = nxt[e]
         if level[t] < 0:
-            return flow
+            return level >= 0
         for i in range(n_nodes):
             iters[i] = head[i]
         u = s
@@ -76,7 +80,6 @@ def _dinic(n_nodes, head, nxt, to, cap, s, t):
                 for k in range(plen):
                     cap[path[k]] -= bottleneck
                     cap[path[k] ^ 1] += bottleneck
-                flow += bottleneck
                 u = s
                 plen = 0
                 continue
@@ -100,25 +103,29 @@ def _dinic(n_nodes, head, nxt, to, cap, s, t):
                 u = to[e]
 
 
-@njit(cache=True)
-def _source_side(n_nodes, head, nxt, to, cap, s):
-    side = np.zeros(n_nodes, dtype=np.bool_)
-    queue = np.empty(n_nodes, dtype=np.int64)
-    side[s] = True
-    queue[0] = s
-    qh, qt = 0, 1
-    while qh < qt:
-        u = queue[qh]
-        qh += 1
-        e = head[u]
-        while e != -1:
-            v = to[e]
-            if cap[e] > _EPS and not side[v]:
-                side[v] = True
-                queue[qt] = v
-                qt += 1
-            e = nxt[e]
-    return side
+def _paired_arcs(n_nodes, tails, heads, caps):
+    """Paired-arc adjacency lists of the arcs tails[k] -> heads[k].
+
+    Arc 2k carries caps[k] and arc 2k + 1 is its zero-capacity reverse, so
+    ``e ^ 1`` is the partner of arc e. Each node's list starts at its
+    last-added arc, as if the arcs were pushed one at a time; a stable sort
+    of the arc origins yields that order. Returns (head, nxt, to, cap).
+    """
+    m = len(tails)
+    order = np.argsort(np.stack((tails, heads), axis=1).ravel(), kind="stable")
+    counts = np.bincount(tails, minlength=n_nodes) + np.bincount(heads, minlength=n_nodes)
+    ends = np.cumsum(counts)
+    has = counts > 0
+    # in sorted order each arc links to the one before it, except the first
+    # of its node; a node's head is the last of its group
+    nxt = np.empty(2 * m, dtype=np.int64)
+    nxt[order[1:]] = order[:-1]
+    nxt[order[ends[has] - counts[has]]] = -1
+    head = np.full(n_nodes, -1, dtype=np.int64)
+    head[has] = order[ends[has] - 1]
+    to = np.stack((heads, tails), axis=1).ravel()
+    cap = np.stack((caps, np.zeros(m)), axis=1).ravel()
+    return head, nxt, to, cap
 
 
 def min_st_cut(n_nodes, edges, capacities, s, t):
@@ -130,54 +137,22 @@ def min_st_cut(n_nodes, edges, capacities, s, t):
     """
     edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
     capacities = np.ascontiguousarray(capacities, dtype=np.float64)
-    m = len(edges)
-    head = np.full(n_nodes, -1, dtype=np.int64)
-    nxt = np.empty(2 * m, dtype=np.int64)
-    to = np.empty(2 * m, dtype=np.int64)
-    cap = np.empty(2 * m, dtype=np.float64)
-    for k in range(m):
-        u, v = edges[k]
-        to[2 * k] = v
-        cap[2 * k] = capacities[k]
-        nxt[2 * k] = head[u]
-        head[u] = 2 * k
-        to[2 * k + 1] = u
-        cap[2 * k + 1] = 0.0
-        nxt[2 * k + 1] = head[v]
-        head[v] = 2 * k + 1
-    _dinic(n_nodes, head, nxt, to, cap, s, t)
-    side = _source_side(n_nodes, head, nxt, to, cap, s)
+    arcs = _paired_arcs(n_nodes, edges[:, 0], edges[:, 1], capacities)
+    side = _dinic(n_nodes, *arcs, s, t)
     value = float(capacities[side[edges[:, 0]] & ~side[edges[:, 1]]].sum())
     return value, side
 
 
-@njit(cache=True)
-def _push_arc(head, nxt, to, cap, cnt, u, v, c):
-    """Append arc u->v with capacity c plus its zero reverse (id cnt^1)."""
-    to[cnt] = v
-    cap[cnt] = c
-    nxt[cnt] = head[u]
-    head[u] = cnt
-    cnt += 1
-    to[cnt] = u
-    cap[cnt] = 0.0
-    nxt[cnt] = head[v]
-    head[v] = cnt
-    return cnt + 1
-
-
-@njit(cache=True)
 def _potts_energy(costs, pairs, weights, labels):
-    e = 0.0
-    for i in range(len(labels)):
-        e += costs[i, labels[i]]
-    for k in range(len(pairs)):
-        if labels[pairs[k, 0]] != labels[pairs[k, 1]]:
-            e += weights[k]
-    return e
+    terms = np.concatenate((
+        costs[np.arange(len(labels)), labels],
+        weights[labels[pairs[:, 0]] != labels[pairs[:, 1]]],
+    ))
+    # the running total adds left to right like a plain loop; np.sum adds
+    # pairwise and can differ in the last bits
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
-@njit(cache=True)
 def _expansion_move(costs, pairs, weights, cur, alpha):
     """One alpha-expansion move; returns the bool array of switched nodes.
 
@@ -187,38 +162,28 @@ def _expansion_move(costs, pairs, weights, cur, alpha):
     A = E(0,0), B = E(0,1), C = E(1,0), D = E(1,1) = 0.
     """
     n = costs.shape[0]
-    m = pairs.shape[0]
-    s = n
-    t = n + 1
-    max_arcs = 4 * n + 6 * m
-    head = np.full(n + 2, -1, dtype=np.int64)
-    nxt = np.empty(max_arcs, dtype=np.int64)
-    to = np.empty(max_arcs, dtype=np.int64)
-    cap = np.empty(max_arcs, dtype=np.float64)
-    cnt = 0
+    s, t = n, n + 1
+    nodes = np.arange(n)
+    u, v = pairs[:, 0], pairs[:, 1]
+    a = np.where(cur[u] != cur[v], weights, 0.0)
+    b = np.where(cur[u] != alpha, weights, 0.0)
+    c = np.where(cur[v] != alpha, weights, 0.0)
+    up = c > a
+    keep = np.stack((b + c - a > 0.0, c != a, c > 0.0), axis=1)
 
-    for i in range(n):
-        # s->i cut when i switches; i->t cut when i stays
-        cnt = _push_arc(head, nxt, to, cap, cnt, s, i, costs[i, alpha])
-        cnt = _push_arc(head, nxt, to, cap, cnt, i, t, costs[i, cur[i]])
+    def arcs(per_node, per_pair):
+        # per node [s->i, i->t]: s->i is cut when i switches, i->t when it
+        # stays; then per pair the candidates [u->v, s->u | u->t, v->t],
+        # kept where their capacity is positive
+        return np.concatenate((np.stack(per_node, axis=1).ravel(),
+                               np.stack(per_pair, axis=1)[keep]))
 
-    for k in range(m):
-        u, v = pairs[k, 0], pairs[k, 1]
-        w = weights[k]
-        a = w if cur[u] != cur[v] else 0.0
-        b = w if cur[u] != alpha else 0.0
-        c = w if cur[v] != alpha else 0.0
-        if b + c - a > 0.0:
-            cnt = _push_arc(head, nxt, to, cap, cnt, u, v, b + c - a)
-        if c > a:
-            cnt = _push_arc(head, nxt, to, cap, cnt, s, u, c - a)
-        elif a > c:
-            cnt = _push_arc(head, nxt, to, cap, cnt, u, t, a - c)
-        if c > 0.0:
-            cnt = _push_arc(head, nxt, to, cap, cnt, v, t, c)
-
-    _dinic(n + 2, head, nxt, to, cap, s, t)
-    side = _source_side(n + 2, head, nxt, to, cap, s)
+    side = _dinic(n + 2, *_paired_arcs(
+        n + 2,
+        arcs((np.full(n, s), nodes), (u, np.where(up, s, u), v)),
+        arcs((nodes, np.full(n, t)), (v, np.where(up, u, t), np.full_like(v, t))),
+        arcs((costs[nodes, alpha], costs[nodes, cur]), (b + c - a, np.abs(c - a), c)),
+    ), s, t)
     return ~side[:n]
 
 
@@ -228,7 +193,7 @@ def potts_energy(costs, pairs, weights, labels) -> float:
     pairs = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1, 2)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
-    return float(_potts_energy(costs, pairs, weights, labels))
+    return _potts_energy(costs, pairs, weights, labels)
 
 
 def alpha_expansion(costs, pairs, weights, init=None, max_sweeps=100):
@@ -247,7 +212,7 @@ def alpha_expansion(costs, pairs, weights, init=None, max_sweeps=100):
         cur = np.argmin(costs, axis=1).astype(np.int64)
     else:
         cur = np.ascontiguousarray(init, dtype=np.int64).copy()
-    energy = float(_potts_energy(costs, pairs, weights, cur))
+    energy = _potts_energy(costs, pairs, weights, cur)
     for _ in range(max_sweeps):
         improved = False
         for alpha in range(n_labels):
@@ -255,7 +220,7 @@ def alpha_expansion(costs, pairs, weights, init=None, max_sweeps=100):
             if not switch.any():
                 continue
             cand = np.where(switch, alpha, cur)
-            cand_energy = float(_potts_energy(costs, pairs, weights, cand))
+            cand_energy = _potts_energy(costs, pairs, weights, cand)
             if cand_energy < energy - 1e-9:
                 cur, energy = cand, cand_energy
                 improved = True

@@ -8,7 +8,6 @@ geometry round-trips bit-exact through the text formats.
 from __future__ import annotations
 
 import os
-from typing import Iterable
 
 import numpy as np
 

@@ -33,6 +33,12 @@ class OpenSurfaceError(MeshError):
         super().__init__(f"open boundary at edge {self.edge}: only 1 incident triangle")
 
 
+class NonFiniteVertexError(MeshError):
+    def __init__(self, vertex_index):
+        self.vertex_index = int(vertex_index)
+        super().__init__(f"vertex {self.vertex_index} has a non-finite coordinate")
+
+
 class DegenerateTriangleError(MeshError):
     def __init__(self, triangle_index):
         self.triangle_index = int(triangle_index)
@@ -57,7 +63,8 @@ class SurfaceMesh:
     Parameters
     ----------
     vertices : (V, 3) array_like
-        Vertex coordinates in model units.
+        Vertex coordinates in model units; all must be finite. Both
+        arrays are copied, so the caller's arrays stay writeable.
     triangles : (F, 3) array_like
         Vertex indices, counter-clockwise when seen from outside (outward
         normals).
@@ -93,10 +100,13 @@ class SurfaceMesh:
     """
 
     def __init__(self, vertices, triangles, feature_edges=None, feature_angle=math.pi / 4):
-        v = np.ascontiguousarray(vertices, dtype=np.float64)
-        t = np.ascontiguousarray(triangles, dtype=np.int64)
+        v = np.array(vertices, dtype=np.float64, order="C")
+        t = np.array(triangles, dtype=np.int64, order="C")
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshError("vertices must be an (V, 3) array")
+        finite = np.isfinite(v).all(axis=1)
+        if not finite.all():
+            raise NonFiniteVertexError(np.argmin(finite))
         if t.ndim != 2 or t.shape[1] != 3:
             raise NonTriangleFaceError("triangles must be an (F, 3) array")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
@@ -228,6 +238,15 @@ class SurfaceMesh:
             return self.edge_index[key]
         except KeyError:
             raise MeshError(f"no edge {key} in mesh") from None
+
+    def edge_sides(self, a, b) -> tuple:
+        """Triangles (left, right) of the directed edge a -> b, seen from
+        outside."""
+        eid = self.edge_id(a, b)
+        left, right = self.edge_tris[eid]
+        if self.edges[eid, 0] != a:
+            left, right = right, left
+        return int(left), int(right)
 
     def is_feature_edge(self, a, b) -> bool:
         key = (a, b) if a < b else (b, a)

@@ -127,11 +127,9 @@ def _boundary_vertex_set(graph: LabelingGraph) -> set:
 def _chart_contour_loops(graph: LabelingGraph, chart_id: int) -> list:
     """Contour(s) of a chart as directed loops [(v, w, edge, boundary), ...],
     each edge oriented so the chart lies on its left."""
-    mesh = graph.mesh
     outgoing = {}  # v -> list of (w, eid, bid)
-    for b in graph.boundaries:
-        if chart_id not in (b.left_chart, b.right_chart):
-            continue
+    for bid in graph.charts[chart_id].boundaries:
+        b = graph.boundaries[bid]
         verts = b.vertices + ((b.vertices[0],) if b.cyclic else ())
         for k, eid in enumerate(b.edge_ids):
             a, w = verts[k], verts[k + 1]
@@ -163,10 +161,8 @@ def _chart_contour_loops(graph: LabelingGraph, chart_id: int) -> list:
 def is_feature_surrounded(graph: LabelingGraph, chart_id: int) -> bool:
     """True when every contour edge of the chart is a sharp feature edge."""
     mesh = graph.mesh
-    edges = []
-    for b in graph.boundaries:
-        if chart_id in (b.left_chart, b.right_chart):
-            edges.extend(b.edge_ids)
+    edges = [e for bid in graph.charts[chart_id].boundaries
+             for e in graph.boundaries[bid].edge_ids]
     if not edges:
         return False
     return all(mesh.is_feature_edge(*mesh.edges[e]) for e in edges)
@@ -510,13 +506,10 @@ def join_turning_points_pair(
 
     # facets left/right of the directed path t1 -> t2
     left, right = set(), set()
-    for k, eid in enumerate(path_edges):
-        a, b = path_vertices[k], path_vertices[k + 1]
-        tl, tr = mesh.edge_tris[eid]
-        if mesh.edges[eid, 0] != a:
-            tl, tr = tr, tl
-        left.add(int(tl))
-        right.add(int(tr))
+    for a, b in zip(path_vertices, path_vertices[1:]):
+        tl, tr = mesh.edge_sides(a, b)
+        left.add(tl)
+        right.add(tr)
 
     around = {int(labels[t]) for t in mesh.vertex_triangles(t1)}
     around |= {int(labels[t]) for t in mesh.vertex_triangles(t2)}
@@ -719,13 +712,7 @@ def straighten_boundary(
 
     # re-split the two charts along the new path: everything reachable from
     # the left side of the new path keeps the left label
-    left_seeds = set()
-    for k, eid in enumerate(eids):
-        a, w = verts[k], verts[k + 1]
-        tl, tr = mesh.edge_tris[eid]
-        if mesh.edges[eid, 0] != a:
-            tl, tr = tr, tl
-        left_seeds.add(int(tl))
+    left_seeds = {mesh.edge_sides(a, w)[0] for a, w in zip(verts, verts[1:])}
     region_left = _flood(mesh, left_seeds, union, set(eids))
     if len(region_left) == int(union.sum()):
         return _skip(labels)  # new path failed to separate the union

@@ -105,6 +105,18 @@ def test_broken_mesh_exits_2(tmp_path, cube_files, capsys):
     assert "broken.obj:2" in capsys.readouterr().err
 
 
+def test_label_non_finite_coordinate_exits_2(tmp_path, capsys):
+    v, f = shapes.cube()
+    mesh = tmp_path / "nan.obj"
+    io.write_obj(mesh, v, f)
+    lines = mesh.read_text().splitlines()
+    lines[0] = "v nan 0 0"
+    mesh.write_text("\n".join(lines) + "\n")
+    assert main(["label", str(mesh), "-o", str(tmp_path / "out.flags")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.flags").exists()
+
+
 def test_report_command(tmp_path, cube_files):
     mesh, flags = cube_files
     out = tmp_path / "metrics.json"

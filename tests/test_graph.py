@@ -11,7 +11,12 @@ from polycubelabel.labeling import naive_labeling
 from polycubelabel.mesh import SurfaceMesh
 
 from helpers import build, chart_euler
-from oracles import brute_force_directions, direction_cost, flood_fill_charts
+from oracles import (
+    brute_force_directions,
+    direction_cost,
+    flood_fill_charts,
+    reference_edge_directions,
+)
 
 
 def test_cube_graph_counts(cube_mesh):
@@ -172,6 +177,20 @@ def test_directions_match_bruteforce():
         # reported cost is the cost of the reported assignment, and optimal
         assert cost == pytest.approx(direction_cost(dirs, signs, mu, cyclic), abs=1e-12)
         assert cost == pytest.approx(brute_force_directions(signs, mu, cyclic), abs=1e-12)
+
+
+def test_directions_equal_reference_dp_exactly():
+    # zero signs and flip penalties at half-integers make many exact ties;
+    # the recurrence must break them the way the dict DP does
+    rng = np.random.default_rng(23)
+    for _ in range(4000):
+        n = int(rng.integers(0, 16))
+        signs = rng.choice([-1, 0, 1], size=n).tolist()
+        mu = float(rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 0.3]))
+        cyclic = bool(rng.integers(0, 2))
+        assert optimal_edge_directions(signs, mu, cyclic) == reference_edge_directions(
+            signs, mu, cyclic
+        )
 
 
 def test_rotated_torus_has_turning_points(torus_mesh):

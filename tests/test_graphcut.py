@@ -4,13 +4,15 @@ import sys
 import numpy as np
 import pytest
 
-from polycubelabel.graphcut import BIG, alpha_expansion, min_st_cut, potts_energy
+from polycubelabel.graphcut import BIG, _paired_arcs, alpha_expansion, min_st_cut, potts_energy
 
 from oracles import (
     brute_force_min_cut,
     brute_force_potts,
+    push_arcs_one_by_one,
     random_cut_instance,
     random_potts_instance,
+    smallest_min_cut_source_side,
 )
 
 
@@ -40,6 +42,29 @@ def test_min_cut_matches_enumeration():
         assert value == pytest.approx(float(across), abs=1e-12)
         # ...and that partition is a global minimum
         assert value == pytest.approx(brute_force_min_cut(n, edges, caps, s, t), abs=1e-9)
+
+
+def test_min_cut_source_side_is_the_smallest_minimum_cut():
+    # integer capacities, zeros included, so that several cuts tie for the
+    # minimum; the residual search from s must return the smallest of them
+    rng = np.random.default_rng(5)
+    for _ in range(80):
+        n, edges, _, s, t = random_cut_instance(rng)
+        caps = rng.integers(0, 4, size=len(edges)).astype(np.float64)
+        _, side = min_st_cut(n, edges, caps, s, t)
+        assert side.tolist() == smallest_min_cut_source_side(n, edges, caps, s, t).tolist()
+
+
+def test_paired_arcs_match_one_by_one_build():
+    rng = np.random.default_rng(8)
+    for m in [0, 1, 2, 3, 7, 50, 200]:
+        n = int(rng.integers(1, 12))
+        tails, heads = rng.integers(0, n, size=(2, m))  # self-loops and repeats too
+        caps = rng.uniform(0.0, 5.0, size=m)
+        got = _paired_arcs(n, tails, heads, caps)
+        want = push_arcs_one_by_one(n, tails, heads, caps)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_alpha_expansion_matches_bruteforce():
@@ -92,6 +117,24 @@ def test_potts_energy_formula():
     w = np.array([10.0, 20.0])
     assert potts_energy(costs, pairs, w, [0, 1, 1]) == 1 + 4 + 6 + 10
     assert potts_energy(costs, pairs, w, [0, 0, 0]) == 1 + 3 + 5
+
+
+def test_potts_energy_adds_terms_in_order():
+    # data terms by node, then cut pair weights by pair, summed left to right
+    # like a plain loop: bit-identical energies keep the accept test of
+    # alpha_expansion, and so the labels, unchanged
+    rng = np.random.default_rng(13)
+    costs = rng.uniform(0, 3, (300, 6))
+    pairs = rng.integers(0, 300, (900, 2))
+    weights = rng.uniform(0.1, 2.0, 900)
+    labels = rng.integers(0, 6, 300)
+    expected = 0.0
+    for i, label in enumerate(labels):
+        expected += costs[i, label]
+    for (u, v), w in zip(pairs, weights):
+        if labels[u] != labels[v]:
+            expected += w
+    assert potts_energy(costs, pairs, weights, labels) == expected
 
 
 def test_alpha_expansion_deterministic():

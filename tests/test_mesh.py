@@ -7,6 +7,7 @@ from polycubelabel import shapes
 from polycubelabel.mesh import (
     DegenerateTriangleError,
     MeshError,
+    NonFiniteVertexError,
     NonManifoldEdgeError,
     OpenSurfaceError,
     SurfaceMesh,
@@ -74,6 +75,28 @@ def test_degenerate_triangle_rejected():
     f = np.vstack([f, [8, 9, 10]])
     with pytest.raises(DegenerateTriangleError):
         SurfaceMesh(v, f)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinate_rejected(value):
+    v, f = shapes.cube()
+    v = np.array(v, dtype=np.float64)
+    v[5, 1] = value
+    with pytest.raises(NonFiniteVertexError) as err:
+        SurfaceMesh(v, f)
+    assert err.value.vertex_index == 5
+    assert isinstance(err.value, MeshError)
+
+
+def test_caller_arrays_stay_writeable():
+    v, f = shapes.cube()
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    f = np.ascontiguousarray(f, dtype=np.int64)
+    mesh = SurfaceMesh(v, f)
+    assert v.flags.writeable and f.flags.writeable
+    assert not mesh.vertices.flags.writeable and not mesh.triangles.flags.writeable
+    v[0, 0] += 1.0
+    assert mesh.vertices[0, 0] == v[0, 0] - 1.0
 
 
 def test_inconsistent_orientation_rejected():

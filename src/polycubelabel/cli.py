@@ -12,11 +12,9 @@ import json
 import math
 import sys
 
-from .io import (FileFormatError, load_mesh, read_labeling, write_labeling,
-                 write_ply)
+from .io import load_mesh, read_labeling, write_labeling, write_ply
 from .graph import LabelingGraph
 from .labeling import LABEL_NAMES
-from .mesh import MeshError
 from .pipeline import (PipelineConfig, PipelineResult, label_mesh,
                        labeling_status, metrics_report)
 from .validity import validate
@@ -261,7 +259,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
-    except (FileFormatError, MeshError, ValueError) as exc:
+    except ValueError as exc:  # including MeshError and FileFormatError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,20 +35,21 @@ def read_obj(path):
                 continue
             tag = parts[0]
             if tag == "v":
-                if len(parts) < 4:
-                    raise FileFormatError(f"{path}:{lineno}: malformed vertex line")
-                verts.append(tuple(float(x) for x in parts[1:4]))
+                try:
+                    verts.append((float(parts[1]), float(parts[2]), float(parts[3])))
+                except (IndexError, ValueError):
+                    raise FileFormatError(f"{path}:{lineno}: malformed vertex line") from None
             elif tag == "f":
                 refs = parts[1:]
                 if len(refs) != 3:
                     raise NonTriangleFaceError(
                         f"{path}:{lineno}: face with {len(refs)} vertices; only triangles are supported"
                     )
-                idx = []
-                for ref in refs:
-                    i = int(ref.split("/")[0])
-                    idx.append(i - 1 if i > 0 else len(verts) + i)  # OBJ is 1-based
-                tris.append(tuple(idx))
+                try:
+                    idx = [int(ref.split("/")[0]) for ref in refs]  # OBJ is 1-based
+                except ValueError:
+                    raise FileFormatError(f"{path}:{lineno}: malformed face line") from None
+                tris.append(tuple(i - 1 if i > 0 else len(verts) + i for i in idx))
             # vn/vt/usemtl/o/g/s/mtllib are irrelevant here
     if not tris:
         raise FileFormatError(f"{path}: no faces found")
@@ -82,11 +83,19 @@ def read_medit(path):
             toks.extend(line.split("#", 1)[0].split())
     pos = 0
 
-    def take(n=1):
+    def take(n=1, kind=None):
+        """The next n tokens, converted by ``kind`` when given."""
         nonlocal pos
+        if n < 0:
+            raise FileFormatError(f"{path}: negative count")
         if pos + n > len(toks):
             raise FileFormatError(f"{path}: truncated file")
         out = toks[pos : pos + n]
+        if kind is not None:
+            try:
+                out = list(map(kind, out))
+            except ValueError as exc:
+                raise FileFormatError(f"{path}: {exc}") from None
         pos += n
         return out
 
@@ -97,22 +106,21 @@ def read_medit(path):
         if key == "meshversionformatted":
             take()
         elif key == "dimension":
-            dim = int(take()[0])
+            dim = take(1, int)[0]
             if dim != 3:
                 raise FileFormatError(f"{path}: dimension {dim} not supported")
         elif key == "vertices":
-            n = int(take()[0])
-            flat = [float(x) for x in take(n * (dim + 1))]
+            n = take(1, int)[0]
+            flat = take(n * (dim + 1), float)
             verts = np.array(flat, dtype=np.float64).reshape(n, dim + 1)[:, :dim]
         elif key == "triangles":
-            n = int(take()[0])
-            flat = [int(x) for x in take(n * 4)]
+            n = take(1, int)[0]
+            flat = take(n * 4, int)
             tris = np.array(flat, dtype=np.int64).reshape(n, 4)[:, :3] - 1  # 1-based
         elif key in ("quadrilaterals", "tetrahedra", "hexahedra"):
             raise NonTriangleFaceError(f"{path}: contains {key}; only triangle surfaces are supported")
         elif key in _MEDIT_SKIP:
-            n = int(take()[0])
-            take(n * _MEDIT_SKIP[key])
+            take(take(1, int)[0] * _MEDIT_SKIP[key])
         elif key == "end":
             break
         else:

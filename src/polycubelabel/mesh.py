@@ -33,6 +33,14 @@ class OpenSurfaceError(MeshError):
         super().__init__(f"open boundary at edge {self.edge}: only 1 incident triangle")
 
 
+class NonManifoldVertexError(MeshError):
+    def __init__(self, vertex):
+        self.vertex = int(vertex)
+        super().__init__(
+            f"non-manifold vertex {self.vertex}: its triangles form more than one fan"
+        )
+
+
 class NonFiniteVertexError(MeshError):
     def __init__(self, vertex_index):
         self.vertex_index = int(vertex_index)
@@ -67,7 +75,8 @@ class SurfaceMesh:
         arrays are copied, so the caller's arrays stay writeable.
     triangles : (F, 3) array_like
         Vertex indices, counter-clockwise when seen from outside (outward
-        normals).
+        normals). Every edge needs exactly two triangles, and the triangles
+        around each vertex must form one fan (no pinched vertices).
     feature_edges : iterable of (int, int), optional
         CAD feature edges as vertex pairs. When given, they take precedence
         over dihedral detection: pairs whose dihedral deviation is below
@@ -86,6 +95,9 @@ class SurfaceMesh:
     areas : (F,) float ndarray
     edges : (E, 2) int ndarray
         Undirected edges as (min, max) vertex pairs, lexicographically sorted.
+        Edge ids index this table.
+    triangle_edges : (F, 3) int ndarray
+        Edge id of local edge j = (t[j], t[(j+1) % 3]) of each triangle.
     edge_tris : (E, 2) int ndarray
         The two incident triangles per edge; ``edge_tris[e, 0]`` contains the
         directed edge (edges[e, 0] -> edges[e, 1]) in its winding.
@@ -93,10 +105,18 @@ class SurfaceMesh:
         Neighbor triangle across local edge j = (t[j], t[(j+1) % 3]).
     dihedral_angles : (E,) float ndarray
         Interior dihedral angle per edge, in (0, 2*pi).
+    feature_edge_mask : (E,) bool ndarray
+        True on the active (sharp) feature edges, by edge id.
+    feature_vertex_mask : (V,) bool ndarray
+        True on the vertices where an active feature edge ends.
     feature_edges : frozenset of (int, int)
-        Active (sharp) feature edges.
+        Active (sharp) feature edges as vertex pairs; the same edges as
+        ``feature_edge_mask``, whose ascending ids give ``sorted(feature_edges)``.
     ignored_feature_edges : frozenset of (int, int)
         Supplied CAD edges whose dihedral deviation is below the threshold.
+
+    ``vertex_triangles(v)`` lists the star of ``v`` in triangle-index order;
+    ``vertex_fan(v)`` lists it in cyclic order around ``v``.
     """
 
     def __init__(self, vertices, triangles, feature_edges=None, feature_angle=math.pi / 4):
@@ -117,20 +137,14 @@ class SurfaceMesh:
         self.feature_angle = float(feature_angle)
 
         self._compute_geometry()
-        self._build_edge_table()
+        self._build_connectivity()
         self._compute_dihedrals()
         self._assign_feature_edges(feature_edges)
 
-        # vertex -> incident triangles, in triangle order (fan order on demand)
-        vertex_tris = [[] for _ in range(len(v))]
-        for ti, tri in enumerate(t):
-            for vi in tri:
-                vertex_tris[vi].append(ti)
-        self._vertex_tris = [tuple(lst) for lst in vertex_tris]
-
         for arr in (self.vertices, self.triangles, self.normals, self.areas,
-                    self.edges, self.edge_tris, self.triangle_adjacency,
-                    self.dihedral_angles):
+                    self.edges, self.triangle_edges, self.edge_tris,
+                    self.triangle_adjacency, self.dihedral_angles,
+                    self.feature_edge_mask, self.feature_vertex_mask):
             arr.flags.writeable = False
 
     # -- construction helpers -------------------------------------------------
@@ -147,38 +161,64 @@ class SurfaceMesh:
         self.areas = double_area / 2.0
         self.normals = cross / double_area[:, None]
 
-    def _build_edge_table(self):
+    def _build_connectivity(self):
+        # Corner c = 3 * t + j stands for local edge j of triangle t. One sort
+        # of the corner keys min(a, b) * V + max(a, b) numbers the edges in
+        # lexicographic order; a stable argsort of the edge ids lists each
+        # edge's corners in corner order.
         t = self.triangles
-        incidence = {}  # (a, b) a < b -> list of (triangle, local edge, is_forward)
-        for ti in range(len(t)):
-            for j in range(3):
-                a, b = int(t[ti, j]), int(t[ti, (j + 1) % 3])
-                key = (a, b) if a < b else (b, a)
-                lst = incidence.setdefault(key, [])
-                lst.append((ti, j, a < b))
-                if len(lst) > 2:
-                    raise NonManifoldEdgeError(key)
-        for key, lst in incidence.items():
-            if len(lst) != 2:
-                raise OpenSurfaceError(key)
-            if lst[0][2] == lst[1][2]:
-                raise MeshError(f"inconsistent triangle orientation at edge {key}")
+        n_v = len(self.vertices)
+        a, b = t.ravel(), np.roll(t, -1, axis=1).ravel()
+        keys, edge_of, counts = np.unique(
+            np.minimum(a, b) * n_v + np.maximum(a, b), return_inverse=True, return_counts=True
+        )
+        self._edge_keys = keys
+        self.edges = np.stack(np.divmod(keys, n_v), axis=1)
+        self.triangle_edges = edge_of.reshape(-1, 3)
+        by_edge = np.argsort(edge_of, kind="stable")
+        first = np.cumsum(counts) - counts
 
-        keys = sorted(incidence)
-        self.edges = np.array(keys, dtype=np.int64).reshape(-1, 2)
-        self.edge_index = {key: i for i, key in enumerate(keys)}
+        # a third corner on an edge is reported first, then a lone corner,
+        # each at the edge where it shows earliest in corner order
+        over = np.nonzero(counts > 2)[0]
+        if over.size:
+            e = over[np.argmin(by_edge[first[over] + 2])]
+            raise NonManifoldEdgeError(self.edges[e].tolist())
+        under = np.nonzero(counts < 2)[0]
+        if under.size:
+            e = under[np.argmin(by_edge[first[under]])]
+            raise OpenSurfaceError(self.edges[e].tolist())
+        c0, c1 = by_edge[0::2], by_edge[1::2]
+        forward = a < b
+        bad = np.nonzero(forward[c0] == forward[c1])[0]
+        if bad.size:
+            key = tuple(self.edges[bad[np.argmin(c0[bad])]].tolist())
+            raise MeshError(f"inconsistent triangle orientation at edge {key}")
 
-        edge_tris = np.empty((len(keys), 2), dtype=np.int64)
-        adjacency = np.empty_like(t)
-        for i, key in enumerate(keys):
-            (ta, ja, fwd_a), (tb, jb, _) = incidence[key]
-            if not fwd_a:
-                (ta, ja), (tb, jb) = (tb, jb), (ta, ja)
-            edge_tris[i] = (ta, tb)
-            adjacency[ta, ja] = tb
-            adjacency[tb, jb] = ta
-        self.edge_tris = edge_tris
-        self.triangle_adjacency = adjacency
+        fwd = forward[c0]  # the left triangle holds the edge as min -> max
+        self.edge_tris = np.stack((np.where(fwd, c0, c1), np.where(fwd, c1, c0)), axis=1) // 3
+        partner = np.empty_like(a)
+        partner[c0], partner[c1] = c1, c0
+        self.triangle_adjacency = (partner // 3).reshape(-1, 3)
+
+        # vertex stars: corners grouped by vertex, in triangle order
+        self._star_tris = np.argsort(a, kind="stable") // 3
+        degree = np.bincount(a, minlength=n_v)
+        self._star_start = np.concatenate(([0], np.cumsum(degree)))
+
+        # Crossing the edge that leaves a corner's vertex leads to the next
+        # corner of that vertex, so the corners of each vertex split into
+        # cycles, one per fan. Min-label pointer doubling finds them.
+        self._corner_next = partner - partner % 3 + (partner + 1) % 3
+        label, step, span = np.arange(len(a)), self._corner_next, 1
+        while span < degree.max(initial=0):
+            label = np.minimum(label, label[step])
+            step = step[step]
+            span *= 2
+        fans = np.bincount(a[label == np.arange(len(a))], minlength=n_v)
+        pinched = np.nonzero(fans > 1)[0]
+        if pinched.size:
+            raise NonManifoldVertexError(pinched[0])
 
     def _compute_dihedrals(self):
         # theta_int = pi - alpha on convex edges, pi + alpha on reflex ones,
@@ -195,23 +235,23 @@ class SurfaceMesh:
         self.dihedral_angles = np.pi - sign * alpha
 
     def _assign_feature_edges(self, supplied):
-        deviation = np.abs(self.dihedral_angles - np.pi)
+        sharp = np.abs(self.dihedral_angles - np.pi) >= self.feature_angle
         if supplied is None:
-            sharp = np.nonzero(deviation >= self.feature_angle)[0]
-            self.feature_edges = frozenset(
-                (int(self.edges[i, 0]), int(self.edges[i, 1])) for i in sharp
-            )
-            self.ignored_feature_edges = frozenset()
-            return
-        active, ignored = [], []
-        for pair in supplied:
-            a, b = int(pair[0]), int(pair[1])
-            key = (a, b) if a < b else (b, a)
-            if key not in self.edge_index:
-                raise MeshError(f"feature edge {key} is not a mesh edge")
-            (active if deviation[self.edge_index[key]] >= self.feature_angle else ignored).append(key)
-        self.feature_edges = frozenset(active)
-        self.ignored_feature_edges = frozenset(ignored)
+            given = sharp
+        else:
+            given = np.zeros_like(sharp)
+            for pair in supplied:
+                a, b = int(pair[0]), int(pair[1])
+                try:
+                    given[self.edge_id(a, b)] = True
+                except MeshError:
+                    key = (a, b) if a < b else (b, a)
+                    raise MeshError(f"feature edge {key} is not a mesh edge") from None
+        self.feature_edge_mask = given & sharp
+        self.feature_vertex_mask = np.zeros(self.n_vertices, dtype=bool)
+        self.feature_vertex_mask[self.edges[self.feature_edge_mask].ravel()] = True
+        self.feature_edges = frozenset(map(tuple, self.edges[self.feature_edge_mask].tolist()))
+        self.ignored_feature_edges = frozenset(map(tuple, self.edges[given & ~sharp].tolist()))
 
     # -- queries ---------------------------------------------------------------
 
@@ -233,11 +273,14 @@ class SurfaceMesh:
         return (2 - chi) // 2
 
     def edge_id(self, a, b):
-        key = (a, b) if a < b else (b, a)
-        try:
-            return self.edge_index[key]
-        except KeyError:
-            raise MeshError(f"no edge {key} in mesh") from None
+        a, b = int(a), int(b)
+        lo, hi = (a, b) if a < b else (b, a)
+        if 0 <= lo and hi < self.n_vertices:
+            key = lo * self.n_vertices + hi
+            eid = int(self._edge_keys.searchsorted(key))
+            if eid < self.n_edges and self._edge_keys[eid] == key:
+                return eid
+        raise MeshError(f"no edge {(lo, hi)} in mesh")
 
     def edge_sides(self, a, b) -> tuple:
         """Triangles (left, right) of the directed edge a -> b, seen from
@@ -249,16 +292,28 @@ class SurfaceMesh:
         return int(left), int(right)
 
     def is_feature_edge(self, a, b) -> bool:
-        key = (a, b) if a < b else (b, a)
-        return key in self.feature_edges
+        """True when (a, b) is an active feature edge; False for non-edges."""
+        try:
+            return bool(self.feature_edge_mask[self.edge_id(a, b)])
+        except MeshError:
+            return False
 
     def is_feature_vertex(self, v) -> bool:
         """True when a sharp feature edge ends at vertex ``v``."""
-        return any(self.is_feature_edge(v, nbr) for nbr in self.vertex_neighbors_ordered(v))
+        return bool(self.feature_vertex_mask[v])
 
     def vertex_triangles(self, v) -> tuple:
         """Triangles incident to vertex ``v``, in triangle-index order."""
-        return self._vertex_tris[v]
+        return tuple(self._star_tris[self._star_start[v]:self._star_start[v + 1]].tolist())
+
+    def _fan_corners(self, v, start=None) -> list:
+        if start is None:
+            start = int(self._star_tris[self._star_start[v]])
+        c = first = 3 * start + int(np.nonzero(self.triangles[start] == v)[0][0])
+        out = [c]
+        while (c := int(self._corner_next[c])) != first:
+            out.append(c)
+        return out
 
     def vertex_fan(self, v, start=None) -> list:
         """Incident triangles in cyclic order around ``v``.
@@ -267,28 +322,16 @@ class SurfaceMesh:
         toward its cyclic successor, so the result is consistently oriented.
         Starts at ``start`` or at the lowest incident triangle index.
         """
-        if start is None:
-            start = min(self._vertex_tris[v])
-        fan = [start]
-        t = start
-        while True:
-            tri = self.triangles[t]
-            j = int(np.nonzero(tri == v)[0][0])
-            t = int(self.triangle_adjacency[t, j])  # across edge (v, next vertex)
-            if t == start:
-                return fan
-            fan.append(t)
-            if len(fan) > len(self._vertex_tris[v]):
-                raise MeshError(f"broken fan around vertex {v}")
+        return [c // 3 for c in self._fan_corners(v, start)]
+
+    def vertex_ring(self, v) -> list:
+        """(neighbor vertex, edge id) of each edge at ``v``, in fan cyclic order."""
+        flat, edge_of = self.triangles.ravel(), self.triangle_edges.ravel()
+        return [(int(flat[c - c % 3 + (c + 1) % 3]), int(edge_of[c])) for c in self._fan_corners(v)]
 
     def vertex_neighbors_ordered(self, v) -> list:
         """Neighbor vertices of ``v`` in fan cyclic order."""
-        out = []
-        for t in self.vertex_fan(v):
-            tri = self.triangles[t]
-            j = int(np.nonzero(tri == v)[0][0])
-            out.append(int(tri[(j + 1) % 3]))
-        return out
+        return [w for w, _ in self.vertex_ring(v)]
 
     def signed_volume(self) -> float:
         """Signed enclosed volume; positive for outward orientation."""

@@ -60,7 +60,6 @@ def _unit(v):
 
 
 def _average_normal(mesh: SurfaceMesh, tris) -> np.ndarray:
-    tris = np.fromiter(tris, dtype=np.int64) if not isinstance(tris, np.ndarray) else tris
     n = (mesh.normals[tris] * mesh.areas[tris, None]).sum(axis=0)
     norm = np.linalg.norm(n)
     return n / norm if norm > 0 else np.zeros(3)
@@ -76,52 +75,29 @@ def _best_label(direction, candidates) -> int:
     return best
 
 
-def _ring_grow(mesh: SurfaceMesh, seeds, rings: int, allowed=None) -> set:
-    """Triangles within `rings` edge-adjacency rings of the seed set."""
-    region = set(int(t) for t in seeds)
-    frontier = set(region)
-    for _ in range(rings - 1):
-        nxt = set()
-        for t in frontier:
-            for nb in mesh.triangle_adjacency[t]:
-                nb = int(nb)
-                if nb not in region and (allowed is None or allowed[nb]):
-                    nxt.add(nb)
-        if not nxt:
-            break
-        region |= nxt
-        frontier = nxt
-    return region
-
-
-def _flood(mesh: SurfaceMesh, seeds, allowed, barrier_edges) -> set:
-    """Grow over edge-adjacent triangles without crossing barrier edges.
-
-    `allowed` is a bool mask over triangles; `barrier_edges` a set of edge ids.
-    """
-    region = set()
-    stack = sorted(int(t) for t in seeds if allowed[int(t)])
-    while stack:
-        t = stack.pop()
-        if t in region:
-            continue
-        region.add(t)
-        tri = mesh.triangles[t]
-        for j in range(3):
-            eid = mesh.edge_id(int(tri[j]), int(tri[(j + 1) % 3]))
-            if eid in barrier_edges:
-                continue
-            nb = int(mesh.triangle_adjacency[t, j])
-            if allowed[nb] and nb not in region:
-                stack.append(nb)
-    return region
+def _grow(mesh: SurfaceMesh, seeds, allowed=None, barrier=(), rings=None) -> np.ndarray:
+    """Sorted ids of the triangles reached from the allowed seeds over
+    edge-adjacent allowed triangles, never across a `barrier` edge id, and
+    within `rings` triangle rings of the seeds (the seeds being ring 1) when
+    `rings` is given. `allowed` is a bool mask over triangles."""
+    free = np.array(np.ones(mesh.n_triangles) if allowed is None else allowed, dtype=bool)
+    blocked = np.zeros(mesh.n_edges, dtype=bool)
+    blocked[list(barrier)] = True
+    frontier = np.fromiter(seeds, dtype=np.int64)
+    frontier = np.unique(frontier[free[frontier]])
+    free[frontier] = False
+    region, ring = [frontier], 1
+    while frontier.size and (rings is None or ring < rings):
+        nbrs = mesh.triangle_adjacency[frontier][~blocked[mesh.triangle_edges[frontier]]]
+        frontier = np.unique(nbrs[free[nbrs]])
+        free[frontier] = False
+        region.append(frontier)
+        ring += 1
+    return np.sort(np.concatenate(region))
 
 
 def _boundary_vertex_set(graph: LabelingGraph) -> set:
-    out = set()
-    for b in graph.boundaries:
-        out.update(b.vertices)
-    return out
+    return {v for b in graph.boundaries for v in b.vertices}
 
 
 def _chart_contour_loops(graph: LabelingGraph, chart_id: int) -> list:
@@ -163,9 +139,7 @@ def is_feature_surrounded(graph: LabelingGraph, chart_id: int) -> bool:
     mesh = graph.mesh
     edges = [e for bid in graph.charts[chart_id].boundaries
              for e in graph.boundaries[bid].edge_ids]
-    if not edges:
-        return False
-    return all(mesh.is_feature_edge(*mesh.edges[e]) for e in edges)
+    return bool(edges) and bool(mesh.feature_edge_mask[edges].all())
 
 
 def trace_path(
@@ -194,13 +168,10 @@ def trace_path(
     cur, seen = start, {start}
     for _ in range(mesh.n_edges):
         best = None
-        for nbr in mesh.vertex_neighbors_ordered(cur):
-            if nbr in seen:
+        for nbr, eid in mesh.vertex_ring(cur):
+            if nbr in seen or eid in forbidden_edges:
                 continue
-            eid = mesh.edge_id(cur, nbr)
-            if eid in forbidden_edges:
-                continue
-            if feature_only and not mesh.is_feature_edge(cur, nbr):
+            if feature_only and not mesh.feature_edge_mask[eid]:
                 continue
             d = float(np.dot(_unit(mesh.vertices[nbr] - mesh.vertices[cur]), direction))
             if best is None or d > best[0] + 1e-12 or (abs(d - best[0]) <= 1e-12 and nbr < best[1]):
@@ -246,17 +217,13 @@ def fix_invalid_boundary(
     b = graph.boundaries[boundary_id]
     if b.axis is not None:  # orthogonal boundary: nothing to fix
         return _skip(labels)
-    side_charts = (b.left_chart, b.right_chart)
-    allowed = np.isin(graph.chart_of, side_charts)
-    seeds = set()
-    for eid in b.edge_ids:
-        seeds.update(int(t) for t in mesh.edge_tris[eid])
-    region = _ring_grow(mesh, seeds, width, allowed)
+    allowed = np.isin(graph.chart_of, (b.left_chart, b.right_chart))
+    region = _grow(mesh, mesh.edge_tris[list(b.edge_ids)].ravel(), allowed, rings=width)
     shared_axis = graph.charts[b.left_chart].label >> 1
     candidates = [l for l in range(6) if l >> 1 != shared_axis]
     label = _best_label(_average_normal(mesh, region), candidates)
     out = labels.copy()
-    out[sorted(region)] = label
+    out[region] = label
     return _outcome(labels, out)
 
 
@@ -278,12 +245,12 @@ def fix_invalid_corner(
     if corner_is_valid(corner, rule)[0]:
         return _skip(labels)
     v = corner.vertex
-    star = [int(t) for t in mesh.vertex_triangles(v)]
+    star = mesh.vertex_triangles(v)
     incident_charts = sorted({int(graph.chart_of[t]) for t in star})
     allowed = np.isin(graph.chart_of, incident_charts)
     for r in range(max(radius, 1), 0, -1):
-        region = _ring_grow(mesh, star, r)
-        if all(allowed[t] for t in region):
+        region = _grow(mesh, star, rings=r)
+        if allowed[region].all():
             break  # at r = 1 the disk is the vertex star, which always fits
     used_axes = {graph.charts[c].label >> 1 for c in incident_charts}
     candidates = [l for l in range(6) if l >> 1 not in used_axes]
@@ -291,7 +258,7 @@ def fix_invalid_corner(
         return _skip(labels)
     label = _best_label(_average_normal(mesh, region), candidates)
     out = labels.copy()
-    out[sorted(region)] = label
+    out[region] = label
     return _outcome(labels, out)
 
 
@@ -414,12 +381,9 @@ def increase_chart_valence(
     o_far = far_poly[far_s - 1][2]
     # seeds: base-chart side of the contour segment that turns into the new
     # boundary (between v and the far equilibrium point)
-    seeds = []
-    for eid, _, _, _ in far_poly[:far_s]:
-        ta, tb = (int(x) for x in mesh.edge_tris[eid])
-        seeds.append(tb if int(graph.chart_of[ta]) == chart_id else ta)
-    base_charts = sorted({int(graph.chart_of[t]) for t in seeds})
-    allowed = np.isin(graph.chart_of, base_charts)
+    sides = mesh.edge_tris[[eid for eid, _, _, _ in far_poly[:far_s]]]
+    seeds = sides[graph.chart_of[sides] != chart_id]
+    allowed = np.isin(graph.chart_of, graph.chart_of[seeds])
 
     # trace the two cutting paths along the chart-label axis
     chart_axis = chart.label >> 1
@@ -446,17 +410,17 @@ def increase_chart_valence(
 
     # region: flood the base chart between the two paths
     barrier = set(paths[0].edges) | set(paths[1].edges) | contour_edges
-    region = _flood(mesh, seeds, allowed, barrier)
-    if not region or len(region) == int(allowed.sum()):
+    region = _grow(mesh, seeds, allowed, barrier)
+    if not region.size or len(region) == int(allowed.sum()):
         return _skip(labels)  # paths failed to pinch off a proper subregion
 
     forbidden_axes = {chart_axis} | {int(labels[t]) >> 1 for t in region}
     candidates = [l for l in range(6) if l >> 1 not in forbidden_axes]
     if not candidates:
         return _skip(labels)
-    label = _best_label(_average_normal(mesh, sorted(region)), candidates)
+    label = _best_label(_average_normal(mesh, region), candidates)
     out = labels.copy()
-    out[sorted(region)] = label
+    out[region] = label
     return _outcome(labels, out)
 
 
@@ -472,13 +436,13 @@ def join_turning_points_pair(
         return _skip(labels)
 
     # lost feature edges: sharp but with equal labels on both sides
+    feature = np.nonzero(mesh.feature_edge_mask)[0]
+    ta, tb = mesh.edge_tris[feature].T
     lost_at = {}
-    for (a, b) in sorted(mesh.feature_edges):
-        eid = mesh.edge_id(a, b)
-        ta, tb = mesh.edge_tris[eid]
-        if labels[ta] == labels[tb]:
-            lost_at.setdefault(a, []).append((b, eid))
-            lost_at.setdefault(b, []).append((a, eid))
+    for eid in feature[labels[ta] == labels[tb]].tolist():
+        a, b = mesh.edges[eid].tolist()
+        lost_at.setdefault(a, []).append((b, eid))
+        lost_at.setdefault(b, []).append((a, eid))
 
     # shortest lost-feature path t1 -> t2 (BFS, deterministic neighbor order)
     prev = {t1: None}
@@ -524,13 +488,12 @@ def join_turning_points_pair(
 
     side = left if side_fidelity(left) >= side_fidelity(right) - 1e-12 else right
     # extend to the adjacent facets on the same side of the crease
-    chart_ids = sorted({int(graph.chart_of[t]) for t in side})
-    allowed = np.isin(graph.chart_of, chart_ids)
-    region = _flood(mesh, side, allowed, set(path_edges))
+    allowed = np.isin(graph.chart_of, graph.chart_of[sorted(side)])
+    region = _grow(mesh, side, allowed, path_edges)
     if len(region) == int(allowed.sum()):
-        region = set(side)  # flood leaked around the path; keep the thin strip
+        region = sorted(side)  # flood leaked around the path; keep the thin strip
     out = labels.copy()
-    out[sorted(region)] = label
+    out[region] = label
     return _outcome(labels, out)
 
 
@@ -622,16 +585,11 @@ def pull_closest_corner(
         return _skip(labels)
 
     allowed = graph.chart_of == wedge_chart
-    seeds = set()
-    for eid in seg_edges:
-        for t in mesh.edge_tris[eid]:
-            if allowed[int(t)]:
-                seeds.add(int(t))
-    region = _flood(mesh, seeds, allowed, set(path.edges))
-    if not region or len(region) == int(allowed.sum()):
+    region = _grow(mesh, mesh.edge_tris[list(seg_edges)].ravel(), allowed, path.edges)
+    if not region.size or len(region) == int(allowed.sum()):
         return _skip(labels)
     out = labels.copy()
-    out[sorted(region)] = graph.charts[other_chart].label
+    out[region] = graph.charts[other_chart].label
     return _outcome(labels, out)
 
 
@@ -658,12 +616,11 @@ def move_boundary_near_turning_point(
     loser_chart = b.left_chart if graph.charts[b.left_chart].label == loser else b.right_chart
 
     allowed = graph.chart_of == loser_chart
-    seeds = [t for t in mesh.vertex_triangles(tp) if allowed[int(t)]]
-    region = _ring_grow(mesh, seeds, radius, allowed)
-    if not region:
+    region = _grow(mesh, mesh.vertex_triangles(tp), allowed, rings=radius)
+    if not region.size:
         return _skip(labels)
     out = labels.copy()
-    out[sorted(region)] = winner
+    out[region] = winner
     return _outcome(labels, out)
 
 
@@ -676,32 +633,26 @@ def straighten_boundary(
     b = graph.boundaries[boundary_id]
     if b.cyclic:
         return _skip(labels)
-    if any(mesh.is_feature_edge(*mesh.edges[e]) for e in b.edge_ids):
+    if mesh.feature_edge_mask[list(b.edge_ids)].any():
         return _skip(labels)  # feature boundaries keep their path
     c_start, c_end = b.vertices[0], b.vertices[-1]
     union = np.isin(graph.chart_of, (b.left_chart, b.right_chart))
-
-    def edge_inside(a, w):
-        eid = mesh.edge_id(a, w)
-        t1, t2 = mesh.edge_tris[eid]
-        return union[int(t1)] and union[int(t2)]
-
     goal = mesh.vertices[c_end]
     verts, eids = [c_start], []
     cur, seen = c_start, {c_start}
     ok = False
     for _ in range(mesh.n_edges):
         best = None
-        for nbr in mesh.vertex_neighbors_ordered(cur):
-            if nbr in seen or not edge_inside(cur, nbr):
+        for nbr, eid in mesh.vertex_ring(cur):
+            if nbr in seen or not union[mesh.edge_tris[eid]].all():
                 continue
             d = float(np.linalg.norm(mesh.vertices[nbr] - goal))
             if best is None or d < best[0] - 1e-12 or (abs(d - best[0]) <= 1e-12 and nbr < best[1]):
-                best = (d, nbr)
+                best = (d, nbr, eid)
         if best is None:
             break
-        cur = best[1]
-        eids.append(mesh.edge_id(verts[-1], cur))
+        _, cur, eid = best
+        eids.append(eid)
         verts.append(cur)
         seen.add(cur)
         if cur == c_end:
@@ -713,10 +664,10 @@ def straighten_boundary(
     # re-split the two charts along the new path: everything reachable from
     # the left side of the new path keeps the left label
     left_seeds = {mesh.edge_sides(a, w)[0] for a, w in zip(verts, verts[1:])}
-    region_left = _flood(mesh, left_seeds, union, set(eids))
+    region_left = _grow(mesh, left_seeds, union, eids)
     if len(region_left) == int(union.sum()):
         return _skip(labels)  # new path failed to separate the union
     out = labels.copy()
     out[union] = graph.charts[b.right_chart].label
-    out[sorted(region_left)] = graph.charts[b.left_chart].label
+    out[region_left] = graph.charts[b.left_chart].label
     return _outcome(labels, out)

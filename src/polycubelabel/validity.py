@@ -138,16 +138,10 @@ def validate(
 def feature_edge_stats(mesh, labels) -> dict:
     """Count sharp feature edges preserved (on a boundary) vs lost."""
     labels = np.asarray(labels)
-    preserved = lost = 0
-    for (a, b) in sorted(mesh.feature_edges):
-        eid = mesh.edge_id(a, b)
-        t1, t2 = mesh.edge_tris[eid]
-        if labels[t1] != labels[t2]:
-            preserved += 1
-        else:
-            lost += 1
+    t1, t2 = mesh.edge_tris[mesh.feature_edge_mask].T
+    preserved = int(np.count_nonzero(labels[t1] != labels[t2]))
     return {
         "preserved": preserved,
-        "lost": lost,
+        "lost": len(t1) - preserved,
         "ignored": len(mesh.ignored_feature_edges),
     }

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from polycubelabel import shapes
 from polycubelabel.mesh import SurfaceMesh, detect_feature_edges
 
 
@@ -72,3 +73,16 @@ def chart_euler(mesh, chart):
         for p, q in ((a, b), (b, c), (c, a)):
             es.add((p, q) if p < q else (q, p))
     return len(vs) - len(es) + len(chart.triangles)
+
+
+def two_cubes_sharing_a_vertex():
+    """Two unit cubes whose only common vertex is the first one's (1, 1, 1)
+    corner: (vertices, triangles, index of the shared vertex)."""
+    v, f = shapes.cube()
+    v = np.asarray(v, dtype=np.float64)
+    corner = int(np.nonzero((v == 1.0).all(axis=1))[0][0])  # the cube's (1, 1, 1)
+    other = np.nonzero((v != 0.0).any(axis=1))[0]  # all but the (0, 0, 0) vertex
+    index = np.full(len(v), corner)
+    index[other] = len(v) + np.arange(len(other))
+    verts = np.vstack([v, v[other] + 1.0])
+    return verts, np.vstack([f, index[f]]), corner

@@ -1,13 +1,17 @@
-"""Independent brute-force references the optimizer tests compare against.
+"""Independent references the tests compare against.
 
 Everything here is deliberately written the slow, obvious way (full
-enumeration) so it cannot share a bug with the production code.
+enumeration, or the per-element Python loops the package first used) so it
+cannot share a bug with the production code.
 """
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
+
+from polycubelabel.mesh import MeshError, NonManifoldEdgeError, OpenSurfaceError
 
 
 def random_cut_instance(rng, max_nodes=10):
@@ -185,3 +189,141 @@ def flood_fill_charts(mesh, labels):
                     queue.append(nb)
         members.append(sorted(found))
     return chart_of, [int(labels[tris[0]]) for tris in members], members
+
+
+class DictMesh:
+    """Mesh connectivity the way ``SurfaceMesh`` first built it: a Python
+    dict keyed by vertex pairs, filled by one loop over the triangle corners.
+    Normals, dihedral angles and feature edges follow the same formulas;
+    geometry errors are not checked."""
+
+    def __init__(self, vertices, triangles, feature_edges=None, feature_angle=math.pi / 4):
+        self.vertices = np.array(vertices, dtype=np.float64)
+        self.triangles = np.array(triangles, dtype=np.int64)
+        self.feature_angle = float(feature_angle)
+        v, t = self.vertices, self.triangles
+        cross = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+        self.normals = cross / np.linalg.norm(cross, axis=1)[:, None]
+        self._build_edge_table()
+        self._compute_dihedrals()
+        self._assign_feature_edges(feature_edges)
+
+        # vertex -> incident triangles, in triangle order (fan order on demand)
+        vertex_tris = [[] for _ in range(len(v))]
+        for ti, tri in enumerate(t):
+            for vi in tri:
+                vertex_tris[vi].append(ti)
+        self._vertex_tris = [tuple(lst) for lst in vertex_tris]
+
+    def _build_edge_table(self):
+        t = self.triangles
+        incidence = {}  # (a, b) a < b -> list of (triangle, local edge, is_forward)
+        for ti in range(len(t)):
+            for j in range(3):
+                a, b = int(t[ti, j]), int(t[ti, (j + 1) % 3])
+                key = (a, b) if a < b else (b, a)
+                lst = incidence.setdefault(key, [])
+                lst.append((ti, j, a < b))
+                if len(lst) > 2:
+                    raise NonManifoldEdgeError(key)
+        for key, lst in incidence.items():
+            if len(lst) != 2:
+                raise OpenSurfaceError(key)
+            if lst[0][2] == lst[1][2]:
+                raise MeshError(f"inconsistent triangle orientation at edge {key}")
+
+        keys = sorted(incidence)
+        self.edges = np.array(keys, dtype=np.int64).reshape(-1, 2)
+        self.edge_index = {key: i for i, key in enumerate(keys)}
+
+        edge_tris = np.empty((len(keys), 2), dtype=np.int64)
+        adjacency = np.empty_like(t)
+        for i, key in enumerate(keys):
+            (ta, ja, fwd_a), (tb, jb, _) = incidence[key]
+            if not fwd_a:
+                (ta, ja), (tb, jb) = (tb, jb), (ta, ja)
+            edge_tris[i] = (ta, tb)
+            adjacency[ta, ja] = tb
+            adjacency[tb, jb] = ta
+        self.edge_tris = edge_tris
+        self.triangle_adjacency = adjacency
+
+    def _compute_dihedrals(self):
+        n1 = self.normals[self.edge_tris[:, 0]]
+        n2 = self.normals[self.edge_tris[:, 1]]
+        e = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
+        e /= np.linalg.norm(e, axis=1)[:, None]
+        cross = np.cross(n1, n2)
+        alpha = np.arctan2(np.linalg.norm(cross, axis=1), np.einsum("ij,ij->i", n1, n2))
+        sign = np.where(np.einsum("ij,ij->i", cross, e) >= 0.0, 1.0, -1.0)
+        self.dihedral_angles = np.pi - sign * alpha
+
+    def _assign_feature_edges(self, supplied):
+        deviation = np.abs(self.dihedral_angles - np.pi)
+        if supplied is None:
+            sharp = np.nonzero(deviation >= self.feature_angle)[0]
+            self.feature_edges = frozenset(
+                (int(self.edges[i, 0]), int(self.edges[i, 1])) for i in sharp
+            )
+            self.ignored_feature_edges = frozenset()
+            return
+        active, ignored = [], []
+        for pair in supplied:
+            a, b = int(pair[0]), int(pair[1])
+            key = (a, b) if a < b else (b, a)
+            if key not in self.edge_index:
+                raise MeshError(f"feature edge {key} is not a mesh edge")
+            (active if deviation[self.edge_index[key]] >= self.feature_angle else ignored).append(key)
+        self.feature_edges = frozenset(active)
+        self.ignored_feature_edges = frozenset(ignored)
+
+    def edge_id(self, a, b):
+        key = (a, b) if a < b else (b, a)
+        try:
+            return self.edge_index[key]
+        except KeyError:
+            raise MeshError(f"no edge {key} in mesh") from None
+
+    def vertex_triangles(self, v) -> tuple:
+        return self._vertex_tris[v]
+
+
+def ring_grow(mesh, seeds, rings: int, allowed=None) -> set:
+    """Triangles within `rings` edge-adjacency rings of the seed set."""
+    region = set(int(t) for t in seeds)
+    frontier = set(region)
+    for _ in range(rings - 1):
+        nxt = set()
+        for t in frontier:
+            for nb in mesh.triangle_adjacency[t]:
+                nb = int(nb)
+                if nb not in region and (allowed is None or allowed[nb]):
+                    nxt.add(nb)
+        if not nxt:
+            break
+        region |= nxt
+        frontier = nxt
+    return region
+
+
+def flood(mesh, seeds, allowed, barrier_edges) -> set:
+    """Grow over edge-adjacent triangles without crossing barrier edges.
+
+    `allowed` is a bool mask over triangles; `barrier_edges` a set of edge ids.
+    """
+    region = set()
+    stack = sorted(int(t) for t in seeds if allowed[int(t)])
+    while stack:
+        t = stack.pop()
+        if t in region:
+            continue
+        region.add(t)
+        tri = mesh.triangles[t]
+        for j in range(3):
+            eid = mesh.edge_id(int(tri[j]), int(tri[(j + 1) % 3]))
+            if eid in barrier_edges:
+                continue
+            nb = int(mesh.triangle_adjacency[t, j])
+            if allowed[nb] and nb not in region:
+                stack.append(nb)
+    return region

@@ -17,6 +17,8 @@ from polycubelabel.cli import main
 from polycubelabel.labeling import naive_labeling
 from polycubelabel.mesh import SurfaceMesh
 
+from helpers import two_cubes_sharing_a_vertex
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -114,6 +116,15 @@ def test_label_non_finite_coordinate_exits_2(tmp_path, capsys):
     mesh.write_text("\n".join(lines) + "\n")
     assert main(["label", str(mesh), "-o", str(tmp_path / "out.flags")]) == 2
     assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.flags").exists()
+
+
+def test_label_pinched_vertex_exits_2(tmp_path, capsys):
+    v, f, shared = two_cubes_sharing_a_vertex()
+    mesh = tmp_path / "pinched.obj"
+    io.write_obj(mesh, v, f)
+    assert main(["label", str(mesh), "-o", str(tmp_path / "out.flags")]) == 2
+    assert f"non-manifold vertex {shared}" in capsys.readouterr().err
     assert not (tmp_path / "out.flags").exists()
 
 

@@ -244,3 +244,21 @@ def test_writers_are_deterministic(tmp_path):
         io.write_ply(d / "m.ply", SurfaceMesh(v, f), labels)
         outs.append(b"".join((d / n).read_bytes() for n in ("m.obj", "m.mesh", "m.txt", "m.ply")))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "name, body, where",
+    [
+        ("v.obj", "v 0 0 0\nv 1 0 x\nf 1 2 1\n", r"v\.obj:2"),
+        ("f.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 a\n", r"f\.obj:4"),
+        ("n.mesh", "MeshVersionFormatted 2\nDimension 3\nVertices abc\n", r"n\.mesh: .*'abc'"),
+        ("c.mesh", "Dimension 3\nVertices 2\n0 0 0 0\n0 y 0 0\n", r"c\.mesh: .*'y'"),
+        ("t.mesh", "Dimension 3\nVertices 1\n0 0 0 0\nTriangles 1\n1 1\n", r"t\.mesh: truncated"),
+        ("neg.mesh", "Dimension 3\nVertices -1\n", r"neg\.mesh: negative count"),
+    ],
+)
+def test_malformed_numbers_report_file_and_line(tmp_path, name, body, where):
+    p = tmp_path / name
+    p.write_text(body)
+    with pytest.raises(FileFormatError, match=where):
+        io.load_mesh(p)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycubelabel import shapes
 from polycubelabel.mesh import (
@@ -9,13 +11,16 @@ from polycubelabel.mesh import (
     MeshError,
     NonFiniteVertexError,
     NonManifoldEdgeError,
+    NonManifoldVertexError,
     OpenSurfaceError,
     SurfaceMesh,
     detect_feature_edges,
     interior_dihedral,
 )
+from polycubelabel.operators import _grow
 
-from helpers import build
+from helpers import build, two_cubes_sharing_a_vertex
+from oracles import DictMesh, flood, ring_grow
 
 
 def test_cube_combinatorics(cube_mesh):
@@ -189,3 +194,119 @@ def test_rebuild_is_deterministic():
     assert np.array_equal(a.edges, b.edges)
     assert np.array_equal(a.edge_tris, b.edge_tris)
     assert np.array_equal(a.triangle_adjacency, b.triangle_adjacency)
+
+
+# -- connectivity against the dict-based reference ---------------------------
+
+CORPUS = [
+    shapes.cube(),
+    shapes.l_prism(),
+    shapes.wedge(),
+    shapes.cylinder(8),
+    shapes.cone(8),
+    shapes.icosphere(1),
+    shapes.torus(nu=8, nv=4),
+    shapes.subdivide(*shapes.staircase(), 1),
+]
+
+
+def scrambled(index, seed):
+    """A corpus shape with permuted vertex ids and each triangle row rolled
+    by a random amount, plus the generator that made it."""
+    v, f = CORPUS[index]
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(v))  # vertex i becomes perm[i]
+    v2 = np.empty_like(v)
+    v2[perm] = v
+    rows = perm[f]
+    shift = rng.integers(0, 3, size=len(rows))
+    f2 = rows[np.arange(len(rows))[:, None], (np.arange(3) + shift[:, None]) % 3]
+    return v2, f2, rng
+
+
+corpus_cases = st.tuples(st.integers(0, len(CORPUS) - 1), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus_cases, st.booleans())
+def test_connectivity_matches_dict_reference(case, supply_features):
+    v, f, rng = scrambled(*case)
+    features = None
+    if supply_features:
+        pairs = DictMesh(v, f).edges
+        pairs = pairs[rng.random(len(pairs)) < 0.4].tolist()
+        features = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs]
+    m = SurfaceMesh(v, f, feature_edges=features)
+    ref = DictMesh(v, f, feature_edges=features)
+
+    assert np.array_equal(m.edges, ref.edges)
+    assert np.array_equal(m.edge_tris, ref.edge_tris)
+    assert np.array_equal(m.triangle_adjacency, ref.triangle_adjacency)
+    for vid in range(m.n_vertices):
+        assert m.vertex_triangles(vid) == ref.vertex_triangles(vid)
+    for (a, b), e in ref.edge_index.items():
+        assert m.edge_id(a, b) == m.edge_id(b, a) == e
+    with pytest.raises(MeshError, match="no edge"):
+        m.edge_id(int(f[0, 0]), m.n_vertices)
+    for j in range(3):
+        expected = [m.edge_id(t[j], t[(j + 1) % 3]) for t in m.triangles]
+        assert m.triangle_edges[:, j].tolist() == expected
+
+    assert m.feature_edges == ref.feature_edges
+    assert m.ignored_feature_edges == ref.ignored_feature_edges
+    assert [tuple(m.edges[e]) for e in np.nonzero(m.feature_edge_mask)[0]] == sorted(ref.feature_edges)
+    ends = {vid for edge in ref.feature_edges for vid in edge}
+    assert np.nonzero(m.feature_vertex_mask)[0].tolist() == sorted(ends)
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus_cases, st.sampled_from(["drop", "repeat", "flip"]))
+def test_broken_connectivity_raises_like_dict_reference(case, damage):
+    v, f, rng = scrambled(*case)
+    k = int(rng.integers(len(f)))
+    if damage == "drop":
+        f = np.delete(f, k, axis=0)
+    elif damage == "repeat":
+        f = np.insert(f, int(rng.integers(len(f) + 1)), f[k], axis=0)
+    else:
+        f[k] = f[k][::-1]
+    with pytest.raises(MeshError) as expected:
+        DictMesh(v, f)
+    with pytest.raises(type(expected.value)) as got:
+        SurfaceMesh(v, f)
+    assert str(got.value) == str(expected.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus_cases)
+def test_grow_matches_ring_and_flood_references(case):
+    v, f, rng = scrambled(*case)
+    m, ref = SurfaceMesh(v, f), DictMesh(v, f)
+    allowed = rng.random(m.n_triangles) < 0.7
+    seeds = rng.choice(m.n_triangles, size=int(rng.integers(0, 5)), replace=False).tolist()
+    barrier = set(rng.choice(m.n_edges, size=int(rng.integers(0, m.n_edges // 3 + 1)),
+                             replace=False).tolist())
+    assert _grow(m, seeds, allowed, barrier).tolist() == sorted(flood(ref, seeds, allowed, barrier))
+    inside = [t for t in seeds if allowed[t]]
+    for rings in range(5):
+        assert _grow(m, seeds, rings=rings).tolist() == sorted(ring_grow(ref, seeds, rings))
+        assert (_grow(m, inside, allowed, rings=rings).tolist()
+                == sorted(ring_grow(ref, inside, rings, allowed)))
+
+
+def test_non_manifold_edge_named_before_open_edges():
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0), (1, 1, 1)]
+    # the first triangle's edges stay open; edge (0, 1) gets three triangles
+    tris = [(2, 3, 5), (0, 1, 2), (0, 3, 1), (0, 1, 4)]
+    with pytest.raises(NonManifoldEdgeError) as err:
+        SurfaceMesh(verts, tris)
+    a, b = err.value.edge
+    assert sum({a, b} <= set(t) for t in tris) >= 3
+
+
+def test_pinched_vertex_rejected():
+    v, f, shared = two_cubes_sharing_a_vertex()
+    with pytest.raises(NonManifoldVertexError) as err:
+        SurfaceMesh(v, f)
+    assert err.value.vertex == shared
+    assert isinstance(err.value, MeshError)

@@ -1,106 +1,114 @@
 """Mesh-agnostic discrete optimizers: s-t max-flow / min-cut (Dinic) and
 multi-label energy minimization by alpha-expansion.
 
-Graph construction and energies are numpy. Only the Dinic augmenting loop is
-compiled, with numba when available (set POLYCUBELABEL_NO_NUMBA=1 to force
-the pure-python loop; results are identical, just slower). Capacities are
-float64; disallowed assignments are encoded as BIG rather than inf so
-residual arithmetic never produces NaN.
+Graph construction, energies and the breadth-first levels of each Dinic
+phase are numpy; the augmenting search is plain Python over the arcs that are
+admissible when its phase starts. Capacities are float64; disallowed
+assignments are encoded as BIG rather than inf so residual arithmetic never
+produces NaN.
+
+The filtered search is exact. Within a phase an arc gains capacity only when
+its partner carries flow, so it points one level down and never becomes
+admissible: the search visits the arcs a full scan would, in the same order,
+with the same float arithmetic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    if os.environ.get("POLYCUBELABEL_NO_NUMBA"):
-        raise ImportError("numba disabled by environment")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
+HAVE_NUMBA = False  # nothing is compiled; kept for tools that report it
 
 BIG = 1e18
 _EPS = 1e-12
 
 
-@njit(cache=True)
-def _dinic(n_nodes, head, nxt, to, cap, s, t):
+def _levels(starts, head, s, t):
+    """Breadth-first levels from s, node u's arcs leading to
+    head[starts[u]:starts[u + 1]]; -1 where unreached. Expands one frontier
+    at a time and stops after the level that reaches t: no arc beyond it
+    can be admissible."""
+    level = np.full(len(starts) - 1, -1, dtype=np.int64)
+    level[s] = 0
+    front, depth = np.array([s]), 0
+    while front.size and level[t] < 0:
+        lo = starts[front]
+        counts = starts[front + 1] - lo
+        # the frontier's arcs, taken from each node's run in head
+        reached = head[np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+        depth += 1
+        front = np.unique(reached[level[reached] < 0])
+        level[front] = depth
+    return level
+
+
+def _admissible(starts, head, level, t):
+    """Positions in head of the arcs admissible at the start of a phase:
+    one level up, and below t's level unless into t. Returns them with each
+    node's first and end index among them."""
+    tail = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    lt, lh = level[tail], level[head]
+    ok = np.flatnonzero((lt >= 0) & (lh == lt + 1) & ((lh < level[t]) | (head == t)))
+    counts = np.bincount(tail[ok], minlength=len(starts) - 1)
+    stop = np.cumsum(counts)
+    return ok, stop - counts, stop
+
+
+def _dinic(offsets, arcs, to, cap, s, t):
     """Max flow on a paired-arc graph; mutates cap to the residual.
 
+    Node u's arcs, in search order, are ``arcs[offsets[u]:offsets[u + 1]]``.
     Returns the source side of the minimum cut: the nodes the final
     breadth-first search reaches from s through arcs with residual capacity.
     """
-    level = np.empty(n_nodes, dtype=np.int64)
-    iters = np.empty(n_nodes, dtype=np.int64)
-    queue = np.empty(n_nodes, dtype=np.int64)
-    path = np.empty(n_nodes + 1, dtype=np.int64)
     while True:
-        for i in range(n_nodes):
-            level[i] = -1
-        level[s] = 0
-        queue[0] = s
-        qh, qt = 0, 1
-        while qh < qt:
-            u = queue[qh]
-            qh += 1
-            e = head[u]
-            while e != -1:
-                v = to[e]
-                if cap[e] > _EPS and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue[qt] = v
-                    qt += 1
-                e = nxt[e]
+        # the arcs with residual capacity, still grouped by origin
+        pos = np.flatnonzero(cap[arcs] > _EPS)
+        live = arcs[pos]
+        head = to[live]
+        starts = np.searchsorted(pos, offsets)
+        level = _levels(starts, head, s, t)
         if level[t] < 0:
             return level >= 0
-        for i in range(n_nodes):
-            iters[i] = head[i]
+        ok, first, stop = _admissible(starts, head, level, t)
+        ids = live[ok]
+        # search over the admissible arcs only, by position j in their list
+        hd = head[ok].tolist()
+        res = cap[ids].tolist()
+        back = cap[ids ^ 1].tolist()
+        nxt = first.tolist()
+        stop = stop.tolist()
+        path = []
         u = s
-        plen = 0
         while True:
             if u == t:
                 bottleneck = 1e300
-                for k in range(plen):
-                    if cap[path[k]] < bottleneck:
-                        bottleneck = cap[path[k]]
-                for k in range(plen):
-                    cap[path[k]] -= bottleneck
-                    cap[path[k] ^ 1] += bottleneck
+                for j in path:
+                    if res[j] < bottleneck:
+                        bottleneck = res[j]
+                for j in path:
+                    res[j] -= bottleneck
+                    back[j] += bottleneck
                 u = s
-                plen = 0
+                path = []
                 continue
-            e = iters[u]
-            while e != -1:
-                v = to[e]
-                if cap[e] > _EPS and level[v] == level[u] + 1:
+            j, end = nxt[u], stop[u]
+            while j < end and not res[j] > _EPS:
+                j += 1
+            nxt[u] = j
+            if j == end:
+                # a dead end for the rest of the phase: entering it again
+                # comes straight back here
+                if not path:
                     break
-                e = nxt[e]
-            iters[u] = e
-            if e == -1:
-                level[u] = -1  # dead end in this phase
-                if plen == 0:
-                    break
-                plen -= 1
-                u = s if plen == 0 else to[path[plen - 1]]
-                iters[u] = nxt[iters[u]]
+                path.pop()
+                u = hd[path[-1]] if path else s
+                nxt[u] += 1
             else:
-                path[plen] = e
-                plen += 1
-                u = to[e]
+                path.append(j)
+                u = hd[j]
+        cap[ids] = res
+        cap[ids ^ 1] = back
 
 
 def _paired_arcs(n_nodes, tails, heads, caps):
@@ -109,23 +117,16 @@ def _paired_arcs(n_nodes, tails, heads, caps):
     Arc 2k carries caps[k] and arc 2k + 1 is its zero-capacity reverse, so
     ``e ^ 1`` is the partner of arc e. Each node's list starts at its
     last-added arc, as if the arcs were pushed one at a time; a stable sort
-    of the arc origins yields that order. Returns (head, nxt, to, cap).
+    of the reversed arc origins yields that order. Returns
+    (offsets, arcs, to, cap), node u's list being arcs[offsets[u]:offsets[u + 1]].
     """
     m = len(tails)
-    order = np.argsort(np.stack((tails, heads), axis=1).ravel(), kind="stable")
-    counts = np.bincount(tails, minlength=n_nodes) + np.bincount(heads, minlength=n_nodes)
-    ends = np.cumsum(counts)
-    has = counts > 0
-    # in sorted order each arc links to the one before it, except the first
-    # of its node; a node's head is the last of its group
-    nxt = np.empty(2 * m, dtype=np.int64)
-    nxt[order[1:]] = order[:-1]
-    nxt[order[ends[has] - counts[has]]] = -1
-    head = np.full(n_nodes, -1, dtype=np.int64)
-    head[has] = order[ends[has] - 1]
+    origin = np.stack((tails, heads), axis=1).ravel()
+    arcs = 2 * m - 1 - np.argsort(origin[::-1], kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(origin, minlength=n_nodes))))
     to = np.stack((heads, tails), axis=1).ravel()
     cap = np.stack((caps, np.zeros(m)), axis=1).ravel()
-    return head, nxt, to, cap
+    return offsets, arcs, to, cap
 
 
 def min_st_cut(n_nodes, edges, capacities, s, t):
@@ -133,12 +134,23 @@ def min_st_cut(n_nodes, edges, capacities, s, t):
 
     Returns ``(cut_value, source_side)`` where ``source_side`` is a bool
     array over nodes; the value is recomputed from the partition so it is
-    an exact sum of the given capacities.
+    an exact sum of the given capacities. Raises ValueError when s == t,
+    when s, t or an edge endpoint is not a node, or when a capacity is
+    negative or not finite.
     """
     edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
     capacities = np.ascontiguousarray(capacities, dtype=np.float64)
-    arcs = _paired_arcs(n_nodes, edges[:, 0], edges[:, 1], capacities)
-    side = _dinic(n_nodes, *arcs, s, t)
+    if not (0 <= s < n_nodes and 0 <= t < n_nodes):
+        raise ValueError(f"source {s} or sink {t} is not a node of {n_nodes}")
+    if s == t:
+        raise ValueError(f"source and sink are the same node {s}")
+    if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
+        raise ValueError(f"edge endpoint outside nodes 0..{n_nodes - 1}")
+    if capacities.shape != (len(edges),):
+        raise ValueError(f"{capacities.size} capacities for {len(edges)} edges")
+    if not np.all(np.isfinite(capacities) & (capacities >= 0.0)):
+        raise ValueError("capacities must be finite and non-negative")
+    side = _dinic(*_paired_arcs(n_nodes, edges[:, 0], edges[:, 1], capacities), s, t)
     value = float(capacities[side[edges[:, 0]] & ~side[edges[:, 1]]].sum())
     return value, side
 
@@ -178,7 +190,7 @@ def _expansion_move(costs, pairs, weights, cur, alpha):
         return np.concatenate((np.stack(per_node, axis=1).ravel(),
                                np.stack(per_pair, axis=1)[keep]))
 
-    side = _dinic(n + 2, *_paired_arcs(
+    side = _dinic(*_paired_arcs(
         n + 2,
         arcs((np.full(n, s), nodes), (u, np.where(up, s, u), v)),
         arcs((nodes, np.full(n, t)), (v, np.where(up, u, t), np.full_like(v, t))),

@@ -7,6 +7,7 @@ geometry round-trips bit-exact through the text formats.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -46,14 +47,30 @@ def read_obj(path):
                         f"{path}:{lineno}: face with {len(refs)} vertices; only triangles are supported"
                     )
                 try:
-                    idx = [int(ref.split("/")[0]) for ref in refs]  # OBJ is 1-based
+                    idx = [int(ref.split("/")[0]) for ref in refs]
                 except ValueError:
                     raise FileFormatError(f"{path}:{lineno}: malformed face line") from None
-                tris.append(tuple(i - 1 if i > 0 else len(verts) + i for i in idx))
+                # OBJ is 1-based, and a negative index counts back from the
+                # last vertex read; 0 becomes -1, which the range check rejects
+                tris.append(tuple(i - 1 if i > 0 else len(verts) + i if i else -1 for i in idx))
             # vn/vt/usemtl/o/g/s/mtllib are irrelevant here
     if not tris:
         raise FileFormatError(f"{path}: no faces found")
-    return np.array(verts, dtype=np.float64), np.array(tris, dtype=np.int64)
+    tris = np.array(tris, dtype=np.int64)
+    bad = np.nonzero(((tris < 0) | (tris >= len(verts))).any(axis=1))[0]
+    if bad.size:
+        raise FileFormatError(
+            f"{path}:{_nth_face_line(path, bad[0])}: face vertex index out of range "
+            f"for {len(verts)} vertices"
+        )
+    return np.array(verts, dtype=np.float64), tris
+
+
+def _nth_face_line(path, k):
+    """Line number of face k (0-based) of an OBJ file."""
+    with open(path) as fh:
+        lines = (n for n, line in enumerate(fh, 1) if line.split()[:1] == ["f"])
+        return next(itertools.islice(lines, k, None))
 
 
 def write_obj(path, verts, tris):
@@ -127,6 +144,13 @@ def read_medit(path):
             raise FileFormatError(f"{path}: unknown keyword {key!r}")
     if verts is None or tris is None:
         raise FileFormatError(f"{path}: missing Vertices or Triangles section")
+    bad = np.nonzero(((tris < 0) | (tris >= len(verts))).any(axis=1))[0]
+    if bad.size:
+        k = bad[0]
+        raise FileFormatError(
+            f"{path}: triangle {k + 1} has a vertex index outside 1..{len(verts)}: "
+            f"{' '.join(str(i + 1) for i in tris[k].tolist())}"
+        )
     return verts, tris
 
 

@@ -53,6 +53,20 @@ class DegenerateTriangleError(MeshError):
         super().__init__(f"degenerate triangle {self.triangle_index} (area below tolerance)")
 
 
+class UnreferencedVertexError(MeshError):
+    def __init__(self, vertex):
+        self.vertex = int(vertex)
+        super().__init__(f"vertex {self.vertex} is used by no triangle")
+
+
+class DisconnectedSurfaceError(MeshError):
+    def __init__(self, n_components):
+        self.n_components = int(n_components)
+        super().__init__(
+            f"surface has {self.n_components} connected components; only one is supported"
+        )
+
+
 class DihedralInfo(NamedTuple):
     """Interior dihedral angle of one mesh edge.
 
@@ -75,8 +89,9 @@ class SurfaceMesh:
         arrays are copied, so the caller's arrays stay writeable.
     triangles : (F, 3) array_like
         Vertex indices, counter-clockwise when seen from outside (outward
-        normals). Every edge needs exactly two triangles, and the triangles
-        around each vertex must form one fan (no pinched vertices).
+        normals). Every edge needs exactly two triangles, the triangles
+        around each vertex must form one fan (no pinched vertices), every
+        vertex must be used, and the surface must be one connected piece.
     feature_edges : iterable of (int, int), optional
         CAD feature edges as vertex pairs. When given, they take precedence
         over dihedral detection: pairs whose dihedral deviation is below
@@ -140,6 +155,7 @@ class SurfaceMesh:
         self._build_connectivity()
         self._compute_dihedrals()
         self._assign_feature_edges(feature_edges)
+        self._check_one_surface()
 
         for arr in (self.vertices, self.triangles, self.normals, self.areas,
                     self.edges, self.triangle_edges, self.edge_tris,
@@ -252,6 +268,24 @@ class SurfaceMesh:
         self.feature_vertex_mask[self.edges[self.feature_edge_mask].ravel()] = True
         self.feature_edges = frozenset(map(tuple, self.edges[self.feature_edge_mask].tolist()))
         self.ignored_feature_edges = frozenset(map(tuple, self.edges[given & ~sharp].tolist()))
+
+    def _check_one_surface(self):
+        # The genus formula holds for one closed surface with no stray
+        # vertices. Components by min-label hooking: hook the larger of two
+        # adjacent roots onto the smaller, then jump pointers to the roots.
+        unused = np.nonzero(np.diff(self._star_start) == 0)[0]
+        if unused.size:
+            raise UnreferencedVertexError(unused[0])
+        root = np.arange(self.n_triangles)
+        a, b = self.edge_tris[:, 0], self.edge_tris[:, 1]
+        while (apart := root[a] != root[b]).any():
+            ra, rb = root[a[apart]], root[b[apart]]
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+            while not np.array_equal(jumped := root[root], root):
+                root = jumped
+        n_components = np.count_nonzero(root == np.arange(self.n_triangles))
+        if n_components > 1:
+            raise DisconnectedSurfaceError(n_components)
 
     # -- queries ---------------------------------------------------------------
 

@@ -86,3 +86,17 @@ def two_cubes_sharing_a_vertex():
     index[other] = len(v) + np.arange(len(other))
     verts = np.vstack([v, v[other] + 1.0])
     return verts, np.vstack([f, index[f]]), corner
+
+
+def two_disjoint_cubes():
+    """Two unit cubes apart from each other: (vertices, triangles)."""
+    v, f = shapes.cube()
+    v = np.asarray(v, dtype=np.float64)
+    return np.vstack([v, v + 3.0]), np.vstack([f, np.asarray(f) + len(v)])
+
+
+def cube_with_a_stray_vertex():
+    """A unit cube plus one vertex no triangle uses, the last one:
+    (vertices, triangles)."""
+    v, f = shapes.cube()
+    return np.vstack([v, [[5.0, 5.0, 5.0]]]), np.asarray(f)

@@ -11,6 +11,7 @@ from collections import deque
 
 import numpy as np
 
+from polycubelabel.graphcut import _EPS
 from polycubelabel.mesh import MeshError, NonManifoldEdgeError, OpenSurfaceError
 
 
@@ -69,6 +70,69 @@ def push_arcs_one_by_one(n_nodes, tails, heads, caps):
             nxt[e] = head[u]
             head[u] = e
     return head, nxt, to, cap
+
+
+def reference_dinic(n_nodes, head, nxt, to, cap, s, t):
+    """Max flow by Dinic's algorithm over linked arc lists, scanning every
+    arc in each breadth-first pass and each augmenting search; mutates cap
+    to the residual and returns the bool source side of the minimum cut."""
+    level = np.empty(n_nodes, dtype=np.int64)
+    iters = np.empty(n_nodes, dtype=np.int64)
+    queue = np.empty(n_nodes, dtype=np.int64)
+    path = np.empty(n_nodes + 1, dtype=np.int64)
+    while True:
+        for i in range(n_nodes):
+            level[i] = -1
+        level[s] = 0
+        queue[0] = s
+        qh, qt = 0, 1
+        while qh < qt:
+            u = queue[qh]
+            qh += 1
+            e = head[u]
+            while e != -1:
+                v = to[e]
+                if cap[e] > _EPS and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue[qt] = v
+                    qt += 1
+                e = nxt[e]
+        if level[t] < 0:
+            return level >= 0
+        for i in range(n_nodes):
+            iters[i] = head[i]
+        u = s
+        plen = 0
+        while True:
+            if u == t:
+                bottleneck = 1e300
+                for k in range(plen):
+                    if cap[path[k]] < bottleneck:
+                        bottleneck = cap[path[k]]
+                for k in range(plen):
+                    cap[path[k]] -= bottleneck
+                    cap[path[k] ^ 1] += bottleneck
+                u = s
+                plen = 0
+                continue
+            e = iters[u]
+            while e != -1:
+                v = to[e]
+                if cap[e] > _EPS and level[v] == level[u] + 1:
+                    break
+                e = nxt[e]
+            iters[u] = e
+            if e == -1:
+                level[u] = -1  # dead end in this phase
+                if plen == 0:
+                    break
+                plen -= 1
+                u = s if plen == 0 else to[path[plen - 1]]
+                iters[u] = nxt[iters[u]]
+            else:
+                path[plen] = e
+                plen += 1
+                u = to[e]
 
 
 def random_potts_instance(rng, max_nodes=8, n_labels=6):

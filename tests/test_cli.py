@@ -17,7 +17,7 @@ from polycubelabel.cli import main
 from polycubelabel.labeling import naive_labeling
 from polycubelabel.mesh import SurfaceMesh
 
-from helpers import two_cubes_sharing_a_vertex
+from helpers import cube_with_a_stray_vertex, two_cubes_sharing_a_vertex, two_disjoint_cubes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -125,6 +125,26 @@ def test_label_pinched_vertex_exits_2(tmp_path, capsys):
     io.write_obj(mesh, v, f)
     assert main(["label", str(mesh), "-o", str(tmp_path / "out.flags")]) == 2
     assert f"non-manifold vertex {shared}" in capsys.readouterr().err
+    assert not (tmp_path / "out.flags").exists()
+
+
+def test_label_zero_face_index_exits_2(tmp_path, capsys):
+    mesh = tmp_path / "tetra.obj"
+    mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 0 3 2\nf 1 2 4\nf 2 3 4\nf 1 4 3\n")
+    assert main(["label", str(mesh), "-o", str(tmp_path / "out.flags")]) == 2
+    assert "tetra.obj:5: face vertex index out of range" in capsys.readouterr().err
+    assert not (tmp_path / "out.flags").exists()
+
+
+@pytest.mark.parametrize("solid, message", [
+    (cube_with_a_stray_vertex, "vertex 8 is used by no triangle"),
+    (two_disjoint_cubes, "2 connected components"),
+])
+def test_label_stray_vertex_or_two_components_exits_2(tmp_path, capsys, solid, message):
+    mesh = tmp_path / "solid.mesh"
+    io.write_medit(mesh, *solid())
+    assert main(["label", str(mesh), "-o", str(tmp_path / "out.flags")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out.flags").exists()
 
 

@@ -1,10 +1,20 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polycubelabel.graphcut import BIG, _paired_arcs, alpha_expansion, min_st_cut, potts_energy
+from polycubelabel import graphcut, labeling, shapes
+from polycubelabel.graphcut import (
+    BIG,
+    _dinic,
+    _paired_arcs,
+    alpha_expansion,
+    min_st_cut,
+    potts_energy,
+)
+from polycubelabel.mesh import SurfaceMesh
 
 from oracles import (
     brute_force_min_cut,
@@ -12,6 +22,7 @@ from oracles import (
     push_arcs_one_by_one,
     random_cut_instance,
     random_potts_instance,
+    reference_dinic,
     smallest_min_cut_source_side,
 )
 
@@ -29,6 +40,38 @@ def test_min_cut_disconnected_sink():
     value, side = min_st_cut(3, [(0, 1)], np.array([4.0]), 0, 2)
     assert value == 0.0
     assert side.tolist() == [True, True, False]
+
+
+def test_min_cut_same_source_and_sink_raises():
+    # with s == t the augmenting search would start at t with an empty path
+    # and never return, so the call runs in a child process under a timeout
+    src = Path(graphcut.__file__).parents[1]
+    code = (
+        "import numpy as np\n"
+        "from polycubelabel.graphcut import min_st_cut\n"
+        "try:\n"
+        "    min_st_cut(3, [(0, 1)], np.array([1.0]), 0, 0)\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert proc.stdout.startswith("ValueError")
+
+
+@pytest.mark.parametrize("edges, caps, s, t, match", [
+    ([(0, 1)], [1.0], 0, 3, "sink 3"),
+    ([(0, 1)], [1.0], -1, 2, "source -1"),
+    ([(0, 3)], [1.0], 0, 2, "endpoint"),
+    ([(-1, 2)], [1.0], 0, 2, "endpoint"),
+    ([(0, 1), (1, 2)], [1.0, -1.0], 0, 2, "non-negative"),
+    ([(0, 1), (1, 2)], [1.0, np.inf], 0, 2, "finite"),
+    ([(0, 1), (1, 2)], [np.nan, 1.0], 0, 2, "finite"),
+    ([(0, 1), (1, 2)], [1.0], 0, 2, "1 capacities for 2 edges"),
+])
+def test_min_cut_rejects_bad_input(edges, caps, s, t, match):
+    with pytest.raises(ValueError, match=match):
+        min_st_cut(3, edges, np.array(caps), s, t)
 
 
 def test_min_cut_matches_enumeration():
@@ -55,16 +98,128 @@ def test_min_cut_source_side_is_the_smallest_minimum_cut():
         assert side.tolist() == smallest_min_cut_source_side(n, edges, caps, s, t).tolist()
 
 
+def _linked_lists(head, nxt):
+    """Each node's arcs, walked along one-by-one linked lists."""
+    out = []
+    for e in head:
+        out.append([])
+        while e != -1:
+            out[-1].append(int(e))
+            e = nxt[e]
+    return out
+
+
 def test_paired_arcs_match_one_by_one_build():
     rng = np.random.default_rng(8)
     for m in [0, 1, 2, 3, 7, 50, 200]:
         n = int(rng.integers(1, 12))
         tails, heads = rng.integers(0, n, size=(2, m))  # self-loops and repeats too
         caps = rng.uniform(0.0, 5.0, size=m)
-        got = _paired_arcs(n, tails, heads, caps)
-        want = push_arcs_one_by_one(n, tails, heads, caps)
-        for g, w in zip(got, want):
+        offsets, arcs, to, cap = _paired_arcs(n, tails, heads, caps)
+        head, nxt, want_to, want_cap = push_arcs_one_by_one(n, tails, heads, caps)
+        lists = _linked_lists(head, nxt)
+        assert len(offsets) == n + 1
+        for u in range(n):
+            assert arcs[offsets[u]:offsets[u + 1]].tolist() == lists[u]
+        for g, w in ((to, want_to), (cap, want_cap)):
             assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def _random_flow_graph(rng):
+    n = int(rng.integers(3, 41))
+    m = int(rng.integers(0, 151))
+    tails, heads = rng.integers(0, n, size=(2, m))  # self-loops and repeats too
+    if rng.random() < 0.5:
+        caps = rng.integers(0, 4, size=m).astype(np.float64)
+    else:
+        caps = rng.uniform(0.0, 5.0, size=m) * (rng.random(m) < 0.8)
+    s, t = rng.choice(n, size=2, replace=False)
+    if rng.random() < 0.2:  # nothing enters t
+        keep = heads != t
+        tails, heads, caps = tails[keep], heads[keep], caps[keep]
+    return n, tails, heads, caps, int(s), int(t)
+
+
+def _assert_dinic_matches_reference(n, tails, heads, caps, s, t):
+    arcs = _paired_arcs(n, tails, heads, caps)
+    head, nxt, to, cap = push_arcs_one_by_one(n, tails, heads, caps)
+    side = _dinic(*arcs, s, t)
+    want = reference_dinic(n, head, nxt, to, cap, s, t)
+    assert arcs[3].tobytes() == cap.tobytes()  # bit-equal residuals
+    assert side.tolist() == want.tolist()
+
+
+def test_dinic_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(21)
+    unreachable = 0
+    for _ in range(400):
+        n, tails, heads, caps, s, t = _random_flow_graph(rng)
+        unreachable += t not in heads.tolist()
+        _assert_dinic_matches_reference(n, tails, heads, caps, s, t)
+    assert unreachable >= 40
+
+
+def test_dinic_matches_reference_on_a_long_chain():
+    # a path s=0 -> 1 -> ... -> 199 = t with shortcuts: many phases, many levels
+    n = 200
+    tails = np.concatenate((np.arange(n - 1), np.arange(0, n - 20, 7)))
+    heads = np.concatenate((np.arange(1, n), np.arange(0, n - 20, 7) + 13))
+    caps = np.concatenate((np.linspace(5.0, 1.0, n - 1), np.full(len(tails) - n + 1, 0.7)))
+    _assert_dinic_matches_reference(n, tails, heads, caps, 0, n - 1)
+
+
+def test_dinic_matches_reference_past_the_sink_level():
+    # s=0 reaches t=5 in one step first; a, b sit at t's level and c, d
+    # beyond it, so the first phases must skip them as the full scan does
+    s, a, b, c, d, t = range(6)
+    edges = np.array([(s, t), (s, a), (s, b), (a, c), (b, c), (c, d), (d, t),
+                      (a, t), (c, t), (b, a), (d, b)])
+    caps = np.array([1.0, 2.5, 1.5, 2.0, 1.0, 0.5, 3.0, 0.25, 1.0, 1.0, 2.0])
+    _assert_dinic_matches_reference(6, edges[:, 0], edges[:, 1], caps, s, t)
+
+
+def _use_reference_cut(monkeypatch):
+    """Route alpha_expansion's cuts through the one-by-one arc build and the
+    reference Dinic."""
+    monkeypatch.setattr(graphcut, "_paired_arcs", push_arcs_one_by_one)
+    monkeypatch.setattr(
+        graphcut, "_dinic",
+        lambda head, nxt, to, cap, s, t: reference_dinic(len(head), head, nxt, to, cap, s, t),
+    )
+
+
+def _corpus_energy(mesh):
+    costs = labeling.data_costs(mesh.normals, 3.0, 1e-10, 0.05)
+    return costs, mesh.edge_tris, labeling.smoothness_weights(mesh, 1.0, "angle-proportional")
+
+
+@pytest.mark.parametrize("shape", [
+    lambda: shapes.subdivide(*shapes.cone(16), 1),
+    lambda: shapes.torus(16, 8),
+], ids=["cone-16-subdivided", "torus-16x8"])
+def test_alpha_expansion_matches_reference_cut(shape, monkeypatch):
+    mesh = SurfaceMesh(*shape())
+    costs, pairs, weights = _corpus_energy(mesh)
+    init = np.arange(mesh.n_triangles) % 6  # far from optimal: many moves
+    got = [alpha_expansion(costs, pairs, weights, init=init), labeling.compute_labeling(mesh)]
+    with monkeypatch.context() as patch:
+        _use_reference_cut(patch)
+        want = [alpha_expansion(costs, pairs, weights, init=init), labeling.compute_labeling(mesh)]
+    assert got[0][0].tolist() == want[0][0].tolist() and got[0][1] == want[0][1]
+    assert got[1].tolist() == want[1].tolist()
+
+
+def test_restricted_relabel_matches_reference_cut(monkeypatch):
+    mesh = SurfaceMesh(*shapes.torus(16, 8))
+    labels = labeling.compute_labeling(mesh)
+    chart = labels == labels[0]
+    allowed = np.arange(6) != labels[0]
+    got = labeling.restricted_relabel(mesh, labels, chart, allowed=allowed)
+    with monkeypatch.context() as patch:
+        _use_reference_cut(patch)
+        want = labeling.restricted_relabel(mesh, labels, chart, allowed=allowed)
+    assert not np.array_equal(got, labels)
+    assert got.tolist() == want.tolist()
 
 
 def test_alpha_expansion_matches_bruteforce():
@@ -143,45 +298,3 @@ def test_alpha_expansion_deterministic():
     a = alpha_expansion(costs, pairs, weights)
     b = alpha_expansion(costs, pairs, weights)
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
-
-
-def test_pure_python_fallback_matches_numba(tmp_path):
-    """Same answers with POLYCUBELABEL_NO_NUMBA=1 in a fresh interpreter."""
-    import os
-
-    script = tmp_path / "probe.py"
-    script.write_text(
-        "import sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import numpy as np\n"
-        "from polycubelabel.graphcut import min_st_cut, alpha_expansion, HAVE_NUMBA\n"
-        "from oracles import random_cut_instance, random_potts_instance\n"
-        "rng = np.random.default_rng(99)\n"
-        "out = []\n"
-        "for _ in range(10):\n"
-        "    n, e, c, s, t = random_cut_instance(rng)\n"
-        "    out.append(round(min_st_cut(n, e, c, s, t)[0], 12))\n"
-        "for _ in range(10):\n"
-        "    c, p, w = random_potts_instance(rng)\n"
-        "    labs, en = alpha_expansion(c, p, w)\n"
-        "    out.append(list(map(int, labs)))\n"
-        "    out.append(round(en, 12))\n"
-        "print(HAVE_NUMBA, out)\n"
-    )
-    here = os.path.dirname(__file__)
-    base = {k: v for k, v in os.environ.items() if k != "POLYCUBELABEL_NO_NUMBA"}
-    runs = {}
-    for flag in (None, "1"):
-        env = base if flag is None else dict(base, POLYCUBELABEL_NO_NUMBA=flag)
-        proc = subprocess.run(
-            [sys.executable, str(script), here],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        runs[flag] = proc.stdout
-    numba_payload = runs[None].split(" ", 1)[1]
-    flag_state, plain_payload = runs["1"].split(" ", 1)
-    assert flag_state == "False"
-    assert numba_payload == plain_payload

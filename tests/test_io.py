@@ -65,6 +65,28 @@ def test_obj_without_faces_rejected(tmp_path):
         io.read_obj(p)
 
 
+TETRA_VERTS = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+
+
+@pytest.mark.parametrize("face, line", [
+    ("f 0 3 2", 5),  # OBJ indices start at 1
+    ("f 1 3 5", 5),
+    ("f -1 -2 -5", 5),
+])
+def test_obj_face_index_out_of_range_names_line(tmp_path, face, line):
+    p = tmp_path / "t.obj"
+    p.write_text(TETRA_VERTS + face + "\nf 1 2 4\nf 2 3 4\nf 1 4 3\n")
+    with pytest.raises(FileFormatError, match=rf"t\.obj:{line}: face vertex index out of range"):
+        io.read_obj(p)
+
+
+def test_obj_out_of_range_face_later_in_file_names_its_line(tmp_path):
+    p = tmp_path / "t.obj"
+    p.write_text(TETRA_VERTS + "f 1 3 2\nf 1 2 4\n# a comment\nf 2 3 9\nf 1 4 3\n")
+    with pytest.raises(FileFormatError, match=r"t\.obj:8: face vertex index out of range for 4"):
+        io.read_obj(p)
+
+
 # -- MEDIT ----------------------------------------------------------------------
 
 
@@ -98,6 +120,17 @@ def test_medit_truncated(tmp_path):
     p = tmp_path / "t.mesh"
     p.write_text("MeshVersionFormatted 2\nDimension 3\nVertices 5\n0 0 0 1\n")
     with pytest.raises(FileFormatError, match="truncated"):
+        io.read_medit(p)
+
+
+@pytest.mark.parametrize("index", ["0", "4"])
+def test_medit_triangle_index_out_of_range_names_triangle(tmp_path, index):
+    p = tmp_path / "t.mesh"
+    p.write_text(
+        "Dimension 3\nVertices 3\n0 0 0 1\n1 0 0 1\n0 1 0 1\n"
+        f"Triangles 2\n1 2 3 0\n1 {index} 2 0\nEnd\n"
+    )
+    with pytest.raises(FileFormatError, match=r"t\.mesh: triangle 2 .*1\.\.3"):
         io.read_medit(p)
 
 

@@ -8,18 +8,25 @@ from hypothesis import strategies as st
 from polycubelabel import shapes
 from polycubelabel.mesh import (
     DegenerateTriangleError,
+    DisconnectedSurfaceError,
     MeshError,
     NonFiniteVertexError,
     NonManifoldEdgeError,
     NonManifoldVertexError,
     OpenSurfaceError,
     SurfaceMesh,
+    UnreferencedVertexError,
     detect_feature_edges,
     interior_dihedral,
 )
 from polycubelabel.operators import _grow
 
-from helpers import build, two_cubes_sharing_a_vertex
+from helpers import (
+    build,
+    cube_with_a_stray_vertex,
+    two_cubes_sharing_a_vertex,
+    two_disjoint_cubes,
+)
 from oracles import DictMesh, flood, ring_grow
 
 
@@ -310,3 +317,41 @@ def test_pinched_vertex_rejected():
         SurfaceMesh(v, f)
     assert err.value.vertex == shared
     assert isinstance(err.value, MeshError)
+
+
+def test_unreferenced_vertex_rejected():
+    v, f = cube_with_a_stray_vertex()
+    with pytest.raises(UnreferencedVertexError) as err:
+        SurfaceMesh(v, f)
+    assert err.value.vertex == len(v) - 1
+    assert isinstance(err.value, MeshError)
+
+
+def _three_shuffled_spheres():
+    # triangles of the three pieces interleaved, so that hooking cannot rely
+    # on each piece holding a contiguous run of ids
+    v, f = shapes.icosphere(2)
+    v, f = np.asarray(v, dtype=np.float64), np.asarray(f)
+    tris = np.vstack([f, f + len(v), f + 2 * len(v)])
+    return np.vstack([v, v + 3.0, v + 6.0]), tris[np.random.default_rng(4).permutation(len(tris))]
+
+
+@pytest.mark.parametrize("solid, n_components", [
+    (two_disjoint_cubes, 2),
+    (_three_shuffled_spheres, 3),
+], ids=["two-cubes", "three-shuffled-spheres"])
+def test_several_components_rejected(solid, n_components):
+    with pytest.raises(DisconnectedSurfaceError) as err:
+        SurfaceMesh(*solid())
+    assert err.value.n_components == n_components
+    assert isinstance(err.value, MeshError)
+
+
+def test_earlier_checks_win_over_the_component_checks():
+    v, f = cube_with_a_stray_vertex()
+    with pytest.raises(OpenSurfaceError):
+        SurfaceMesh(v, f[1:])
+    v2, f2 = two_disjoint_cubes()
+    with pytest.raises(OpenSurfaceError):
+        SurfaceMesh(v2, f2[:-1])
+

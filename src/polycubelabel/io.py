@@ -1,14 +1,26 @@
 """Readers and writers: OBJ / MEDIT surface meshes, labeling files,
 feature-edge sidecars and colored PLY exports.
 
+Each reader reads its file as one text and converts whole blocks of numbers
+at once. A number means what Python's ``float()`` or ``int()`` makes of it:
+``np.loadtxt`` converts a block when it can (it takes the plain decimal
+spellings, to the same values), and a block it refuses goes to ``np.array``
+over the tokens, which calls ``float()`` / ``int()`` and so also takes
+``1_000`` and fails with their messages. Errors name the file and line (OBJ,
+labelings, feature edges) or the file and the token or triangle (MEDIT); an
+OBJ or labeling file the bulk pass refuses is read again line by line to
+find the first bad line.
+
 All writers are byte-deterministic; coordinates are written with %.17g so
-geometry round-trips bit-exact through the text formats.
+geometry round-trips bit-exact through the text formats. Rows are formatted
+from one repeated row template, a bounded chunk at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
+import re
+from itertools import compress
 
 import numpy as np
 
@@ -20,65 +32,145 @@ class FileFormatError(MeshError):
     pass
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+_CHUNK = 1 << 12  # rows formatted per write
+
+
+def _numbers(tokens, dtype):
+    """A list of number strings as a 1-D array, as float() or int() reads
+    each; raises their ValueError (or OverflowError past int64)."""
+    if tokens:
+        try:
+            out = np.loadtxt(tokens, dtype=dtype, comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            if out.shape == (len(tokens),):  # one number per string
+                return out
+    return np.array(tokens, dtype=dtype)
+
+
+def _write_rows(fh, row, rows):
+    """Write each row of a 2-D array through the %-template ``row``."""
+    for start in range(0, len(rows), _CHUNK):
+        chunk = rows[start : start + _CHUNK]
+        fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def _checked_labels(labels):
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = np.flatnonzero((labels < 0) | (labels > 5))
+    if bad.size:
+        raise ValueError(f"label {labels[bad[0]]} of triangle {bad[0]} outside 0..5")
+    return labels
 
 
 # -- OBJ -----------------------------------------------------------------------
 
+_OBJ_TAGS = {"v": 1, "f": 2}
+_SLASH_TAIL = re.compile(r"(?<=\S)/\S*")  # "12/5/7" -> "12", as ref.split("/")[0]
+
+
+def _obj_line_kinds(text, lines):
+    """Per line of ``text`` (split into ``lines``): 1 for a vertex line, 2
+    for a face line, 0 otherwise."""
+    # lines that start "v " or "f " (or with a tab) are told apart by their
+    # first two bytes; in UTF-8 no byte of a longer character is ASCII
+    b = np.frombuffer(text.encode() + b"\0\0", dtype=np.uint8)
+    start = np.r_[0, np.flatnonzero(b == ord("\n")) + 1]
+    first, gap = b[start], (b[start + 1] == ord(" ")) | (b[start + 1] == ord("\t"))
+    kind = np.zeros(len(start), dtype=np.int8)
+    kind[gap & (first == ord("v"))] = 1
+    kind[gap & (first == ord("f"))] = 2
+    for i in np.flatnonzero(kind == 0).tolist():  # blank, comment, vn, "  v ...", ...
+        kind[i] = _OBJ_TAGS.get((lines[i].split(None, 1) or [""])[0], 0)
+    return kind
+
+
+def _obj_vertices(lines):
+    """Columns 1-3 of the vertex lines, or None when any line is malformed
+    or holds a number the bulk parser does not take."""
+    if not lines:
+        return np.empty((0, 3))
+    try:
+        return np.loadtxt(lines, dtype=np.float64, comments=None, usecols=(1, 2, 3), ndmin=2)
+    except ValueError:
+        return None
+
+
+def _obj_refs(lines):
+    """The vertex indices of the face lines as written (1-based or negative),
+    or None when any line is not a triangle of integer references."""
+    body = " ".join(lines)
+    if "/" in body:
+        body = _SLASH_TAIL.sub("", body)
+    toks = body.split()
+    if len(toks) != 4 * len(lines):
+        return None
+    # the "f" tags are no numbers, so if the rest converts, every line held
+    # exactly its tag and three references
+    del toks[::4]
+    try:
+        return _numbers(toks, np.int64).reshape(-1, 3)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _obj_line_by_line(path, lines, kind):
+    """Vertices and face references read one line at a time; raises the
+    error of the first malformed line."""
+    verts, refs = [], []
+    for i in np.flatnonzero(kind).tolist():
+        parts = lines[i].split()
+        if kind[i] == 1:
+            try:
+                x, y, z = parts[1:4]
+                verts.append((float(x), float(y), float(z)))
+            except ValueError:
+                raise FileFormatError(f"{path}:{i + 1}: malformed vertex line") from None
+            continue
+        if len(parts) != 4:
+            raise NonTriangleFaceError(
+                f"{path}:{i + 1}: face with {len(parts) - 1} vertices; only triangles are supported"
+            )
+        try:
+            idx = [int(ref.split("/")[0]) for ref in parts[1:]]
+        except ValueError:
+            raise FileFormatError(f"{path}:{i + 1}: malformed face line") from None
+        refs.append([r if -(2**63) <= r < 2**63 else 0 for r in idx])  # 0 is out of range
+    verts = np.array(verts, dtype=np.float64).reshape(-1, 3)
+    return verts, np.array(refs, dtype=np.int64).reshape(-1, 3)
+
 
 def read_obj(path):
-    verts, tris = [], []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            tag = parts[0]
-            if tag == "v":
-                try:
-                    verts.append((float(parts[1]), float(parts[2]), float(parts[3])))
-                except (IndexError, ValueError):
-                    raise FileFormatError(f"{path}:{lineno}: malformed vertex line") from None
-            elif tag == "f":
-                refs = parts[1:]
-                if len(refs) != 3:
-                    raise NonTriangleFaceError(
-                        f"{path}:{lineno}: face with {len(refs)} vertices; only triangles are supported"
-                    )
-                try:
-                    idx = [int(ref.split("/")[0]) for ref in refs]
-                except ValueError:
-                    raise FileFormatError(f"{path}:{lineno}: malformed face line") from None
-                # OBJ is 1-based, and a negative index counts back from the
-                # last vertex read; 0 becomes -1, which the range check rejects
-                tris.append(tuple(i - 1 if i > 0 else len(verts) + i if i else -1 for i in idx))
-            # vn/vt/usemtl/o/g/s/mtllib are irrelevant here
-    if not tris:
+        text = fh.read()
+    lines = text.split("\n")
+    kind = _obj_line_kinds(text, lines)
+    del text
+    verts = _obj_vertices(list(compress(lines, (kind == 1).tolist())))
+    refs = _obj_refs(list(compress(lines, (kind == 2).tolist())))
+    if verts is None or refs is None:
+        verts, refs = _obj_line_by_line(path, lines, kind)
+    if not len(refs):
         raise FileFormatError(f"{path}: no faces found")
-    tris = np.array(tris, dtype=np.int64)
-    bad = np.nonzero(((tris < 0) | (tris >= len(verts))).any(axis=1))[0]
+    # OBJ is 1-based, and a negative index counts back from the last vertex
+    # read above the face; 0 becomes -1, which the range check rejects
+    face_at = np.flatnonzero(kind == 2)
+    seen = np.cumsum(kind == 1)[face_at]
+    tris = np.where(refs > 0, refs - 1, np.where(refs < 0, refs + seen[:, None], -1))
+    bad = np.flatnonzero(((tris < 0) | (tris >= len(verts))).any(axis=1))
     if bad.size:
         raise FileFormatError(
-            f"{path}:{_nth_face_line(path, bad[0])}: face vertex index out of range "
+            f"{path}:{face_at[bad[0]] + 1}: face vertex index out of range "
             f"for {len(verts)} vertices"
         )
-    return np.array(verts, dtype=np.float64), tris
-
-
-def _nth_face_line(path, k):
-    """Line number of face k (0-based) of an OBJ file."""
-    with open(path) as fh:
-        lines = (n for n, line in enumerate(fh, 1) if line.split()[:1] == ["f"])
-        return next(itertools.islice(lines, k, None))
+    return verts, tris
 
 
 def write_obj(path, verts, tris):
     with open(path, "w") as fh:
-        for p in np.asarray(verts, dtype=np.float64):
-            fh.write(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        for a, b, c in np.asarray(tris, dtype=np.int64):
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        _write_rows(fh, "v %.17g %.17g %.17g\n", np.asarray(verts, dtype=np.float64))
+        _write_rows(fh, "f %d %d %d\n", np.asarray(tris, dtype=np.int64) + 1)
 
 
 # -- MEDIT .mesh -----------------------------------------------------------------
@@ -91,30 +183,41 @@ _MEDIT_SKIP = {
     "normals": 3,
     "tangents": 3,
 }
+_MEDIT_COMMENT = re.compile(r"#[^\n]*")
 
 
 def read_medit(path):
-    toks = []
     with open(path) as fh:
-        for line in fh:
-            toks.extend(line.split("#", 1)[0].split())
+        text = fh.read()
+    if "#" in text:
+        text = _MEDIT_COMMENT.sub("", text)
+    toks = text.split()
+    del text
     pos = 0
 
-    def take(n=1, kind=None):
-        """The next n tokens, converted by ``kind`` when given."""
+    def take(n=1):
+        """The next n tokens."""
         nonlocal pos
         if n < 0:
             raise FileFormatError(f"{path}: negative count")
         if pos + n > len(toks):
             raise FileFormatError(f"{path}: truncated file")
-        out = toks[pos : pos + n]
-        if kind is not None:
-            try:
-                out = list(map(kind, out))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}: {exc}") from None
         pos += n
-        return out
+        return toks[pos - n : pos]
+
+    def integer():
+        tok = take()[0]
+        try:
+            return int(tok)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: {exc}") from None
+
+    def block(n, dtype):
+        tokens = take(n)
+        try:
+            return _numbers(tokens, dtype)
+        except (ValueError, OverflowError) as exc:
+            raise FileFormatError(f"{path}: {exc}") from None
 
     verts = tris = None
     dim = 3
@@ -123,21 +226,19 @@ def read_medit(path):
         if key == "meshversionformatted":
             take()
         elif key == "dimension":
-            dim = take(1, int)[0]
+            dim = integer()
             if dim != 3:
                 raise FileFormatError(f"{path}: dimension {dim} not supported")
         elif key == "vertices":
-            n = take(1, int)[0]
-            flat = take(n * (dim + 1), float)
-            verts = np.array(flat, dtype=np.float64).reshape(n, dim + 1)[:, :dim]
+            n = integer()
+            verts = block(n * (dim + 1), np.float64).reshape(n, dim + 1)[:, :dim]
         elif key == "triangles":
-            n = take(1, int)[0]
-            flat = take(n * 4, int)
-            tris = np.array(flat, dtype=np.int64).reshape(n, 4)[:, :3] - 1  # 1-based
+            n = integer()
+            tris = block(n * 4, np.int64).reshape(n, 4)[:, :3] - 1  # 1-based
         elif key in ("quadrilaterals", "tetrahedra", "hexahedra"):
             raise NonTriangleFaceError(f"{path}: contains {key}; only triangle surfaces are supported")
         elif key in _MEDIT_SKIP:
-            take(take(1, int)[0] * _MEDIT_SKIP[key])
+            take(integer() * _MEDIT_SKIP[key])
         elif key == "end":
             break
         else:
@@ -160,11 +261,9 @@ def write_medit(path, verts, tris):
     with open(path, "w") as fh:
         fh.write("MeshVersionFormatted 2\nDimension 3\n")
         fh.write(f"Vertices\n{len(verts)}\n")
-        for p in verts:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])} 0\n")
+        _write_rows(fh, "%.17g %.17g %.17g 0\n", verts)
         fh.write(f"Triangles\n{len(tris)}\n")
-        for a, b, c in tris:
-            fh.write(f"{a + 1} {b + 1} {c + 1} 0\n")
+        _write_rows(fh, "%d %d %d 0\n", tris + 1)
         fh.write("End\n")
 
 
@@ -172,9 +271,14 @@ def write_medit(path, verts, tris):
 
 
 def read_labeling(path, n_triangles=None):
-    labels = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
+        lines = fh.read().split("\n")
+    try:
+        labels = _numbers(list(filter(None, map(str.strip, lines))), np.int64)
+    except (ValueError, OverflowError):
+        labels = None
+    if labels is None or not ((labels >= 0) & (labels <= 5)).all():
+        for lineno, line in enumerate(lines, 1):  # name the first bad line
             line = line.strip()
             if not line:
                 continue
@@ -184,17 +288,17 @@ def read_labeling(path, n_triangles=None):
                 raise FileFormatError(f"{path}:{lineno}: not an integer: {line!r}") from None
             if not 0 <= v <= 5:
                 raise FileFormatError(f"{path}:{lineno}: label {v} outside 0..5")
-            labels.append(v)
     if n_triangles is not None and len(labels) != n_triangles:
         raise FileFormatError(
             f"{path}: {len(labels)} labels for {n_triangles} triangles"
         )
-    return np.array(labels, dtype=np.int64)
+    return labels
 
 
 def write_labeling(path, labels):
+    labels = _checked_labels(labels)
     with open(path, "w") as fh:
-        fh.writelines(f"{int(v)}\n" for v in labels)
+        _write_rows(fh, "%d\n", labels.reshape(-1, 1))
 
 
 def read_feature_edges(path):
@@ -204,9 +308,11 @@ def read_feature_edges(path):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != 2:
-                raise FileFormatError(f"{path}:{lineno}: expected 'v1 v2'")
-            pairs.append((int(parts[0]), int(parts[1])))
+            try:
+                a, b = map(int, parts)
+            except ValueError:
+                raise FileFormatError(f"{path}:{lineno}: expected 'v1 v2' (two integers)") from None
+            pairs.append((a, b))
     return pairs
 
 
@@ -224,6 +330,7 @@ def write_ply(path, mesh: SurfaceMesh, labels):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (mesh.n_triangles,):
         raise FileFormatError("labeling length does not match mesh")
+    colors = np.asarray(LABEL_COLORS, dtype=np.int64)[_checked_labels(labels)]
     with open(path, "w") as fh:
         fh.write(
             "ply\nformat ascii 1.0\n"
@@ -234,11 +341,8 @@ def write_ply(path, mesh: SurfaceMesh, labels):
             "property uchar red\nproperty uchar green\nproperty uchar blue\n"
             "end_header\n"
         )
-        for p in mesh.vertices:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        for t, (a, b, c) in enumerate(mesh.triangles):
-            r, g, bl = LABEL_COLORS[labels[t]]
-            fh.write(f"3 {a} {b} {c} {r} {g} {bl}\n")
+        _write_rows(fh, "%.17g %.17g %.17g\n", mesh.vertices)
+        _write_rows(fh, "3 %d %d %d %d %d %d\n", np.hstack([mesh.triangles, colors]))
 
 
 # -- dispatch ---------------------------------------------------------------

@@ -220,6 +220,33 @@ def test_feature_edge_file_flag(tmp_path, cube_files):
                  "--feature-edges", str(feats)]) == 0
 
 
+def test_non_integer_feature_edge_exits_2_naming_the_line(tmp_path, cube_files, capsys):
+    mesh, flags = cube_files
+    feats = tmp_path / "cube.edges"
+    feats.write_text("0 1\n2 x\n")
+    assert main(["label", str(mesh), "--feature-edges", str(feats)]) == 2
+    assert "cube.edges:2: " in capsys.readouterr().err
+
+
+def test_cli_reads_and_writes_through_its_module_names(tmp_path, cube_files, monkeypatch):
+    """perfbench times labeling reads and output writes by replacing
+    ``cli.read_labeling``, ``cli.write_labeling`` and ``cli.write_ply``; the
+    commands must call those names."""
+    from polycubelabel import cli
+
+    calls = []
+    for name in ("read_labeling", "write_labeling", "write_ply"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    mesh, flags = cube_files
+    out = tmp_path / "out"
+    assert main(["label", str(mesh), "-o", str(out.with_suffix(".flags")),
+                 "--viz", str(out.with_suffix(".ply"))]) == 0
+    assert main(["report", str(mesh), str(flags), "-o", str(out.with_suffix(".json"))]) == 0
+    assert main(["viz", str(mesh), str(flags), "-o", str(out.with_suffix(".ply"))]) == 0
+    assert calls == ["write_labeling", "write_ply", "read_labeling", "read_labeling", "write_ply"]
+
+
 def _project_scripts():
     """The ``[project.scripts]`` table of the repo's own ``pyproject.toml``."""
     if sys.version_info >= (3, 11):

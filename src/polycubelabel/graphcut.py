@@ -3,14 +3,21 @@ multi-label energy minimization by alpha-expansion.
 
 Graph construction, energies and the breadth-first levels of each Dinic
 phase are numpy; the augmenting search is plain Python over the arcs that are
-admissible when its phase starts. Capacities are float64; disallowed
-assignments are encoded as BIG rather than inf so residual arithmetic never
-produces NaN.
+admissible when its phase starts and do not lead into a dead end.
+Capacities are float64; disallowed assignments are encoded as BIG rather
+than inf so residual arithmetic never produces NaN.
+
+An expansion move gives each node one net terminal arc (Kolmogorov & Zabih,
+PAMI 2004): the common part of its source and sink capacities is pushed at
+once. Every s-t cut then costs the same constant less, so the minimum cuts
+and the smallest source side, which the solver returns, do not change.
 
 The filtered search is exact. Within a phase an arc gains capacity only when
 its partner carries flow, so it points one level down and never becomes
-admissible: the search visits the arcs a full scan would, in the same order,
-with the same float arithmetic.
+admissible, and admissible arcs only lose capacity: a node that cannot reach
+t when the phase starts never can, and entering it would only lead back. The
+search takes the paths a full scan would, in the same order, with the same
+float arithmetic.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ def _levels(starts, head, s, t):
     at a time and stops after the level that reaches t: no arc beyond it
     can be admissible."""
     level = np.full(len(starts) - 1, -1, dtype=np.int64)
+    slot = np.empty_like(level)
     level[s] = 0
     front, depth = np.array([s]), 0
     while front.size and level[t] < 0:
@@ -36,20 +44,41 @@ def _levels(starts, head, s, t):
         counts = starts[front + 1] - lo
         # the frontier's arcs, taken from each node's run in head
         reached = head[np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+        reached = reached[level[reached] < 0]
         depth += 1
-        front = np.unique(reached[level[reached] < 0])
-        level[front] = depth
+        level[reached] = depth
+        # each new node once, without a sort: the one entry whose position
+        # its slot holds
+        at = np.arange(len(reached))
+        slot[reached] = at
+        front = reached[slot[reached] == at]
     return level
 
 
 def _admissible(starts, head, level, t):
-    """Positions in head of the arcs admissible at the start of a phase:
-    one level up, and below t's level unless into t. Returns them with each
-    node's first and end index among them."""
-    tail = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    """Positions in head of the arcs admissible at the start of a phase that
+    do not lead into a dead end: one level up, below t's level unless into
+    t, and into a node that reaches t through such arcs. Returns them with
+    each node's first and end index among them."""
+    n = len(starts) - 1
+    tail = np.repeat(np.arange(n), np.diff(starts))
     lt, lh = level[tail], level[head]
     ok = np.flatnonzero((lt >= 0) & (lh == lt + 1) & ((lh < level[t]) | (head == t)))
-    counts = np.bincount(tail[ok], minlength=len(starts) - 1)
+    # one backward pass over the levels, the arcs grouped by their tail's
+    # level once: an arc is kept when its head reaches t, and then so does
+    # its tail
+    by_level = ok[np.argsort(lt[ok], kind="stable")]
+    bounds = np.searchsorted(lt[by_level], np.arange(level[t] + 1)).tolist()
+    reach = np.zeros(n, dtype=bool)
+    reach[t] = True
+    kept = []
+    for k in range(level[t] - 1, -1, -1):
+        group = by_level[bounds[k]:bounds[k + 1]]
+        group = group[reach[head[group]]]
+        reach[tail[group]] = True
+        kept.append(group)
+    ok = np.sort(np.concatenate(kept))
+    counts = np.bincount(tail[ok], minlength=n)
     stop = np.cumsum(counts)
     return ok, stop - counts, stop
 
@@ -172,6 +201,12 @@ def _expansion_move(costs, pairs, weights, cur, alpha):
     side). Pairwise Potts terms are decomposed as
     E = A + (C-A) x_u + (D-C) x_v + (B+C-A-D)(1-x_u) x_v with
     A = E(0,0), B = E(0,1), C = E(1,0), D = E(1,1) = 0.
+
+    Each node's terminal capacities are summed first: s_cap, of s->i, cut
+    when the node switches, and t_cap, of i->t, cut when it stays. Their
+    common part is pushed at once, leaving at most one terminal arc per
+    node; that lowers every cut by the same constant, so the minimum cuts
+    do not change.
     """
     n = costs.shape[0]
     s, t = n, n + 1
@@ -180,21 +215,22 @@ def _expansion_move(costs, pairs, weights, cur, alpha):
     a = np.where(cur[u] != cur[v], weights, 0.0)
     b = np.where(cur[u] != alpha, weights, 0.0)
     c = np.where(cur[v] != alpha, weights, 0.0)
-    up = c > a
-    keep = np.stack((b + c - a > 0.0, c != a, c > 0.0), axis=1)
-
-    def arcs(per_node, per_pair):
-        # per node [s->i, i->t]: s->i is cut when i switches, i->t when it
-        # stays; then per pair the candidates [u->v, s->u | u->t, v->t],
-        # kept where their capacity is positive
-        return np.concatenate((np.stack(per_node, axis=1).ravel(),
-                               np.stack(per_pair, axis=1)[keep]))
-
+    # a pair's (C-A) x_u goes to s->u when positive, else to u->t, and its
+    # (D-C) x_v to v->t up to a constant
+    s_cap = costs[nodes, alpha] + np.bincount(u, np.maximum(c - a, 0.0), n)
+    t_cap = costs[nodes, cur] + np.bincount(np.concatenate((u, v)),
+                                            np.concatenate((np.maximum(a - c, 0.0), c)), n)
+    pushed = np.minimum(s_cap, t_cap)
+    s_cap -= pushed
+    t_cap -= pushed
+    from_s, into_t = np.flatnonzero(s_cap > 0.0), np.flatnonzero(t_cap > 0.0)
+    across = b + c - a
+    pos = across > 0.0
     side = _dinic(*_paired_arcs(
         n + 2,
-        arcs((np.full(n, s), nodes), (u, np.where(up, s, u), v)),
-        arcs((nodes, np.full(n, t)), (v, np.where(up, u, t), np.full_like(v, t))),
-        arcs((costs[nodes, alpha], costs[nodes, cur]), (b + c - a, np.abs(c - a), c)),
+        np.concatenate((np.full(len(from_s), s), into_t, u[pos])),
+        np.concatenate((from_s, np.full(len(into_t), t), v[pos])),
+        np.concatenate((s_cap[from_s], t_cap[into_t], across[pos])),
     ), s, t)
     return ~side[:n]
 

@@ -1,15 +1,16 @@
 """Readers and writers: OBJ / MEDIT surface meshes, labeling files,
 feature-edge sidecars and colored PLY exports.
 
-Each reader reads its file as one text and converts whole blocks of numbers
-at once. A number means what Python's ``float()`` or ``int()`` makes of it:
-``np.loadtxt`` converts a block when it can (it takes the plain decimal
-spellings, to the same values), and a block it refuses goes to ``np.array``
-over the tokens, which calls ``float()`` / ``int()`` and so also takes
-``1_000`` and fails with their messages. Errors name the file and line (OBJ,
-labelings, feature edges) or the file and the token or triangle (MEDIT); an
-OBJ or labeling file the bulk pass refuses is read again line by line to
-find the first bad line.
+Each reader reads its file as one UTF-8 text, refusing other bytes with the
+file name and offset, and converts whole blocks of numbers at once. A number
+means what Python's ``float()`` or ``int()`` makes of it: ``np.loadtxt``
+converts a block when it can (it takes the plain decimal spellings, to the
+same values), and a block it refuses goes to ``np.array`` over the tokens,
+which calls ``float()`` / ``int()`` and so also takes ``1_000`` and fails
+with their messages. Errors name the file and line (OBJ, labelings, feature
+edges) or the file and the token or triangle (MEDIT); an OBJ or labeling
+file the bulk pass refuses is read again line by line to find the first bad
+line.
 
 All writers are byte-deterministic; coordinates are written with %.17g so
 geometry round-trips bit-exact through the text formats. Rows are formatted
@@ -56,12 +57,30 @@ def _write_rows(fh, row, rows):
         fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
+def _read_text(path):
+    """The whole file as text, line ends made "\n"; FileFormatError when it
+    is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
 def _checked_labels(labels):
-    labels = np.asarray(labels, dtype=np.int64)
-    bad = np.flatnonzero((labels < 0) | (labels > 5))
+    """The labels as int64; raises ValueError naming the first triangle
+    whose label is not a whole number, or else the first outside 0..5."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f":
+        odd = np.flatnonzero(labels != np.round(labels))  # NaN too
+        if odd.size:
+            raise ValueError(f"label {labels[odd[0]]} of triangle {odd[0]} is not an integer")
+    bad = np.flatnonzero(~((labels >= 0) & (labels <= 5)))
     if bad.size:
         raise ValueError(f"label {labels[bad[0]]} of triangle {bad[0]} outside 0..5")
-    return labels
+    return labels.astype(np.int64)
 
 
 # -- OBJ -----------------------------------------------------------------------
@@ -142,8 +161,7 @@ def _obj_line_by_line(path, lines, kind):
 
 
 def read_obj(path):
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     lines = text.split("\n")
     kind = _obj_line_kinds(text, lines)
     del text
@@ -187,8 +205,7 @@ _MEDIT_COMMENT = re.compile(r"#[^\n]*")
 
 
 def read_medit(path):
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     if "#" in text:
         text = _MEDIT_COMMENT.sub("", text)
     toks = text.split()
@@ -271,8 +288,7 @@ def write_medit(path, verts, tris):
 
 
 def read_labeling(path, n_triangles=None):
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    lines = _read_text(path).split("\n")
     try:
         labels = _numbers(list(filter(None, map(str.strip, lines))), np.int64)
     except (ValueError, OverflowError):
@@ -303,16 +319,15 @@ def write_labeling(path, labels):
 
 def read_feature_edges(path):
     pairs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                a, b = map(int, parts)
-            except ValueError:
-                raise FileFormatError(f"{path}:{lineno}: expected 'v1 v2' (two integers)") from None
-            pairs.append((a, b))
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            a, b = map(int, parts)
+        except ValueError:
+            raise FileFormatError(f"{path}:{lineno}: expected 'v1 v2' (two integers)") from None
+        pairs.append((a, b))
     return pairs
 
 
@@ -327,7 +342,7 @@ def write_feature_edges(path, pairs):
 
 def write_ply(path, mesh: SurfaceMesh, labels):
     """Ascii PLY with one RGB color per face according to its label."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if labels.shape != (mesh.n_triangles,):
         raise FileFormatError("labeling length does not match mesh")
     colors = np.asarray(LABEL_COLORS, dtype=np.int64)[_checked_labels(labels)]

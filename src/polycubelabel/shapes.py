@@ -173,49 +173,44 @@ def icosphere(level=2, radius=1.0):
 
 
 def torus(R=2.0, r=1.0, nu=16, nv=8):
-    verts = np.empty((nu * nv, 3))
-    for i in range(nu):
-        th = 2 * math.pi * i / nu
-        for j in range(nv):
-            ph = 2 * math.pi * j / nv
-            verts[i * nv + j] = (
-                (R + r * math.cos(ph)) * math.cos(th),
-                (R + r * math.cos(ph)) * math.sin(th),
-                r * math.sin(ph),
-            )
-    tris = []
-    for i in range(nu):
-        for j in range(nv):
-            v00 = i * nv + j
-            v10 = ((i + 1) % nu) * nv + j
-            v01 = i * nv + (j + 1) % nv
-            v11 = ((i + 1) % nu) * nv + (j + 1) % nv
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return verts, np.array(tris, dtype=np.int64)
+    # math.cos and math.sin per angle: np.cos can differ in the last bit
+    th = [2 * math.pi * i / nu for i in range(nu)]
+    ph = [2 * math.pi * j / nv for j in range(nv)]
+    cos_th, sin_th = (np.array([f(x) for x in th]) for f in (math.cos, math.sin))
+    ring = R + r * np.array([math.cos(x) for x in ph])
+    verts = np.empty((nu, nv, 3))
+    verts[..., 0] = ring * cos_th[:, None]
+    verts[..., 1] = ring * sin_th[:, None]
+    verts[..., 2] = r * np.array([math.sin(x) for x in ph])
+    i, j = np.arange(nu)[:, None], np.arange(nv)
+    v00 = i * nv + j
+    v10 = (i + 1) % nu * nv + j
+    v01 = i * nv + (j + 1) % nv
+    v11 = (i + 1) % nu * nv + (j + 1) % nv
+    tris = np.stack((np.stack((v00, v10, v11), axis=-1),
+                     np.stack((v00, v11, v01), axis=-1)), axis=2)
+    return verts.reshape(-1, 3), tris.reshape(-1, 3).astype(np.int64)
 
 
 def subdivide(verts, tris, levels=1):
-    """Midpoint 1-to-4 subdivision, ``levels`` times."""
+    """Midpoint 1-to-4 subdivision, ``levels`` times. The midpoints follow
+    the vertices, numbered in the order their edges first appear, row by
+    row as (ab, bc, ca)."""
     verts = np.asarray(verts, dtype=float)
     tris = np.asarray(tris, dtype=np.int64)
     for _ in range(levels):
-        points = list(verts)
-        midpoint = {}
-
-        def mid(a, b):
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                midpoint[key] = len(points)
-                points.append((verts[a] + verts[b]) / 2.0)
-            return midpoint[key]
-
-        out = []
-        for a, b, c in tris:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            out += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-        verts = np.array(points)
-        tris = np.array(out, dtype=np.int64)
+        n = len(verts)
+        ends = np.stack((tris, np.roll(tris, -1, axis=1)), axis=2).reshape(-1, 2)
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        _, first, inverse = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(len(order))
+        ab, bc, ca = (n + number[inverse]).reshape(-1, 3).T
+        a, b, c = tris.T
+        seen = first[order]
+        verts = np.concatenate((verts, (verts[lo[seen]] + verts[hi[seen]]) / 2.0))
+        tris = np.stack((a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca), axis=1).reshape(-1, 3)
     return verts, tris
 
 

@@ -11,7 +11,7 @@ from collections import deque
 
 import numpy as np
 
-from polycubelabel.graphcut import _EPS
+from polycubelabel.graphcut import _EPS, _dinic, _paired_arcs
 from polycubelabel.io import FileFormatError
 from polycubelabel.labeling import LABEL_COLORS
 from polycubelabel.mesh import (MeshError, NonManifoldEdgeError, NonTriangleFaceError,
@@ -588,3 +588,84 @@ def reference_write_ply(path, mesh: SurfaceMesh, labels):
         for t, (a, b, c) in enumerate(mesh.triangles):
             r, g, bl = LABEL_COLORS[labels[t]]
             fh.write(f"3 {a} {b} {c} {r} {g} {bl}\n")
+
+
+def reference_torus(R=2.0, r=1.0, nu=16, nv=8):
+    verts = np.empty((nu * nv, 3))
+    for i in range(nu):
+        th = 2 * math.pi * i / nu
+        for j in range(nv):
+            ph = 2 * math.pi * j / nv
+            verts[i * nv + j] = (
+                (R + r * math.cos(ph)) * math.cos(th),
+                (R + r * math.cos(ph)) * math.sin(th),
+                r * math.sin(ph),
+            )
+    tris = []
+    for i in range(nu):
+        for j in range(nv):
+            v00 = i * nv + j
+            v10 = ((i + 1) % nu) * nv + j
+            v01 = i * nv + (j + 1) % nv
+            v11 = ((i + 1) % nu) * nv + (j + 1) % nv
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return verts, np.array(tris, dtype=np.int64)
+
+
+def reference_subdivide(verts, tris, levels=1):
+    """Midpoint 1-to-4 subdivision, ``levels`` times."""
+    verts = np.asarray(verts, dtype=float)
+    tris = np.asarray(tris, dtype=np.int64)
+    for _ in range(levels):
+        points = list(verts)
+        midpoint = {}
+
+        def mid(a, b):
+            key = (a, b) if a < b else (b, a)
+            if key not in midpoint:
+                midpoint[key] = len(points)
+                points.append((verts[a] + verts[b]) / 2.0)
+            return midpoint[key]
+
+        out = []
+        for a, b, c in tris:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            out += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+        verts = np.array(points)
+        tris = np.array(out, dtype=np.int64)
+    return verts, tris
+
+
+def reference_expansion_move(costs, pairs, weights, cur, alpha):
+    """One alpha-expansion move; returns the bool array of switched nodes.
+
+    Binary variable x_i: 0 keeps cur[i] (source side), 1 takes alpha (sink
+    side). Pairwise Potts terms are decomposed as
+    E = A + (C-A) x_u + (D-C) x_v + (B+C-A-D)(1-x_u) x_v with
+    A = E(0,0), B = E(0,1), C = E(1,0), D = E(1,1) = 0.
+    """
+    n = costs.shape[0]
+    s, t = n, n + 1
+    nodes = np.arange(n)
+    u, v = pairs[:, 0], pairs[:, 1]
+    a = np.where(cur[u] != cur[v], weights, 0.0)
+    b = np.where(cur[u] != alpha, weights, 0.0)
+    c = np.where(cur[v] != alpha, weights, 0.0)
+    up = c > a
+    keep = np.stack((b + c - a > 0.0, c != a, c > 0.0), axis=1)
+
+    def arcs(per_node, per_pair):
+        # per node [s->i, i->t]: s->i is cut when i switches, i->t when it
+        # stays; then per pair the candidates [u->v, s->u | u->t, v->t],
+        # kept where their capacity is positive
+        return np.concatenate((np.stack(per_node, axis=1).ravel(),
+                               np.stack(per_pair, axis=1)[keep]))
+
+    side = _dinic(*_paired_arcs(
+        n + 2,
+        arcs((np.full(n, s), nodes), (u, np.where(up, s, u), v)),
+        arcs((nodes, np.full(n, t)), (v, np.where(up, u, t), np.full_like(v, t))),
+        arcs((costs[nodes, alpha], costs[nodes, cur]), (b + c - a, np.abs(c - a), c)),
+    ), s, t)
+    return ~side[:n]

@@ -107,6 +107,15 @@ def test_broken_mesh_exits_2(tmp_path, cube_files, capsys):
     assert "broken.obj:2" in capsys.readouterr().err
 
 
+def test_mesh_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.obj"
+    bad.write_bytes(b"v 0 0 0\n# \xff\nf 1 1 1\n")
+    assert main(["label", str(bad), "-o", str(tmp_path / "out.flags")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: not UTF-8 text" in err and "at byte 10" in err
+    assert not (tmp_path / "out.flags").exists()
+
+
 def test_label_non_finite_coordinate_exits_2(tmp_path, capsys):
     v, f = shapes.cube()
     mesh = tmp_path / "nan.obj"

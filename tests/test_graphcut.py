@@ -8,7 +8,9 @@ import pytest
 from polycubelabel import graphcut, labeling, shapes
 from polycubelabel.graphcut import (
     BIG,
+    _admissible,
     _dinic,
+    _expansion_move,
     _paired_arcs,
     alpha_expansion,
     min_st_cut,
@@ -16,6 +18,7 @@ from polycubelabel.graphcut import (
 )
 from polycubelabel.mesh import SurfaceMesh
 
+import oracles
 from oracles import (
     brute_force_min_cut,
     brute_force_potts,
@@ -23,6 +26,7 @@ from oracles import (
     random_cut_instance,
     random_potts_instance,
     reference_dinic,
+    reference_expansion_move,
     smallest_min_cut_source_side,
 )
 
@@ -159,6 +163,52 @@ def test_dinic_matches_reference_bit_for_bit():
     assert unreachable >= 40
 
 
+def _reaching(tail, head, arcs, t):
+    """The nodes that reach t through the arcs at positions `arcs`."""
+    good, grew = {t}, True
+    while grew:
+        grew = False
+        for j in arcs:
+            if head[j] in good and tail[j] not in good:
+                good.add(tail[j])
+                grew = True
+    return good
+
+
+def test_admissible_drops_exactly_the_arcs_into_dead_ends(monkeypatch):
+    # every phase of the Dinic runs on the random graphs above: a kept arc
+    # leads into a node that reaches t through kept arcs, and a dropped
+    # one-level-up arc into a node that does not reach t at all
+    dropped = 0
+
+    def checked(starts, head, level, t):
+        nonlocal dropped
+        ok, first, stop = _admissible(starts, head, level, t)
+        n = len(starts) - 1
+        tail = np.repeat(np.arange(n), np.diff(starts)).tolist()
+        lt, lh = level[tail], level[head]
+        up = np.flatnonzero((lt >= 0) & (lh == lt + 1) & ((lh < level[t]) | (head == t))).tolist()
+        heads, kept = head.tolist(), ok.tolist()
+        assert kept == sorted(set(kept)) and set(kept) <= set(up)
+        reach_kept = _reaching(tail, heads, kept, t)
+        assert all(heads[j] in reach_kept for j in kept)
+        reach_up = _reaching(tail, heads, up, t)
+        gone = set(up) - set(kept)
+        assert not any(heads[j] in reach_up for j in gone)
+        dropped += len(gone)
+        for u in range(n):
+            assert all(tail[j] == u for j in kept[first[u]:stop[u]])
+        assert stop[-1] == len(kept)
+        return ok, first, stop
+
+    monkeypatch.setattr(graphcut, "_admissible", checked)
+    rng = np.random.default_rng(21)
+    for _ in range(400):
+        n, tails, heads, caps, s, t = _random_flow_graph(rng)
+        _dinic(*_paired_arcs(n, tails, heads, caps), s, t)
+    assert dropped >= 100
+
+
 def test_dinic_matches_reference_on_a_long_chain():
     # a path s=0 -> 1 -> ... -> 199 = t with shortcuts: many phases, many levels
     n = 200
@@ -220,6 +270,79 @@ def test_restricted_relabel_matches_reference_cut(monkeypatch):
         want = labeling.restricted_relabel(mesh, labels, chart, allowed=allowed)
     assert not np.array_equal(got, labels)
     assert got.tolist() == want.tolist()
+
+
+def _random_move(rng, kind, max_nodes=8):
+    """A random Potts instance, a current labeling and its kind's costs:
+    uniform; integers with ties; some labels forbidden with BIG, the
+    current ones too; some weights zero."""
+    costs, pairs, weights = random_potts_instance(rng, max_nodes=max_nodes)
+    n = len(costs)
+    cur = rng.integers(0, costs.shape[1], size=n)
+    if kind == "integer":
+        costs = rng.integers(0, 4, size=costs.shape).astype(np.float64)
+        weights = rng.integers(0, 3, size=len(weights)).astype(np.float64)
+    elif kind == "forbidden":
+        costs = np.where(rng.random(costs.shape) < 0.3, BIG, costs)
+    elif kind == "zero-weights":
+        weights = weights * (rng.random(len(weights)) < 0.5)
+    return costs, pairs, weights, cur
+
+
+MOVE_KINDS = ["uniform", "integer", "forbidden", "zero-weights"]
+
+
+@pytest.mark.parametrize("kind", MOVE_KINDS)
+def test_expansion_move_matches_the_per_pair_terminal_arcs(kind):
+    # the net terminal arcs switch the same nodes as the graph with one
+    # terminal arc per node and per pair term
+    rng = np.random.default_rng(MOVE_KINDS.index(kind))
+    for _ in range(250):
+        costs, pairs, weights, cur = _random_move(rng, kind, max_nodes=12)
+        for alpha in range(costs.shape[1]):
+            got = _expansion_move(costs, pairs, weights, cur, alpha)
+            want = reference_expansion_move(costs, pairs, weights, cur, alpha)
+            assert got.tolist() == want.tolist()
+
+
+def _recording_arcs(monkeypatch):
+    """Record each graph the expansion moves, new and reference, hand to
+    _paired_arcs."""
+    graphs = []
+
+    def record(n_nodes, tails, heads, caps):
+        graphs.append((n_nodes, np.asarray(tails), np.asarray(heads), np.asarray(caps)))
+        return _paired_arcs(n_nodes, tails, heads, caps)
+
+    for module in (graphcut, oracles):
+        monkeypatch.setattr(module, "_paired_arcs", record)
+    return graphs
+
+
+@pytest.mark.parametrize("kind", ["uniform", "integer", "zero-weights"])
+def test_expansion_move_is_the_smallest_minimum_cut(kind, monkeypatch):
+    # on up to 10 nodes, against the enumerated cuts of the graph the move
+    # builds and of the per-pair graph; each node has at most one terminal
+    # arc and no arc has zero capacity
+    graphs = _recording_arcs(monkeypatch)
+    rng = np.random.default_rng(40 + MOVE_KINDS.index(kind))
+    for _ in range(25):
+        costs, pairs, weights, cur = _random_move(rng, kind, max_nodes=10)
+        n = len(costs)
+        for alpha in range(costs.shape[1]):
+            graphs.clear()
+            switched = _expansion_move(costs, pairs, weights, cur, alpha)
+            reference_expansion_move(costs, pairs, weights, cur, alpha)
+            assert len(graphs) == 2
+            for n_nodes, tails, heads, caps in graphs:
+                edges = np.stack((tails, heads), axis=1)
+                side = smallest_min_cut_source_side(n_nodes, edges, caps, n, n + 1)
+                assert (~side[:n]).tolist() == switched.tolist()
+            tails, heads, caps = graphs[0][1:]
+            assert np.all(caps > 0.0)
+            terminal = np.concatenate((heads[tails == n], tails[heads == n + 1]))
+            assert len(np.unique(terminal)) == len(terminal)
+            assert not np.any((tails == n + 1) | (heads == n))
 
 
 def test_alpha_expansion_matches_bruteforce():

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -505,6 +506,38 @@ def test_writers_reject_labels_outside_0_to_5(tmp_path, cube_mesh, writer, bad):
         else:
             io.write_ply(p, cube_mesh, labels)
     assert not p.exists()
+
+
+@pytest.mark.parametrize("bad, kind", [
+    (2.7, "is not an integer"), (-0.5, "is not an integer"), (np.nan, "is not an integer"),
+    (np.inf, r"outside 0\.\.5"),
+])
+@pytest.mark.parametrize("writer", ["labeling", "ply"])
+def test_writers_reject_labels_that_are_not_integers(tmp_path, cube_mesh, writer, bad, kind):
+    # a float label is never cut down to an integer; whole floats are labels
+    labels = naive_labeling(cube_mesh).astype(np.float64)
+    labels[3] = bad
+    p = tmp_path / "out"
+    with pytest.raises(ValueError, match=rf"label {bad} of triangle 3 {kind}"):
+        if writer == "labeling":
+            io.write_labeling(p, labels)
+        else:
+            io.write_ply(p, cube_mesh, labels)
+    assert not p.exists()
+    labels[3] = 2.0
+    io.write_labeling(p, labels)
+    assert io.read_labeling(p).tolist() == labels.astype(np.int64).tolist()
+
+
+@pytest.mark.parametrize("name, read", [
+    ("m.obj", io.read_obj), ("m.mesh", io.read_medit),
+    ("m.flags", io.read_labeling), ("f.txt", io.read_feature_edges),
+])
+def test_readers_reject_text_that_is_not_utf8(tmp_path, name, read):
+    p = tmp_path / name
+    p.write_bytes(b"0 1\n# caf\xe9\n")  # Latin-1, not UTF-8
+    with pytest.raises(FileFormatError, match=rf"{re.escape(str(p))}: not UTF-8 text: .* at byte 9"):
+        read(p)
 
 
 def test_load_mesh_reads_through_the_module_readers(tmp_path, monkeypatch):

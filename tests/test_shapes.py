@@ -8,6 +8,7 @@ from polycubelabel import shapes
 from polycubelabel.mesh import SurfaceMesh
 
 from helpers import grid_box
+from oracles import reference_subdivide, reference_torus
 
 
 @pytest.mark.parametrize("mk,genus", [
@@ -77,3 +78,33 @@ def test_grid_box_structure():
     assert m.genus == 0
     assert m.signed_volume() == pytest.approx(6.0)
     assert m.n_triangles == 2 * 2 * (3 * 2 + 2 * 1 + 3 * 1)
+
+
+def _reference_icosphere(level, radius=1.0):
+    v, f = shapes.icosahedron()
+    for _ in range(level):
+        v, f = reference_subdivide(v, f)
+        v = v / np.linalg.norm(v, axis=1)[:, None] * np.linalg.norm(v[0])
+    return v / np.linalg.norm(v, axis=1)[:, None] * radius, f
+
+
+@pytest.mark.parametrize("make, reference", [
+    *[(lambda mk=mk, k=k: shapes.subdivide(*mk(), k),
+       lambda mk=mk, k=k: reference_subdivide(*mk(), k))
+      for mk in (shapes.cube, shapes.l_prism, shapes.wedge, shapes.staircase,
+                 lambda: shapes.cylinder(8), lambda: shapes.cone(8), shapes.icosahedron)
+      for k in (1, 2)],
+    (lambda: shapes.subdivide(*shapes.torus(nu=8, nv=4), 1),
+     lambda: reference_subdivide(*reference_torus(nu=8, nv=4), 1)),
+    (shapes.torus, reference_torus),
+    (lambda: shapes.torus(2, 1, 3, 5), lambda: reference_torus(2, 1, 3, 5)),
+    (lambda: shapes.subdivide(*shapes.l_prism(), 6),
+     lambda: reference_subdivide(*shapes.l_prism(), 6)),
+    (lambda: shapes.icosphere(6), lambda: _reference_icosphere(6)),
+    (lambda: shapes.torus(nu=256, nv=128), lambda: reference_torus(nu=256, nv=128)),
+])
+def test_generators_match_the_per_element_loops(make, reference):
+    # byte for byte: the benchmark inputs and the report hashes rest on them
+    for got, want in zip(make(), reference()):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -2,9 +2,16 @@
 the boundaries between them, corners where boundaries meet, and per-boundary
 turning points (where a boundary locally reverses along its polycube axis).
 
-Everything here is ordered deterministically: charts by smallest triangle
-index, boundaries in discovery order from the smallest corner / edge, corners
-by vertex index. Rebuilding from the same labeling yields identical output.
+Everything here is ordered deterministically. Charts go by smallest triangle
+index and corners by vertex index. Open boundaries come first, ordered by the
+smaller of their two ends (corner vertex, end edge id) and walked from that
+end; cyclic boundaries follow, ordered by smallest edge id and walked from
+that edge's smaller vertex. Rebuilding from the same labeling yields
+identical output.
+
+A build is a few whole-array passes: charts by pointer jumping, boundary
+chains from the ends of the discontinuity edges, sides and edge signs in one
+gather each. Only boundaries with mixed or zero signs run the direction DP.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .labeling import checked_labels
 from .mesh import SurfaceMesh
 
 _SIGN_TOL = 1e-9
@@ -140,38 +148,34 @@ class LabelingGraph:
     """
 
     def __init__(self, mesh: SurfaceMesh, labels, turning_point_penalty: float = 1.0):
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (mesh.n_triangles,):
+        self.labels = checked_labels(labels)
+        if self.labels.shape != (mesh.n_triangles,):
             raise ValueError("labeling length does not match mesh")
-        if labels.size and (labels.min() < 0 or labels.max() > 5):
-            raise ValueError("labels must be in 0..5")
         self.mesh = mesh
-        self.labels = labels.copy()
         self.labels.flags.writeable = False
         self.mu = float(turning_point_penalty)
 
-        self._build_charts()
-        self._walk_boundaries()
+        cut = discontinuity_edges(mesh, self.labels)
+        self._build_charts(~cut)
+        self._build_boundaries(np.flatnonzero(cut))
         self._collect_corners()
-        self._assign_directions()
 
     # -- charts -----------------------------------------------------------
 
-    def _build_charts(self):
-        mesh, labels = self.mesh, self.labels
-        same = labels[mesh.edge_tris[:, 0]] == labels[mesh.edge_tris[:, 1]]
-        a, b = mesh.edge_tris[same].T
+    def _build_charts(self, same):
+        n = self.mesh.n_triangles
+        a, b = self.mesh.edge_tris[same].T
         # min-label propagation between the roots of both ends of each
         # same-label edge, then pointer jumping; roots only ever point to
         # smaller triangles, so every triangle ends up holding the smallest
-        # triangle index of its chart
-        root = np.arange(mesh.n_triangles)
+        # triangle index of its chart. Ends that share a root always will.
+        root = np.arange(n)
         while True:
             ra, rb = root[a], root[b]
             differ = ra != rb
             if not differ.any():
                 break
-            ra, rb = ra[differ], rb[differ]
+            a, b, ra, rb = a[differ], b[differ], ra[differ], rb[differ]
             low = np.minimum(ra, rb)
             np.minimum.at(root, ra, low)
             np.minimum.at(root, rb, low)
@@ -181,90 +185,102 @@ class LabelingGraph:
                     break
                 root = jumped
 
-        firsts, chart_of = np.unique(root, return_inverse=True)
-        self.chart_of = chart_of.astype(np.int64)
-        members = np.argsort(self.chart_of, kind="stable")
-        splits = np.cumsum(np.bincount(self.chart_of, minlength=len(firsts)))[:-1]
-        self.charts = [
-            Chart(i, int(labels[first]), tris)
-            for i, (first, tris) in enumerate(zip(firsts, np.split(members, splits)))
-        ]
+        first = root == np.arange(n)  # each chart's smallest triangle
+        self.chart_of = (np.cumsum(first) - 1)[root]
+        splits = np.cumsum(np.bincount(self.chart_of))[:-1]
+        members = zip(self.labels[first].tolist(), np.split(root.argsort(kind="stable"), splits))
+        self.charts = [Chart(i, label, tris) for i, (label, tris) in enumerate(members)]
 
     # -- boundaries ----------------------------------------------------------
 
-    def _walk_boundaries(self):
-        mesh = self.mesh
-        on_boundary = np.nonzero(discontinuity_edges(mesh, self.labels))[0]
-        edges_at = {}
-        for eid in on_boundary:
-            a, b = mesh.edges[eid]
-            edges_at.setdefault(int(a), []).append(int(eid))
-            edges_at.setdefault(int(b), []).append(int(eid))
-        for lst in edges_at.values():
-            lst.sort()
-        self._corner_vertices = {v for v, lst in edges_at.items() if len(lst) >= 3}
+    def _chain_edges(self, ends):
+        """Walk order of boundary edges i, whose smaller vertex is in slot 2i of
+        ``ends`` and larger in 2i + 1. Sets the corner vertices; returns the slot
+        each edge arrives at, where each boundary starts and how many are open."""
+        count = np.bincount(ends)
+        degree = count[ends]
+        self._corner_vertices = np.flatnonzero(count >= 3).tolist()
+        # at a vertex of degree 2 the xor of its two slots turns either into the
+        # other: the walk leaves by that edge to its far slot; it stops at corners
+        slots = np.arange(len(ends))
+        pair = np.zeros_like(count)
+        np.bitwise_xor.at(pair, ends, slots)
+        nxt = np.where(degree == 2, pair[ends] ^ slots ^ 1, -1).tolist()
+        corner_slots = np.flatnonzero(degree >= 3)
+        corner_slots = corner_slots[np.argsort(ends[corner_slots], kind="stable")]
 
-        visited = set()
+        seen, order, starts = bytearray(len(ends) // 2), [], []  # seen by edge
+
+        def walk(s):
+            starts.append(len(order))
+            first = s
+            while True:
+                order.append(s)
+                seen[s >> 1] = 1
+                s = nxt[s]
+                if s < 0 or s == first:
+                    return
+
+        for s in corner_slots.tolist():  # open boundaries, by (corner vertex, edge id)
+            if not seen[s >> 1]:
+                walk(s ^ 1)
+        n_open = len(starts)
+        i = seen.find(0)  # then cyclic ones, by smallest edge, from its smaller vertex
+        while i >= 0:
+            walk(2 * i + 1)
+            i = seen.find(0, i + 1)
+        return np.array(order, dtype=np.int64), starts, n_open
+
+    def _build_boundaries(self, cut):
+        ends = self.mesh.edges[cut].ravel()
+        arrive, starts, n_open = self._chain_edges(ends)
+        eids = cut[arrive >> 1]
+        head, tail = ends[arrive ^ 1], ends[arrive]  # each edge as walked
+        bounds = starts + [len(arrive)]
+
+        # triangles left and right of each boundary's first edge; edge_tris
+        # lists them for the walk from the smaller vertex (odd arrival slot)
+        sides = self.mesh.edge_tris[eids[starts]]
+        sides = np.where(arrive[starts][:, None] & 1, sides, sides[:, ::-1])
+        side_labels = self.labels[sides]
+        a1, a2 = (side_labels >> 1).T
+        axis = np.where(a1 == a2, -1, 3 - a1 - a2)
+
+        # each edge's sign along its boundary's axis (any axis where none)
+        d = self.mesh.vertices[tail] - self.mesh.vertices[head]
+        proj = d[np.arange(len(d)), np.repeat(axis, np.diff(bounds))]
+        proj /= np.sqrt((d * d).sum(axis=1))
+        signs = np.sign(proj).astype(np.int64)
+        signs[np.abs(proj) < _SIGN_TOL] = 0
+        # a run of one nonzero sign is its own optimum (no flip, no cost) if mu >= 0
+        flat = np.minimum.reduceat(signs, starts) == np.maximum.reduceat(signs, starts)
+
         self.boundaries = []
         self._endpoint_map = {}  # corner vertex -> boundary ids (with multiplicity)
-
-        def record(verts, eids, cyclic):
-            # charts left and right of the walk's first edge
-            left, right = (int(self.chart_of[t]) for t in mesh.edge_sides(verts[0], verts[1]))
-            bid = len(self.boundaries)
-            self.boundaries.append(
-                Boundary(
-                    bid, left, right,
-                    int(self.charts[left].label), int(self.charts[right].label),
-                    tuple(verts[:-1] if cyclic else verts), tuple(eids), cyclic,
-                    self._boundary_axis(self.charts[left].label, self.charts[right].label),
-                )
-            )
-            if not cyclic:
-                self._endpoint_map.setdefault(verts[0], []).append(bid)
-                self._endpoint_map.setdefault(verts[-1], []).append(bid)
-
-        def walk(v0, e0):
-            verts, eids = [v0], []
-            v, e = v0, e0
-            while True:
-                visited.add(e)
-                eids.append(e)
-                a, b = mesh.edges[e]
-                v = int(b) if v == a else int(a)
-                verts.append(v)
-                if v in self._corner_vertices or v == v0:
-                    return verts, eids, v == v0 and v not in self._corner_vertices
-                nbr = edges_at[v]
-                e = nbr[0] if nbr[1] == e else nbr[1]
-
-        for v in sorted(self._corner_vertices):
-            for e in edges_at[v]:
-                if e not in visited:
-                    record(*walk(v, e))
-        for eid in on_boundary:
-            eid = int(eid)
-            if eid not in visited:
-                a, b = (int(x) for x in mesh.edges[eid])
-                verts, eids, _ = walk(a, eid)
-                record(verts, eids, True)
-
-        # per-chart boundary lists and neighbor sets
         per_chart = [[] for _ in self.charts]
         neighbors = [set() for _ in self.charts]
-        for b in self.boundaries:
-            per_chart[b.left_chart].append(b.index)
-            per_chart[b.right_chart].append(b.index)
-            neighbors[b.left_chart].add(b.right_chart)
-            neighbors[b.right_chart].add(b.left_chart)
-        for c in self.charts:
-            c.boundaries = tuple(per_chart[c.index])
-            c.neighbors = tuple(sorted(neighbors[c.index]))
-
-    @staticmethod
-    def _boundary_axis(l1, l2):
-        a1, a2 = l1 >> 1, l2 >> 1
-        return None if a1 == a2 else 3 - a1 - a2
+        eids, tail, signs = eids.tolist(), tail.tolist(), signs.tolist()
+        rows = zip(bounds, bounds[1:], head[starts].tolist(), self.chart_of[sides].tolist(),
+                   side_labels.tolist(), axis.tolist(), flat.tolist())
+        for bid, (a, b, v0, (left, right), (ll, rl), ax, one_sign) in enumerate(rows):
+            cyclic = bid >= n_open
+            verts = (v0, *tail[a : b - cyclic])
+            bd = Boundary(bid, left, right, ll, rl, verts, tuple(eids[a:b]), cyclic,
+                          None if ax < 0 else ax)
+            if ax >= 0:
+                bd.raw_signs = bd.edge_signs = tuple(signs[a:b])
+                if not (one_sign and bd.raw_signs[0] and self.mu >= 0):
+                    bd.edge_signs, _ = optimal_edge_directions(bd.raw_signs, self.mu, cyclic)
+                    bd.turning_points = _flip_positions(bd.edge_signs, cyclic)
+            if not cyclic:
+                self._endpoint_map.setdefault(v0, []).append(bid)
+                self._endpoint_map.setdefault(verts[-1], []).append(bid)
+            for c, other in ((left, right), (right, left)):
+                per_chart[c].append(bid)
+                neighbors[c].add(other)
+            self.boundaries.append(bd)
+        for c, bids, nbrs in zip(self.charts, per_chart, neighbors):
+            c.boundaries, c.neighbors = tuple(bids), tuple(sorted(nbrs))
 
     # -- corners ---------------------------------------------------------------
 
@@ -283,22 +299,6 @@ class LabelingGraph:
                     counts[ax] += 1
             self.corner_at[v] = len(self.corners)
             self.corners.append(Corner(v, bids, tuple(counts), undefined))
-
-    # -- turning points ---------------------------------------------------------
-
-    def _assign_directions(self):
-        pts = self.mesh.vertices
-        for b in self.boundaries:
-            if b.axis is None or b.n_edges == 0:
-                continue
-            verts = b.vertices + ((b.vertices[0],) if b.cyclic else ())
-            d = np.diff(pts[list(verts)], axis=0)
-            proj = d[:, b.axis] / np.linalg.norm(d, axis=1)
-            signs = np.sign(proj).astype(np.int64)
-            signs[np.abs(proj) < _SIGN_TOL] = 0
-            b.raw_signs = tuple(signs.tolist())
-            b.edge_signs, _ = optimal_edge_directions(b.raw_signs, self.mu, b.cyclic)
-            b.turning_points = _flip_positions(b.edge_signs, b.cyclic)
 
     # -- queries -----------------------------------------------------------------
 

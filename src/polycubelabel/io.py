@@ -25,7 +25,7 @@ from itertools import compress
 
 import numpy as np
 
-from .labeling import LABEL_COLORS
+from .labeling import LABEL_COLORS, checked_labels
 from .mesh import MeshError, NonTriangleFaceError, SurfaceMesh
 
 
@@ -67,20 +67,6 @@ def _read_text(path):
         raise FileFormatError(
             f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from None
-
-
-def _checked_labels(labels):
-    """The labels as int64; raises ValueError naming the first triangle
-    whose label is not a whole number, or else the first outside 0..5."""
-    labels = np.asarray(labels)
-    if labels.dtype.kind == "f":
-        odd = np.flatnonzero(labels != np.round(labels))  # NaN too
-        if odd.size:
-            raise ValueError(f"label {labels[odd[0]]} of triangle {odd[0]} is not an integer")
-    bad = np.flatnonzero(~((labels >= 0) & (labels <= 5)))
-    if bad.size:
-        raise ValueError(f"label {labels[bad[0]]} of triangle {bad[0]} outside 0..5")
-    return labels.astype(np.int64)
 
 
 # -- OBJ -----------------------------------------------------------------------
@@ -312,7 +298,7 @@ def read_labeling(path, n_triangles=None):
 
 
 def write_labeling(path, labels):
-    labels = _checked_labels(labels)
+    labels = checked_labels(labels)
     with open(path, "w") as fh:
         _write_rows(fh, "%d\n", labels.reshape(-1, 1))
 
@@ -345,7 +331,9 @@ def write_ply(path, mesh: SurfaceMesh, labels):
     labels = np.asarray(labels)
     if labels.shape != (mesh.n_triangles,):
         raise FileFormatError("labeling length does not match mesh")
-    colors = np.asarray(LABEL_COLORS, dtype=np.int64)[_checked_labels(labels)]
+    labels = checked_labels(labels)
+    # each label's colour is formatted once, as the tail of its face rows
+    colors = np.array([" %d %d %d\n" % rgb for rgb in LABEL_COLORS], dtype=object)
     with open(path, "w") as fh:
         fh.write(
             "ply\nformat ascii 1.0\n"
@@ -357,7 +345,10 @@ def write_ply(path, mesh: SurfaceMesh, labels):
             "end_header\n"
         )
         _write_rows(fh, "%.17g %.17g %.17g\n", mesh.vertices)
-        _write_rows(fh, "3 %d %d %d %d %d %d\n", np.hstack([mesh.triangles, colors]))
+        for start in range(0, len(labels), _CHUNK):
+            tris = mesh.triangles[start : start + _CHUNK].astype(object)
+            tails = colors[labels[start : start + _CHUNK]]
+            _write_rows(fh, "3 %d %d %d%s", np.column_stack((tris, tails)))
 
 
 # -- dispatch ---------------------------------------------------------------

@@ -54,6 +54,21 @@ def same_axis(a: int, b: int) -> bool:
     return a >> 1 == b >> 1
 
 
+def checked_labels(labels) -> np.ndarray:
+    """The labels as a fresh int64 array; raises ValueError naming the first
+    triangle whose label is not a whole number, or else the first outside
+    0..5."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f":
+        odd = np.flatnonzero(labels != np.round(labels))  # NaN too
+        if odd.size:
+            raise ValueError(f"label {labels[odd[0]]} of triangle {odd[0]} is not an integer")
+    bad = np.flatnonzero(~((labels >= 0) & (labels <= 5)))
+    if bad.size:
+        raise ValueError(f"label {labels[bad[0]]} of triangle {bad[0]} outside 0..5")
+    return labels.astype(np.int64)
+
+
 def nearest_label(normals) -> np.ndarray:
     """Closest signed axis per normal; ties go to the lowest encoding."""
     return np.argmax(np.asarray(normals) @ LABEL_DIRECTIONS.T, axis=1).astype(np.int64)

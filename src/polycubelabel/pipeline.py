@@ -37,7 +37,7 @@ import numpy as np
 
 from . import operators as ops
 from .graph import LabelingGraph
-from .labeling import compute_labeling, fidelity_score
+from .labeling import checked_labels, compute_labeling, fidelity_score
 from .mesh import SurfaceMesh
 from .validity import ValidityReport, feature_edge_stats, validate
 
@@ -278,6 +278,8 @@ def label_mesh(
 ) -> PipelineResult:
     """Initial labeling plus both repair routines, with per-stage timings."""
     cfg = cfg or PipelineConfig()
+    if init_labels is not None:
+        init_labels = checked_labels(init_labels)
     durations = {}
     op_log = []
     t0 = time.perf_counter()
@@ -292,7 +294,7 @@ def label_mesh(
                 tilt_angle=cfg.tilt_angle,
             )
         else:
-            labels = np.asarray(init_labels, dtype=np.int64)
+            labels = init_labels
         durations["initial"] = time.perf_counter() - t0
 
         t1 = time.perf_counter()

@@ -1,21 +1,24 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycubelabel import shapes
+from polycubelabel import io, shapes
 from polycubelabel.graph import LabelingGraph, discontinuity_edges, optimal_edge_directions
 from polycubelabel.labeling import naive_labeling
 from polycubelabel.mesh import SurfaceMesh
 
 from helpers import build, chart_euler
 from oracles import (
+    ReferenceLabelingGraph,
     brute_force_directions,
     direction_cost,
     flood_fill_charts,
     reference_edge_directions,
+    ring_grow,
 )
 
 
@@ -112,6 +115,18 @@ def test_graph_rejects_bad_labels(cube_mesh):
         LabelingGraph(cube_mesh, bad)
 
 
+def test_graph_refuses_labels_that_are_not_integers(cube_mesh, tmp_path):
+    # the same refusal as the labeling writer's, not a silent truncation
+    labels = naive_labeling(cube_mesh) + 0.7
+    with pytest.raises(ValueError, match=r"of triangle 0 is not an integer") as built:
+        LabelingGraph(cube_mesh, labels)
+    with pytest.raises(ValueError) as written:
+        io.write_labeling(tmp_path / "x.flags", labels)
+    assert str(built.value) == str(written.value)
+    whole = naive_labeling(cube_mesh).astype(np.float64)
+    assert LabelingGraph(cube_mesh, whole).labels.dtype == np.int64
+
+
 def test_graph_is_deterministic(lprism_mesh):
     labels = naive_labeling(lprism_mesh)
     g1 = LabelingGraph(lprism_mesh, labels)
@@ -167,16 +182,27 @@ def test_directions_empty():
 
 def test_directions_match_bruteforce():
     rng = np.random.default_rng(17)
+    cases = []
     for _ in range(50):
         n = int(rng.integers(1, 13))
         signs = rng.choice([-1, 0, 1], size=n).tolist()
         cyclic = bool(rng.integers(0, 2))
         mu = float(rng.choice([0.25, 1.0, 3.0]))
+        cases.append((signs, cyclic, mu))
+    # runs of one nonzero sign, which LabelingGraph takes as their own
+    # optimum without running the DP: no flip, no cost
+    cases += [([sign] * n, cyclic, (0.0, 0.25, 1.0, 3.0)[n % 4])
+              for n in range(1, 13) for cyclic in (False, True) for sign in (1, -1)]
+    for signs, cyclic, mu in cases:
+        n = len(signs)
         dirs, cost = optimal_edge_directions(signs, mu=mu, cyclic=cyclic)
         assert len(dirs) == n and set(dirs) <= {1, -1}
         # reported cost is the cost of the reported assignment, and optimal
         assert cost == pytest.approx(direction_cost(dirs, signs, mu, cyclic), abs=1e-12)
         assert cost == pytest.approx(brute_force_directions(signs, mu, cyclic), abs=1e-12)
+        if set(signs) in ({1}, {-1}):
+            assert (dirs, cost) == (tuple(signs), 0.0)
+            assert brute_force_directions(signs, mu, cyclic) == 0.0
 
 
 def test_directions_equal_reference_dp_exactly():
@@ -238,3 +264,106 @@ def test_charts_match_flood_fill_on_label_noise(shape, noise, seed):
     assert [c.triangles.tolist() for c in g.charts] == members
     firsts = [int(c.triangles[0]) for c in g.charts]
     assert firsts == sorted(firsts)  # charts ordered by smallest triangle index
+
+
+# -- the array build against the edge-by-edge walk --------------------------------
+
+
+def _tilted_torus():
+    """torus(24, 12) turned 0.3 rad about z, then 0.5 rad about x."""
+    verts, tris = shapes.torus(nu=24, nv=12)
+    cz, sz, cx, sx = math.cos(0.3), math.sin(0.3), math.cos(0.5), math.sin(0.5)
+    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    return SurfaceMesh(verts @ (rx @ rz).T, tris)
+
+
+GRAPH_SHAPES = {
+    "cube": lambda: SurfaceMesh(*shapes.subdivide(*shapes.cube(), 2)),
+    "l-prism": lambda: SurfaceMesh(*shapes.subdivide(*shapes.l_prism(), 2)),
+    "sphere": lambda: SurfaceMesh(*shapes.icosphere(2)),
+    "torus": lambda: SurfaceMesh(*shapes.torus(nu=24, nv=12)),
+    "cone": lambda: SurfaceMesh(*shapes.cone(16)),
+    "tilted-torus": _tilted_torus,
+}
+_graph_meshes = {}
+
+
+def _blob_labeling(shape, n_blobs, seed):
+    """The naive labeling of a test shape with blobs of random labels painted
+    over it: each blob is 1-3 triangle rings around a random triangle."""
+    if shape not in _graph_meshes:
+        _graph_meshes[shape] = GRAPH_SHAPES[shape]()
+    m = _graph_meshes[shape]
+    rng = np.random.default_rng(seed)
+    labels = naive_labeling(m)
+    for _ in range(n_blobs):
+        blob = ring_grow(m, [int(rng.integers(m.n_triangles))], int(rng.integers(1, 4)))
+        labels[sorted(blob)] = rng.integers(0, 6)
+    return m, labels
+
+
+def _typed(value):
+    """A value with the type of each of its parts, so 1 != np.int64(1) and a
+    tuple != a list."""
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(_typed(v) for v in value)
+    return type(value), value
+
+
+def _assert_same_graph(g, ref):
+    assert g.chart_of.dtype == ref.chart_of.dtype
+    assert np.array_equal(g.chart_of, ref.chart_of)
+    assert len(g.charts) == len(ref.charts)
+    for c, r in zip(g.charts, ref.charts):
+        assert _typed((c.index, c.label, c.boundaries, c.neighbors)) == _typed(
+            (r.index, r.label, r.boundaries, r.neighbors))
+        assert c.triangles.dtype == r.triangles.dtype
+        assert np.array_equal(c.triangles, r.triangles)
+    assert len(g.boundaries) == len(ref.boundaries)
+    for b, r in zip(g.boundaries, ref.boundaries):
+        assert _typed(vars(b)) == _typed(vars(r))  # every field, signs and turning points too
+    assert [_typed(vars(c)) for c in g.corners] == [_typed(vars(c)) for c in ref.corners]
+    assert _typed(list(g.corner_at.items())) == _typed(list(ref.corner_at.items()))
+
+
+def _boundary_kinds(g):
+    pairs = Counter(frozenset((b.left_chart, b.right_chart)) for b in g.boundaries)
+    kinds = {
+        "cyclic": any(b.cyclic for b in g.boundaries),
+        "corner loop": any(b.endpoints and b.vertices[0] == b.vertices[-1] for b in g.boundaries),
+        "several between one pair": any(n > 1 for n in pairs.values()),
+        "corner of valence >= 4": any(c.valence >= 4 for c in g.corners),
+        "zero sign": any(0 in b.raw_signs for b in g.boundaries),
+        "mixed signs": any(len(set(b.raw_signs)) > 1 for b in g.boundaries),
+        "turning point": g.total_turning_points > 0,
+    }
+    return {k for k, present in kinds.items() if present}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(GRAPH_SHAPES)),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 0.0, 0.5, 3.0, -2.0]),
+)
+def test_graph_equals_edge_by_edge_build_on_blob_labelings(shape, n_blobs, seed, mu):
+    m, labels = _blob_labeling(shape, n_blobs, seed)
+    _assert_same_graph(LabelingGraph(m, labels, mu), ReferenceLabelingGraph(m, labels, mu))
+
+
+def test_graph_equals_edge_by_edge_build_on_every_boundary_kind():
+    kinds = set()
+    for shape, n_blobs, seed in [("cube", 2, 0), ("cube", 4, 0), ("sphere", 3, 0),
+                                 ("tilted-torus", 2, 0), ("torus", 0, 0)]:
+        m, labels = _blob_labeling(shape, n_blobs, seed)
+        g = LabelingGraph(m, labels)
+        _assert_same_graph(g, ReferenceLabelingGraph(m, labels))
+        kinds |= _boundary_kinds(g)
+    assert kinds == {"cyclic", "corner loop", "several between one pair", "corner of valence >= 4",
+                     "zero sign", "mixed signs", "turning point"}
+    # a labeling with no boundary at all
+    m, _ = _blob_labeling("cone", 0, 0)
+    labels = np.zeros(m.n_triangles, dtype=np.int64)
+    _assert_same_graph(LabelingGraph(m, labels), ReferenceLabelingGraph(m, labels))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from polycubelabel import operators
+from polycubelabel import io, operators
 from polycubelabel import pipeline as pl
 from polycubelabel import shapes
 from polycubelabel.graph import LabelingGraph
@@ -108,6 +108,18 @@ def test_init_labels_bypass_the_solver(cube_mesh):
     res = pl.label_mesh(cube_mesh, init_labels=naive_labeling(cube_mesh))
     assert res.status == "valid-all-monotone"
     assert np.array_equal(res.labels, naive_labeling(cube_mesh))
+
+
+def test_init_labels_that_are_not_integers_are_refused(cube_mesh, tmp_path):
+    # refused like the labeling writer refuses them, not truncated and repaired
+    labels = naive_labeling(cube_mesh) + 0.7
+    with pytest.raises(ValueError, match="of triangle 0 is not an integer") as run:
+        pl.label_mesh(cube_mesh, init_labels=labels)
+    with pytest.raises(ValueError) as written:
+        io.write_labeling(tmp_path / "x.flags", labels)
+    assert str(run.value) == str(written.value)
+    whole = pl.label_mesh(cube_mesh, init_labels=naive_labeling(cube_mesh).astype(np.float64))
+    assert whole.status == "valid-all-monotone"
 
 
 def test_label_mesh_deterministic():

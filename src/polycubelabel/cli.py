@@ -182,14 +182,13 @@ def _cmd_viz(args) -> int:
 
 
 def _cmd_fix(args) -> int:
-    mesh, labels = _load_labeled(args)
-    graph = LabelingGraph(mesh, labels)
+    graph = LabelingGraph(*_load_labeled(args))
     op, n_targets = _OPERATORS[args.op]
     targets = [int(t) for t in args.target.split(",")]
     if len(targets) != n_targets:
         print(f"error: {args.op} expects {n_targets} target id(s)", file=sys.stderr)
         return 2
-    out = op(mesh, labels, graph, *targets)
+    out = op(graph, *targets)
     print(f"{args.op}: applied={out.applied} changed={len(out.changed)}",
           file=sys.stderr)
     if args.output:

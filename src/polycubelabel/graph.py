@@ -137,23 +137,21 @@ def _flip_positions(dirs, cyclic):
 
 
 class LabelingGraph:
-    """Charts / boundaries / corners of one labeling of one mesh.
+    """Charts / boundaries / corners of one labeling of one mesh. Turning
+    points come from `optimal_edge_directions` at its flip penalty of 1.
 
     Parameters
     ----------
     mesh : SurfaceMesh
-    labels : (F,) int array, values 0..5
-    turning_point_penalty : float
-        Flip penalty mu of the per-boundary direction assignment.
+    labels : (F,) int array, values 0..5; kept as a read-only copy
     """
 
-    def __init__(self, mesh: SurfaceMesh, labels, turning_point_penalty: float = 1.0):
+    def __init__(self, mesh: SurfaceMesh, labels):
         self.labels = checked_labels(labels)
         if self.labels.shape != (mesh.n_triangles,):
             raise ValueError("labeling length does not match mesh")
         self.mesh = mesh
         self.labels.flags.writeable = False
-        self.mu = float(turning_point_penalty)
 
         cut = discontinuity_edges(mesh, self.labels)
         self._build_charts(~cut)
@@ -252,7 +250,7 @@ class LabelingGraph:
         proj /= np.sqrt((d * d).sum(axis=1))
         signs = np.sign(proj).astype(np.int64)
         signs[np.abs(proj) < _SIGN_TOL] = 0
-        # a run of one nonzero sign is its own optimum (no flip, no cost) if mu >= 0
+        # a run of one nonzero sign is its own optimum: no flip, no cost
         flat = np.minimum.reduceat(signs, starts) == np.maximum.reduceat(signs, starts)
 
         self.boundaries = []
@@ -269,8 +267,8 @@ class LabelingGraph:
                           None if ax < 0 else ax)
             if ax >= 0:
                 bd.raw_signs = bd.edge_signs = tuple(signs[a:b])
-                if not (one_sign and bd.raw_signs[0] and self.mu >= 0):
-                    bd.edge_signs, _ = optimal_edge_directions(bd.raw_signs, self.mu, cyclic)
+                if not (one_sign and bd.raw_signs[0]):
+                    bd.edge_signs, _ = optimal_edge_directions(bd.raw_signs, cyclic=cyclic)
                     bd.turning_points = _flip_positions(bd.edge_signs, cyclic)
             if not cyclic:
                 self._endpoint_map.setdefault(v0, []).append(bid)

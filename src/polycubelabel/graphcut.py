@@ -28,6 +28,7 @@ HAVE_NUMBA = False  # nothing is compiled; kept for tools that report it
 
 BIG = 1e18
 _EPS = 1e-12
+_MAX_SWEEPS = 100  # label sweeps of alpha_expansion at most
 
 
 def _levels(starts, head, s, t):
@@ -244,13 +245,14 @@ def potts_energy(costs, pairs, weights, labels) -> float:
     return _potts_energy(costs, pairs, weights, labels)
 
 
-def alpha_expansion(costs, pairs, weights, init=None, max_sweeps=100):
+def alpha_expansion(costs, pairs, weights, init=None):
     """Minimize a Potts energy over n_labels labels.
 
     costs: (n, L) data term (use BIG / inf to forbid an assignment);
     pairs: (m, 2) node pairs; weights: (m,) discontinuity penalties.
     Sweeps the labels in increasing order, accepting strict improvements,
-    until a full sweep changes nothing. Returns (labels, energy).
+    until a full sweep changes nothing (or after _MAX_SWEEPS sweeps).
+    Returns (labels, energy).
     """
     costs = np.minimum(np.ascontiguousarray(costs, dtype=np.float64), BIG)
     pairs = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -261,7 +263,7 @@ def alpha_expansion(costs, pairs, weights, init=None, max_sweeps=100):
     else:
         cur = np.ascontiguousarray(init, dtype=np.int64).copy()
     energy = _potts_energy(costs, pairs, weights, cur)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         improved = False
         for alpha in range(n_labels):
             switch = _expansion_move(costs, pairs, weights, cur, alpha)

@@ -41,6 +41,8 @@ LABEL_COLORS = (
 
 N_LABELS = 6
 
+_CREASE_SIGMA = 0.25  # radians of dihedral deviation of the crease-discount falloff
+
 
 def axis_of(label: int) -> int:
     return label >> 1
@@ -120,7 +122,6 @@ def smoothness_weights(
     mesh: SurfaceMesh,
     compactness: float = 1.0,
     mode: str = "uniform-potts",
-    crease_sigma: float = 0.25,
 ) -> np.ndarray:
     """(E,) discontinuity penalty per mesh edge for the graph cut.
 
@@ -135,7 +136,7 @@ def smoothness_weights(
     if mode == "angle-proportional":
         return compactness * deviation
     if mode == "crease-discount":
-        return compactness * np.exp(-((deviation / crease_sigma) ** 2))
+        return compactness * np.exp(-((deviation / _CREASE_SIGMA) ** 2))
     raise ValueError(f"unknown smoothness mode {mode!r}")
 
 
@@ -146,7 +147,6 @@ def compute_labeling(
     smoothness_mode: str = "uniform-potts",
     sensitivity: float = 1e-10,
     tilt_angle: float = 0.05,
-    init=None,
 ) -> np.ndarray:
     """Initial labeling: tie-broken nearest axis smoothed by a graph cut."""
     from .graphcut import alpha_expansion
@@ -154,9 +154,7 @@ def compute_labeling(
     costs = data_costs(mesh.normals, fidelity, sensitivity, tilt_angle)
     pairs = mesh.edge_tris
     weights = smoothness_weights(mesh, compactness, smoothness_mode)
-    if init is None:
-        init = np.argmin(costs, axis=1).astype(np.int64)
-    labels, _ = alpha_expansion(costs, pairs, weights, init=init)
+    labels, _ = alpha_expansion(costs, pairs, weights)  # from the nearest axes
     return labels
 
 

@@ -5,10 +5,11 @@ fix_invalid_boundary, fix_invalid_corner) plus five newer ones
 (increase_chart_valence, join_turning_points_pair, pull_closest_corner,
 move_boundary_near_turning_point, straighten_boundary).
 
-Every operator is a pure function (mesh, labels, graph, target) ->
-OperatorOutcome. The input labeling is never mutated; `applied` is False
-when the precondition does not hold at the target or the attempt changed
-nothing, in which case the returned labeling is identical to the input.
+Every operator is a pure function (graph, *targets, ...) -> OperatorOutcome
+that reads the mesh and the labeling off the LabelingGraph. The graph's
+labels are read-only, so the input labeling cannot be mutated; `applied` is
+False when the precondition does not hold at the target or the attempt
+changed nothing, in which case the returned labeling is a copy of the input.
 Callers rebuild the LabelingGraph after an applied operator.
 
 All tie-breaks (label choices, path steps, target scans) resolve toward the
@@ -28,6 +29,8 @@ from .mesh import SurfaceMesh
 from .validity import corner_is_valid
 
 AXIS_DIRECTIONS = LABEL_DIRECTIONS[::2]  # unit +X, +Y, +Z
+STRIP_WIDTH = 3  # triangle rings of the strip fix_invalid_boundary inserts
+DISK_RADIUS = 3  # most triangle rings of a disk around a corner or turning point
 
 
 @dataclass(frozen=True)
@@ -196,24 +199,28 @@ def trace_path(
 # ---------------------------------------------------------------------------
 
 
-def remove_chart(mesh: SurfaceMesh, labels, graph: LabelingGraph, chart_id: int) -> OperatorOutcome:
-    """Dissolve a chart by re-solving its triangles over the neighbors' labels."""
-    labels = np.asarray(labels, dtype=np.int64)
+def remove_chart(graph: LabelingGraph, chart_id: int, **energy) -> OperatorOutcome:
+    """Dissolve a chart by re-solving its triangles over the neighbors' labels.
+
+    `energy` holds the cut-energy keywords of `restricted_relabel`
+    (compactness, fidelity, smoothness_mode, sensitivity, tilt_angle).
+    """
+    labels = graph.labels
     chart = graph.charts[chart_id]
     if not chart.neighbors:  # constant labeling: nothing to absorb into
         return _skip(labels)
     allowed_labels = sorted({graph.charts[n].label for n in chart.neighbors})
     allowed = np.zeros(6, dtype=bool)
     allowed[allowed_labels] = True
-    out = restricted_relabel(mesh, labels, chart.triangles, allowed=allowed)
+    out = restricted_relabel(graph.mesh, labels, chart.triangles, allowed=allowed, **energy)
     return _outcome(labels, out)
 
 
 def fix_invalid_boundary(
-    mesh: SurfaceMesh, labels, graph: LabelingGraph, boundary_id: int, width: int = 3
+    graph: LabelingGraph, boundary_id: int, width: int = STRIP_WIDTH
 ) -> OperatorOutcome:
     """Insert a strip chart along a same-axis boundary, separating its charts."""
-    labels = np.asarray(labels, dtype=np.int64)
+    mesh, labels = graph.mesh, graph.labels
     b = graph.boundaries[boundary_id]
     if b.axis is not None:  # orthogonal boundary: nothing to fix
         return _skip(labels)
@@ -228,19 +235,14 @@ def fix_invalid_boundary(
 
 
 def fix_invalid_corner(
-    mesh: SurfaceMesh,
-    labels,
-    graph: LabelingGraph,
-    corner_id: int,
-    radius: int = 3,
-    rule: str = "improved",
+    graph: LabelingGraph, corner_id: int, radius: int = DISK_RADIUS, rule: str = "improved"
 ) -> OperatorOutcome:
     """Bury an invalid corner under a small disk chart with a fresh axis.
 
     The disk is the widest one of at most `radius` triangle rings around the
     corner that stays inside the charts incident to it.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    mesh, labels = graph.mesh, graph.labels
     corner = graph.corners[corner_id]
     if corner_is_valid(corner, rule)[0]:
         return _skip(labels)
@@ -267,9 +269,7 @@ def fix_invalid_corner(
 # ---------------------------------------------------------------------------
 
 
-def increase_chart_valence(
-    mesh: SurfaceMesh, labels, graph: LabelingGraph, chart_id: int
-) -> OperatorOutcome:
+def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutcome:
     """Give a low-valence feature-bounded chart one more neighbor.
 
     Finds the contour vertex v where two same-axis contour edges meet at an
@@ -278,7 +278,7 @@ def increase_chart_valence(
     the target chart's label, and relabels the triangles caught between the
     paths to a fresh-axis label, creating a new chart adjacent to the target.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    mesh, labels = graph.mesh, graph.labels
     chart = graph.charts[chart_id]
     loops = _chart_contour_loops(graph, chart_id)
     pts = mesh.vertices
@@ -424,11 +424,9 @@ def increase_chart_valence(
     return _outcome(labels, out)
 
 
-def join_turning_points_pair(
-    mesh: SurfaceMesh, labels, graph: LabelingGraph, t1: int, t2: int
-) -> OperatorOutcome:
+def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> OperatorOutcome:
     """Bond two turning-points with a new chart along their lost feature path."""
-    labels = np.asarray(labels, dtype=np.int64)
+    mesh, labels = graph.mesh, graph.labels
     if t1 == t2:
         return _skip(labels)
     tp_set = graph.turning_point_vertices()
@@ -514,16 +512,14 @@ def _corner_angle(mesh: SurfaceMesh, t: int, v: int) -> float:
     return float(math.acos(np.clip(np.dot(a, b), -1.0, 1.0)))
 
 
-def pull_closest_corner(
-    mesh: SurfaceMesh, labels, graph: LabelingGraph, turning_point: int
-) -> OperatorOutcome:
+def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOutcome:
     """Relocate the nearest corner of a boundary onto one of its turning-points.
 
     The boundary next to the corner on the side the turning-point pokes into
     is re-traced from the turning-point, and the wedge of triangles between
     the old and new position is relabeled to the chart across it.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    mesh, labels = graph.mesh, graph.labels
     b, pos = _locate_turning_point(graph, turning_point)
     if b is None or b.cyclic:
         return _skip(labels)
@@ -594,11 +590,11 @@ def pull_closest_corner(
 
 
 def move_boundary_near_turning_point(
-    mesh: SurfaceMesh, labels, graph: LabelingGraph, turning_point: int, radius: int = 3
+    graph: LabelingGraph, turning_point: int, radius: int = DISK_RADIUS
 ) -> OperatorOutcome:
     """Push the better-anchored side's label over the other around a smooth
     turning-point; the larger sum of triangle corner angles at the vertex wins."""
-    labels = np.asarray(labels, dtype=np.int64)
+    mesh, labels = graph.mesh, graph.labels
     b, pos = _locate_turning_point(graph, turning_point)
     if b is None:
         return _skip(labels)
@@ -624,12 +620,10 @@ def move_boundary_near_turning_point(
     return _outcome(labels, out)
 
 
-def straighten_boundary(
-    mesh: SurfaceMesh, labels, graph: LabelingGraph, boundary_id: int
-) -> OperatorOutcome:
+def straighten_boundary(graph: LabelingGraph, boundary_id: int) -> OperatorOutcome:
     """Re-draw a boundary as a greedy shortest walk between its two corners,
     re-splitting the two adjacent charts along the new path."""
-    labels = np.asarray(labels, dtype=np.int64)
+    mesh, labels = graph.mesh, graph.labels
     b = graph.boundaries[boundary_id]
     if b.cyclic:
         return _skip(labels)

@@ -5,14 +5,17 @@ inserts/removes charts until every chart, boundary and corner passes its
 rule, then the monotonicity routine removes turning points while keeping the
 labeling valid.
 
-Both routines apply operators through one step, `_State.attempt`: run the
-operator, build the outcome's LabelingGraph and ValidityReport once, ask the
-step's accept predicate, then commit and log the outcome or drop it. An
-outcome that changed nothing is always dropped. Validity is worth more than
-quality: the validity routine commits every change (increase_chart_valence
-only when the target chart gains a neighbor), while the monotonicity routine
-drops any outcome that breaks validity or fails to reduce the turning-point
-count (for straightening: raises it).
+The current labeling is its LabelingGraph: `_State` holds that graph and
+its ValidityReport, and operators read the mesh and the read-only labels
+off the graph. Both routines apply operators through one step,
+`_State.attempt`: run the operator on the graph, build the outcome's
+LabelingGraph and ValidityReport once, ask the step's accept predicate,
+then commit and log the outcome or drop it. An outcome that changed nothing
+is always dropped. Validity is worth more than quality: the validity
+routine commits every change (increase_chart_valence only when the target
+chart gains a neighbor), while the monotonicity routine drops any outcome
+that breaks validity or fails to reduce the turning-point count (for
+straightening: raises it).
 
 Most steps run as a sweep (`_sweep`): try the current targets in order,
 start over after the first commit, and stop once a whole pass commits
@@ -52,10 +55,7 @@ class PipelineConfig:
     allow_opposite_labels: bool = False
     min_reflex_fraction: float = 1.0
     corner_rule: str = "improved"
-    turning_point_penalty: float = 1.0
     max_iterations: int = 10
-    insert_width: int = 3
-    insert_radius: int = 3
 
 
 @dataclass
@@ -90,15 +90,21 @@ def labeling_status(graph: LabelingGraph, report: ValidityReport) -> str:
     return "valid-with-turning-points"
 
 
-class _State:
-    """(labels, graph, report) of the current labeling; every operator
-    application goes through `attempt`."""
+def _cut_energy(cfg: PipelineConfig) -> dict:
+    """The graph-cut energy keywords of compute_labeling and restricted_relabel."""
+    return dict(compactness=cfg.compactness, fidelity=cfg.fidelity,
+                smoothness_mode=cfg.smoothness_mode, sensitivity=cfg.sensitivity,
+                tilt_angle=cfg.tilt_angle)
 
-    def __init__(self, labels, graph: LabelingGraph, cfg: PipelineConfig, log=None):
-        self.mesh = graph.mesh
+
+class _State:
+    """(graph, report) of the current labeling; every operator application
+    goes through `attempt`."""
+
+    def __init__(self, graph: LabelingGraph, cfg: PipelineConfig, log=None):
         self.cfg = cfg
         self.log = log if log is not None else []
-        self.labels, self.graph, self.report = labels, graph, self._validate(graph)
+        self.graph, self.report = graph, self._validate(graph)
 
     def _validate(self, graph):
         cfg = self.cfg
@@ -108,19 +114,19 @@ class _State:
     def valid(self):
         return self.report.is_valid
 
-    def attempt(self, op, *args, target=None, accept=None, extra="") -> bool:
-        """Apply `op` at `args` and commit the outcome if it changed the
-        labeling and `accept(old_graph, new_graph, new_report)` holds (no
+    def attempt(self, op, *args, target=None, accept=None, extra="", **kw) -> bool:
+        """Apply `op(graph, *args, **kw)` and commit the outcome if it changed
+        the labeling and `accept(old_graph, new_graph, new_report)` holds (no
         predicate: always). Returns whether it committed; the log names
         `target`, by default the args joined with '/'."""
-        out = op(self.mesh, self.labels, self.graph, *args)
+        out = op(self.graph, *args, **kw)
         if not out.applied:
             return False
-        graph = LabelingGraph(self.mesh, out.labels, self.cfg.turning_point_penalty)
+        graph = LabelingGraph(self.graph.mesh, out.labels)
         report = self._validate(graph)
         if accept is not None and not accept(self.graph, graph, report):
             return False
-        self.labels, self.graph, self.report = out.labels, graph, report
+        self.graph, self.report = graph, report
         if target is None:
             target = "/".join(str(a) for a in args)
         suffix = f" {extra}" if extra else ""
@@ -129,8 +135,7 @@ class _State:
 
 
 def _start(mesh: SurfaceMesh, labels, cfg: PipelineConfig, log=None) -> _State:
-    labels = np.asarray(labels, dtype=np.int64)
-    return _State(labels, LabelingGraph(mesh, labels, cfg.turning_point_penalty), cfg, log)
+    return _State(LabelingGraph(mesh, labels), cfg, log)
 
 
 def _sweep(targets, step, limit: int = 100) -> bool:
@@ -167,7 +172,7 @@ def _remove_invalid_charts(st: _State) -> bool:
         lambda: itertools.islice(
             (c for c in st.report.invalid_charts if not ops.is_feature_surrounded(st.graph, c)), 1
         ),
-        lambda c: st.attempt(ops.remove_chart, c),
+        lambda c: st.attempt(ops.remove_chart, c, **_cut_energy(st.cfg)),
     )
 
 
@@ -182,7 +187,7 @@ def _remove_charts_around_invalid_boundaries(st: _State) -> bool:
 
     return _sweep(
         targets,
-        lambda c: st.attempt(ops.remove_chart, c, extra="escape"),
+        lambda c: st.attempt(ops.remove_chart, c, extra="escape", **_cut_energy(st.cfg)),
         limit=2 * max(1, st.graph.n_boundaries),
     )
 
@@ -190,8 +195,9 @@ def _remove_charts_around_invalid_boundaries(st: _State) -> bool:
 def run_validity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, log=None):
     """Insert and remove charts until the labeling is valid (or give up).
 
-    Returns (labels, graph, report, iterations). Never raises on failure to
-    converge: an invalid report after max_iterations is the caller's signal.
+    Returns (labels, graph, report, iterations), the labels being the graph's
+    read-only ones. Never raises on failure to converge: an invalid report
+    after max_iterations is the caller's signal.
     """
     cfg = cfg or PipelineConfig()
     st = _start(mesh, labels, cfg, log)
@@ -205,13 +211,11 @@ def run_validity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, 
         )
         _sweep(
             lambda: st.report.invalid_boundaries,
-            lambda b: st.attempt(ops.fix_invalid_boundary, b, cfg.insert_width, target=b),
+            lambda b: st.attempt(ops.fix_invalid_boundary, b),
         )
         _sweep(
             lambda: st.report.invalid_corners,
-            lambda c: st.attempt(
-                ops.fix_invalid_corner, c, cfg.insert_radius, cfg.corner_rule, target=c
-            ),
+            lambda c: st.attempt(ops.fix_invalid_corner, c, rule=cfg.corner_rule),
         )
         while True:
             removed = _remove_invalid_charts(st)
@@ -224,25 +228,19 @@ def run_validity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, 
             visited.add(s)
             if not removed:
                 break
-    return st.labels, st.graph, st.report, n
+    return st.graph.labels, st.graph, st.report, n
 
 
 def run_monotonicity_routine(graph: LabelingGraph, cfg: PipelineConfig = None, log=None):
     """Remove turning points from a valid labeling, keeping it valid.
 
-    Starts from the labeling's graph, which must have been built with
-    ``cfg.turning_point_penalty`` (ValueError otherwise). Step order: join
-    feature-linked turning-point pairs, pull corners onto feature
-    turning-points, push boundaries across smooth turning-points, then
-    straighten the remaining smooth boundaries.
+    Starts from the labeling's graph and returns (labels, graph, report).
+    Step order: join feature-linked turning-point pairs, pull corners onto
+    feature turning-points, push boundaries across smooth turning-points,
+    then straighten the remaining smooth boundaries.
     """
     cfg = cfg or PipelineConfig()
-    if graph.mu != cfg.turning_point_penalty:
-        raise ValueError(
-            f"graph built with turning-point penalty {graph.mu},"
-            f" config has {cfg.turning_point_penalty}"
-        )
-    st = _State(np.array(graph.labels), graph, cfg, log)  # graph.labels is read-only
+    st = _State(graph, cfg, log)
 
     def tps():
         return st.graph.turning_point_vertices()
@@ -250,17 +248,17 @@ def run_monotonicity_routine(graph: LabelingGraph, cfg: PipelineConfig = None, l
     stages = (
         (lambda: itertools.combinations(tps(), 2),  # pairs bridged by lost feature edges
          lambda pair: st.attempt(ops.join_turning_points_pair, *pair, accept=_fewer_turning_points)),
-        (lambda: [v for v in tps() if st.mesh.is_feature_vertex(v)],
+        (lambda: [v for v in tps() if st.graph.mesh.is_feature_vertex(v)],
          lambda v: st.attempt(ops.pull_closest_corner, v, accept=_fewer_turning_points)),
-        (tps,
-         lambda v: st.attempt(ops.move_boundary_near_turning_point, v, cfg.insert_radius,
+        (tps,  # the radius is passed to keep it in the logged target
+         lambda v: st.attempt(ops.move_boundary_near_turning_point, v, ops.DISK_RADIUS,
                               accept=_fewer_turning_points)),
     )
     for targets, step in stages:
         if st.graph.total_turning_points:
             _sweep(targets, step)
     if not st.graph.total_turning_points:
-        return st.labels, st.graph, st.report
+        return st.graph.labels, st.graph, st.report
 
     bid = 0
     for _ in range(2 * max(1, st.graph.n_boundaries)):  # straighten what remains
@@ -268,7 +266,7 @@ def run_monotonicity_routine(graph: LabelingGraph, cfg: PipelineConfig = None, l
             break
         if not st.attempt(ops.straighten_boundary, bid, accept=_no_more_turning_points):
             bid += 1  # on success ids reshuffle: retry the same index on the new graph
-    return st.labels, st.graph, st.report
+    return st.graph.labels, st.graph, st.report
 
 
 def label_mesh(
@@ -276,25 +274,22 @@ def label_mesh(
     cfg: PipelineConfig = None,
     init_labels=None,
 ) -> PipelineResult:
-    """Initial labeling plus both repair routines, with per-stage timings."""
+    """Initial labeling plus both repair routines, with per-stage timings.
+
+    Raises ValueError, before any work, for `init_labels` that are not a
+    labeling of the mesh; a crash after that becomes a "failed" result.
+    """
     cfg = cfg or PipelineConfig()
     if init_labels is not None:
         init_labels = checked_labels(init_labels)
+        if init_labels.shape != (mesh.n_triangles,):
+            raise ValueError(f"init_labels has {init_labels.size} labels,"
+                             f" the mesh {mesh.n_triangles} triangles")
     durations = {}
     op_log = []
     t0 = time.perf_counter()
     try:
-        if init_labels is None:
-            labels = compute_labeling(
-                mesh,
-                compactness=cfg.compactness,
-                fidelity=cfg.fidelity,
-                smoothness_mode=cfg.smoothness_mode,
-                sensitivity=cfg.sensitivity,
-                tilt_angle=cfg.tilt_angle,
-            )
-        else:
-            labels = init_labels
+        labels = compute_labeling(mesh, **_cut_energy(cfg)) if init_labels is None else init_labels
         durations["initial"] = time.perf_counter() - t0
 
         t1 = time.perf_counter()
@@ -310,7 +305,7 @@ def label_mesh(
                     np.zeros(mesh.n_triangles, dtype=np.int64), cfg)
         durations["total"] = time.perf_counter() - t0
         return PipelineResult(
-            st.labels, st.graph, st.report, "failed",
+            st.graph.labels, st.graph, st.report, "failed",
             durations=durations, error=f"{type(exc).__name__}: {exc}", op_log=op_log,
         )
     durations["total"] = time.perf_counter() - t0

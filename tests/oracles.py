@@ -683,11 +683,9 @@ class ReferenceLabelingGraph:
     ----------
     mesh : SurfaceMesh
     labels : (F,) int array, values 0..5
-    turning_point_penalty : float
-        Flip penalty mu of the per-boundary direction assignment.
     """
 
-    def __init__(self, mesh: SurfaceMesh, labels, turning_point_penalty: float = 1.0):
+    def __init__(self, mesh: SurfaceMesh, labels):
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (mesh.n_triangles,):
             raise ValueError("labeling length does not match mesh")
@@ -696,7 +694,6 @@ class ReferenceLabelingGraph:
         self.mesh = mesh
         self.labels = labels.copy()
         self.labels.flags.writeable = False
-        self.mu = float(turning_point_penalty)
 
         self._build_charts()
         self._walk_boundaries()
@@ -845,7 +842,7 @@ class ReferenceLabelingGraph:
             signs = np.sign(proj).astype(np.int64)
             signs[np.abs(proj) < _SIGN_TOL] = 0
             b.raw_signs = tuple(signs.tolist())
-            b.edge_signs, _ = optimal_edge_directions(b.raw_signs, self.mu, b.cyclic)
+            b.edge_signs, _ = optimal_edge_directions(b.raw_signs, cyclic=b.cyclic)
             b.turning_points = _flip_positions(b.edge_signs, b.cyclic)
 
     # -- queries -----------------------------------------------------------------

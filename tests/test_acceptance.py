@@ -219,28 +219,28 @@ def test_criterion_7_operator_postconditions(lprism_mesh, cube_mesh):
     # remove_chart: chart dissolved into neighbor labels / constant skip
     labels = naive_labeling(lprism_mesh)
     g = LabelingGraph(lprism_mesh, labels)
-    out = ops.remove_chart(lprism_mesh, labels, g, 0)
+    out = ops.remove_chart(g, 0)
     assert out.applied
     assert LabelingGraph(lprism_mesh, out.labels).n_charts < g.n_charts
     flat = np.zeros(cube_mesh.n_triangles, dtype=np.int64)
-    check_skip(ops.remove_chart(cube_mesh, flat, LabelingGraph(cube_mesh, flat), 0), flat)
+    check_skip(ops.remove_chart(LabelingGraph(cube_mesh, flat), 0), flat)
 
     # fix_invalid_boundary: same-axis boundary eliminated / orthogonal skip
     m, labels, g = split_top_box()
     bad = next(b.index for b in g.boundaries if b.axis is None)
-    out = ops.fix_invalid_boundary(m, labels, g, bad, width=2)
+    out = ops.fix_invalid_boundary(g, bad, width=2)
     assert out.applied
     assert all(b.axis is not None for b in LabelingGraph(m, out.labels).boundaries)
     cl = naive_labeling(cube_mesh)
-    check_skip(ops.fix_invalid_boundary(cube_mesh, cl, LabelingGraph(cube_mesh, cl), 0), cl)
+    check_skip(ops.fix_invalid_boundary(LabelingGraph(cube_mesh, cl), 0), cl)
 
     # fix_invalid_corner: apex buried / valid-corner skip
     m, labels = cone_quadrants(2)
     g = LabelingGraph(m, labels)
     apex = int(np.argmax(m.vertices[:, 2]))
-    out = ops.fix_invalid_corner(m, labels, g, g.corner_at[apex])
+    out = ops.fix_invalid_corner(g, g.corner_at[apex])
     assert out.applied and apex not in LabelingGraph(m, out.labels).corner_at
-    check_skip(ops.fix_invalid_corner(cube_mesh, cl, LabelingGraph(cube_mesh, cl), 0), cl)
+    check_skip(ops.fix_invalid_corner(LabelingGraph(cube_mesh, cl), 0), cl)
 
     # increase_chart_valence: 3 -> 4 / square-chart skip
     v, f = shapes.subdivide(*shapes.wedge(), 2)
@@ -248,29 +248,29 @@ def test_criterion_7_operator_postconditions(lprism_mesh, cube_mesh):
     labels = naive_labeling(m)
     g = LabelingGraph(m, labels)
     target = next(c.index for c in g.charts if c.valence == 3)
-    out = ops.increase_chart_valence(m, labels, g, target)
+    out = ops.increase_chart_valence(g, target)
     assert out.applied
     g2 = LabelingGraph(m, out.labels)
     kept = next(t for t in g.charts[target].triangles if int(t) not in out.changed)
     assert g2.charts[int(g2.chart_of[int(kept)])].valence == 4
-    check_skip(ops.increase_chart_valence(cube_mesh, cl, LabelingGraph(cube_mesh, cl), 0), cl)
+    check_skip(ops.increase_chart_valence(LabelingGraph(cube_mesh, cl), 0), cl)
 
     # join_turning_points_pair: both ends eliminated / degenerate-pair skip
     m, labels, lat = l_hook_box()
     g = LabelingGraph(m, labels)
     t1, t2 = lat[(5, 7, 4)], lat[(6, 4, 4)]
-    out = ops.join_turning_points_pair(m, labels, g, t1, t2)
+    out = ops.join_turning_points_pair(g, t1, t2)
     assert out.applied
     assert LabelingGraph(m, out.labels).total_turning_points == 0
-    check_skip(ops.join_turning_points_pair(m, labels, g, t1, t1), labels)
+    check_skip(ops.join_turning_points_pair(g, t1, t1), labels)
 
     # pull_closest_corner: turning points gone / non-turning-point skip
     m, labels, lat = s_curve_box()
     g = LabelingGraph(m, labels)
-    out = ops.pull_closest_corner(m, labels, g, lat[(8, 3, 4)])
+    out = ops.pull_closest_corner(g, lat[(8, 3, 4)])
     assert out.applied
     assert LabelingGraph(m, out.labels).total_turning_points == 0
-    check_skip(ops.pull_closest_corner(m, labels, g, lat[(0, 0, 0)]), labels)
+    check_skip(ops.pull_closest_corner(g, lat[(0, 0, 0)]), labels)
 
     # move_boundary_near_turning_point: count drops / feature-vertex skip
     mt = rotated_torus()
@@ -278,18 +278,18 @@ def test_criterion_7_operator_postconditions(lprism_mesh, cube_mesh):
     gt = LabelingGraph(mt, tl)
     drops = 0
     for tp in sorted(all_turning_points(gt)):
-        out = ops.move_boundary_near_turning_point(mt, tl, gt, tp, radius=2)
+        out = ops.move_boundary_near_turning_point(gt, tp, radius=2)
         if out.applied:
             g2 = LabelingGraph(mt, out.labels)
             drops += g2.total_turning_points < gt.total_turning_points
     assert drops >= 1
-    check_skip(ops.move_boundary_near_turning_point(m, labels, g, lat[(8, 3, 4)]), labels)
+    check_skip(ops.move_boundary_near_turning_point(g, lat[(8, 3, 4)]), labels)
 
     # straighten_boundary: zigzag shortened / cyclic skip
     m, labels = zigzag_box()
     g = LabelingGraph(m, labels)
     b = next(x for x in g.boundaries if {x.left_label, x.right_label} == {0, 4})
-    out = ops.straighten_boundary(m, labels, g, b.index)
+    out = ops.straighten_boundary(g, b.index)
     assert out.applied
     g2 = LabelingGraph(m, out.labels)
     b2 = next(x for x in g2.boundaries if {x.left_label, x.right_label} == {0, 4})
@@ -297,7 +297,7 @@ def test_criterion_7_operator_postconditions(lprism_mesh, cube_mesh):
     mc = SurfaceMesh(*shapes.cylinder(24))
     ll = naive_labeling(mc)
     ll[np.abs(mc.normals[:, 2]) < 0.5] = 0
-    check_skip(ops.straighten_boundary(mc, ll, LabelingGraph(mc, ll), 0), ll)
+    check_skip(ops.straighten_boundary(LabelingGraph(mc, ll), 0), ll)
 
     _line(7, "operator postconditions", "8 operators: applied + skip contracts")
 

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import polycubelabel
-from polycubelabel import io, shapes
+from polycubelabel import cli, io, shapes
+from polycubelabel import operators as ops
 from polycubelabel.cli import main
+from polycubelabel.graph import LabelingGraph
 from polycubelabel.labeling import naive_labeling
 from polycubelabel.mesh import SurfaceMesh
 
@@ -188,19 +190,72 @@ def test_viz_command(tmp_path, cube_files):
     assert "element face 12" in header
 
 
-def test_fix_command_applies_an_operator(tmp_path, capsys):
-    v, f = shapes.l_prism()
-    mesh = tmp_path / "l.obj"
-    io.write_obj(mesh, v, f)
-    flags = tmp_path / "l.flags"
-    labels = naive_labeling(SurfaceMesh(v, f))
+def _fix_cases():
+    """Per operator: (mesh, labels, targets) where the operator applies."""
+    from test_operators import (cone_quadrants, l_hook_box, rotated_torus, s_curve_box,
+                                split_top_box, zigzag_box)
+
+    def remove_chart():
+        m = SurfaceMesh(*shapes.l_prism())
+        return m, naive_labeling(m), [0]
+
+    def fix_invalid_boundary():
+        m, labels, g = split_top_box()
+        return m, labels, [next(b.index for b in g.boundaries if b.axis is None)]
+
+    def fix_invalid_corner():
+        m, labels = cone_quadrants(2)
+        return m, labels, [LabelingGraph(m, labels).corner_at[int(np.argmax(m.vertices[:, 2]))]]
+
+    def increase_chart_valence():
+        m = SurfaceMesh(*shapes.subdivide(*shapes.wedge(), 2))
+        labels = naive_labeling(m)
+        return m, labels, [next(c.index for c in LabelingGraph(m, labels).charts if c.valence == 3)]
+
+    def join_turning_points_pair():
+        m, labels, lat = l_hook_box()
+        return m, labels, [lat[(5, 7, 4)], lat[(6, 4, 4)]]
+
+    def pull_closest_corner():
+        m, labels, lat = s_curve_box()
+        return m, labels, [lat[(8, 3, 4)]]
+
+    def move_boundary_near_turning_point():
+        m = rotated_torus()
+        g = LabelingGraph(m, naive_labeling(m))
+        tp = next(v for v in g.turning_point_vertices()
+                  if ops.move_boundary_near_turning_point(g, v).applied)
+        return m, g.labels, [tp]
+
+    def straighten_boundary():
+        m, labels = zigzag_box()
+        g = LabelingGraph(m, labels)
+        return m, labels, [next(b.index for b in g.boundaries
+                                if {b.left_label, b.right_label} == {0, 4})]
+
+    return {f.__name__: f for f in (
+        remove_chart, fix_invalid_boundary, fix_invalid_corner, increase_chart_valence,
+        join_turning_points_pair, pull_closest_corner, move_boundary_near_turning_point,
+        straighten_boundary)}
+
+
+@pytest.mark.parametrize("op", sorted(cli._OPERATORS))
+def test_fix_command_applies_an_operator(op, tmp_path, capsys):
+    m, labels, targets = _fix_cases()[op]()
+    mesh, flags, edges = tmp_path / "in.obj", tmp_path / "in.flags", tmp_path / "in.edges"
+    io.write_obj(mesh, m.vertices, m.triangles)
     io.write_labeling(flags, labels)
-    out = tmp_path / "fixed.flags"
-    rc = main(["fix", str(mesh), str(flags), "--op", "remove_chart",
-               "--target", "0", "-o", str(out)])
+    io.write_feature_edges(edges, m.feature_edges)  # at angle 0 all of them stay active
+    out = tmp_path / "out.flags"
+    rc = main(["fix", str(mesh), str(flags), "--feature-edges", str(edges),
+               "--feature-angle", "0", "--op", op,
+               "--target", ",".join(str(t) for t in targets), "-o", str(out)])
     assert rc == 0
     assert "applied=True" in capsys.readouterr().err
-    assert not np.array_equal(io.read_labeling(out), labels)
+    got = io.read_labeling(out)
+    assert not np.array_equal(got, labels)
+    fn, _ = cli._OPERATORS[op]
+    assert np.array_equal(got, fn(LabelingGraph(m, labels), *targets).labels)
 
 
 def test_fix_rejects_wrong_target_arity(cube_files, capsys):

@@ -346,11 +346,10 @@ def _boundary_kinds(g):
     st.sampled_from(sorted(GRAPH_SHAPES)),
     st.integers(0, 4),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([1.0, 0.0, 0.5, 3.0, -2.0]),
 )
-def test_graph_equals_edge_by_edge_build_on_blob_labelings(shape, n_blobs, seed, mu):
+def test_graph_equals_edge_by_edge_build_on_blob_labelings(shape, n_blobs, seed):
     m, labels = _blob_labeling(shape, n_blobs, seed)
-    _assert_same_graph(LabelingGraph(m, labels, mu), ReferenceLabelingGraph(m, labels, mu))
+    _assert_same_graph(LabelingGraph(m, labels), ReferenceLabelingGraph(m, labels))
 
 
 def test_graph_equals_edge_by_edge_build_on_every_boundary_kind():

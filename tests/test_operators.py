@@ -1,7 +1,8 @@
 """Repair-operator contracts.
 
-Each operator must leave its input array untouched, return applied=False
-with byte-identical labels when its precondition fails, report the exact
+Each operator reads its labeling off a LabelingGraph, whose labels are
+read-only, and must return applied=False with byte-identical labels when
+its precondition fails, report the exact
 set of relabeled triangles otherwise, and establish its advertised
 postcondition.  `run` wraps every call with the shared checks (including
 a determinism re-run).
@@ -70,10 +71,12 @@ def all_turning_points(graph):
     return out
 
 
-def run(op, mesh, labels, graph, *args, **kw):
+def run(op, graph, *args, **kw):
     """Call op with the shared contract checks; returns the outcome."""
+    labels = graph.labels
+    assert not labels.flags.writeable  # the operator cannot mutate its input
     before = labels.copy()
-    out = op(mesh, labels, graph, *args, **kw)
+    out = op(graph, *args, **kw)
     assert np.array_equal(labels, before), "operator mutated its input"
     assert out.labels.dtype == np.int64
     if out.applied:
@@ -82,7 +85,7 @@ def run(op, mesh, labels, graph, *args, **kw):
     else:
         assert np.array_equal(out.labels, labels)
         assert out.changed == frozenset()
-    again = op(mesh, labels, graph, *args, **kw)
+    again = op(graph, *args, **kw)
     assert again.applied == out.applied
     assert np.array_equal(again.labels, out.labels)
     return out
@@ -94,7 +97,7 @@ def run(op, mesh, labels, graph, *args, **kw):
 def test_remove_chart_absorbs_into_neighbors(lprism_mesh):
     labels = naive_labeling(lprism_mesh)
     g = LabelingGraph(lprism_mesh, labels)
-    out = run(remove_chart, lprism_mesh, labels, g, 0)
+    out = run(remove_chart, g, 0)
     assert out.applied
     tris = [int(t) for t in g.charts[0].triangles]
     assert set(tris) <= out.changed
@@ -106,7 +109,7 @@ def test_remove_chart_absorbs_into_neighbors(lprism_mesh):
 def test_remove_chart_skips_constant_labeling(cube_mesh):
     labels = np.zeros(cube_mesh.n_triangles, dtype=np.int64)
     g = LabelingGraph(cube_mesh, labels)
-    out = run(remove_chart, cube_mesh, labels, g, 0)
+    out = run(remove_chart, g, 0)
     assert not out.applied  # no neighbors to absorb into
 
 
@@ -127,7 +130,7 @@ def test_fix_invalid_boundary_inserts_separating_strip():
     m, labels, g = split_top_box()
     bad = [b.index for b in g.boundaries if b.axis is None]
     assert len(bad) == 1
-    out = run(fix_invalid_boundary, m, labels, g, bad[0], width=2)
+    out = run(fix_invalid_boundary, g, bad[0], width=2)
     assert out.applied
     g2 = LabelingGraph(m, out.labels)
     assert all(b.axis is not None for b in g2.boundaries)
@@ -138,7 +141,7 @@ def test_fix_invalid_boundary_inserts_separating_strip():
 def test_fix_invalid_boundary_skips_orthogonal(cube_mesh):
     labels = naive_labeling(cube_mesh)
     g = LabelingGraph(cube_mesh, labels)
-    out = run(fix_invalid_boundary, cube_mesh, labels, g, 0)
+    out = run(fix_invalid_boundary, g, 0)
     assert not out.applied
 
 
@@ -169,7 +172,7 @@ def test_fix_invalid_corner_buries_cone_apex():
     ci = g.corner_at[apex]
     assert g.corners[ci].axis_counts == (0, 0, 4)
     assert not corner_is_valid(g.corners[ci])[0]
-    out = run(fix_invalid_corner, m, labels, g, ci)
+    out = run(fix_invalid_corner, g, ci)
     assert out.applied
     g2 = LabelingGraph(m, out.labels)
     assert apex not in g2.corner_at  # buried under the new cap
@@ -180,7 +183,7 @@ def test_fix_invalid_corner_needs_room():
     m, labels = cone_quadrants(0)  # coarse: a 3-ring disk would swallow the base
     g = LabelingGraph(m, labels)
     apex = int(np.argmax(m.vertices[:, 2]))
-    out = run(fix_invalid_corner, m, labels, g, g.corner_at[apex], radius=3)
+    out = run(fix_invalid_corner, g, g.corner_at[apex], radius=3)
     assert out.applied  # the disk shrinks until it fits
     incident = {int(g.chart_of[t]) for t in m.vertex_triangles(apex)}
     assert {int(g.chart_of[t]) for t in out.changed} <= incident
@@ -189,7 +192,7 @@ def test_fix_invalid_corner_needs_room():
 def test_fix_invalid_corner_skips_valid_corner(cube_mesh):
     labels = naive_labeling(cube_mesh)
     g = LabelingGraph(cube_mesh, labels)
-    out = run(fix_invalid_corner, cube_mesh, labels, g, 0)
+    out = run(fix_invalid_corner, g, 0)
     assert not out.applied
 
 
@@ -205,7 +208,7 @@ def test_increase_chart_valence_on_wedge_cap():
     assert low  # the triangular end caps
     target = low[0]
     assert is_feature_surrounded(g, target)
-    out = run(increase_chart_valence, m, labels, g, target)
+    out = run(increase_chart_valence, g, target)
     assert out.applied
     g2 = LabelingGraph(m, out.labels)
     assert g2.n_charts == g.n_charts + 1
@@ -216,7 +219,7 @@ def test_increase_chart_valence_on_wedge_cap():
 def test_increase_chart_valence_skips_square_chart(cube_mesh):
     labels = naive_labeling(cube_mesh)
     g = LabelingGraph(cube_mesh, labels)
-    out = run(increase_chart_valence, cube_mesh, labels, g, 0)
+    out = run(increase_chart_valence, g, 0)
     assert not out.applied  # right-angle corners, no same-axis acute vertex
 
 
@@ -248,7 +251,7 @@ def test_join_turning_points_bonds_the_pair():
     g = LabelingGraph(m, labels)
     assert all_turning_points(g) == {lat[(5, 7, 4)], lat[(6, 4, 4)]}
     t1, t2 = lat[(5, 7, 4)], lat[(6, 4, 4)]
-    out = run(join_turning_points_pair, m, labels, g, t1, t2)
+    out = run(join_turning_points_pair, g, t1, t2)
     assert out.applied
     g2 = LabelingGraph(m, out.labels)
     assert g2.total_turning_points == 0
@@ -261,9 +264,9 @@ def test_join_skips_degenerate_pairs():
     m, labels, lat = l_hook_box()
     g = LabelingGraph(m, labels)
     tp = lat[(5, 7, 4)]
-    assert not run(join_turning_points_pair, m, labels, g, tp, tp).applied
+    assert not run(join_turning_points_pair, g, tp, tp).applied
     other = lat[(0, 0, 0)]  # not a turning-point
-    assert not run(join_turning_points_pair, m, labels, g, tp, other).applied
+    assert not run(join_turning_points_pair, g, tp, other).applied
 
 
 # ----------------------------------------------------------- pull_closest_corner
@@ -292,7 +295,7 @@ def test_pull_closest_corner_rewires_the_wedge():
     smooth_tp, crease_tp = lat[(7, 6, 4)], lat[(8, 3, 4)]
     assert all_turning_points(g) == {smooth_tp, crease_tp}
     for tp in (smooth_tp, crease_tp):  # either end works
-        out = run(pull_closest_corner, m, labels, g, tp)
+        out = run(pull_closest_corner, g, tp)
         assert out.applied
         assert LabelingGraph(m, out.labels).total_turning_points == 0
 
@@ -300,7 +303,7 @@ def test_pull_closest_corner_rewires_the_wedge():
 def test_pull_skips_non_turning_point():
     m, labels, lat = s_curve_box()
     g = LabelingGraph(m, labels)
-    out = run(pull_closest_corner, m, labels, g, lat[(0, 0, 0)])
+    out = run(pull_closest_corner, g, lat[(0, 0, 0)])
     assert not out.applied
 
 
@@ -322,7 +325,7 @@ def test_move_boundary_reduces_turning_points():
     assert g.total_turning_points == 3
     wins = 0
     for tp in tps:
-        out = run(move_boundary_near_turning_point, m, labels, g, tp, radius=2)
+        out = run(move_boundary_near_turning_point, g, tp, radius=2)
         if not out.applied:
             continue
         g2 = LabelingGraph(m, out.labels)
@@ -334,7 +337,7 @@ def test_move_boundary_reduces_turning_points():
 def test_move_skips_feature_turning_point():
     m, labels, lat = s_curve_box()
     g = LabelingGraph(m, labels)
-    out = run(move_boundary_near_turning_point, m, labels, g, lat[(8, 3, 4)])
+    out = run(move_boundary_near_turning_point, g, lat[(8, 3, 4)])
     assert not out.applied  # crease turning-points belong to the pull operator
 
 
@@ -356,7 +359,7 @@ def test_straighten_boundary_shortens_the_walk():
     g = LabelingGraph(m, labels)
     [b] = [x for x in g.boundaries if {x.left_label, x.right_label} == {0, 4}]
     assert b.n_edges == 10 and not b.cyclic
-    out = run(straighten_boundary, m, labels, g, b.index)
+    out = run(straighten_boundary, g, b.index)
     assert out.applied
     g2 = LabelingGraph(m, out.labels)
     [b2] = [x for x in g2.boundaries if {x.left_label, x.right_label} == {0, 4}]
@@ -368,7 +371,7 @@ def test_straighten_boundary_shortens_the_walk():
 def test_straighten_skips_feature_boundary(cube_mesh):
     labels = naive_labeling(cube_mesh)
     g = LabelingGraph(cube_mesh, labels)
-    out = run(straighten_boundary, cube_mesh, labels, g, 0)
+    out = run(straighten_boundary, g, 0)
     assert not out.applied  # the walk lies on a crease
 
 
@@ -378,7 +381,7 @@ def test_straighten_skips_cyclic_boundary():
     labels[np.abs(m.normals[:, 2]) < 0.5] = 0  # one chart around the wall
     g = LabelingGraph(m, labels)
     assert g.boundaries[0].cyclic
-    out = run(straighten_boundary, m, labels, g, 0)
+    out = run(straighten_boundary, g, 0)
     assert not out.applied
 
 

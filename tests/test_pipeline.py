@@ -1,6 +1,7 @@
 """End-to-end repair pipeline behaviour."""
 
 import functools
+import hashlib
 import json
 import math
 
@@ -16,7 +17,7 @@ from polycubelabel.mesh import SurfaceMesh
 from polycubelabel.validity import validate
 
 from helpers import build
-from test_operators import cone_quadrants, rotated_torus, split_top_box
+from test_operators import box_mesh, cone_quadrants, rotated_torus, split_top_box, top_cell
 
 
 def test_cube_end_to_end(cube_mesh):
@@ -54,13 +55,6 @@ def test_monotonicity_routine_reduces_turning_points():
     assert report.is_valid
     assert g.total_turning_points < before
     assert log  # the improvement was made by logged operator steps
-
-
-def test_monotonicity_routine_rejects_graph_of_other_penalty():
-    m = rotated_torus()
-    g = LabelingGraph(m, naive_labeling(m), turning_point_penalty=2.0)
-    with pytest.raises(ValueError, match="turning-point penalty"):
-        pl.run_monotonicity_routine(g)
 
 
 def test_validity_routine_fixes_same_axis_boundary():
@@ -120,6 +114,85 @@ def test_init_labels_that_are_not_integers_are_refused(cube_mesh, tmp_path):
     assert str(run.value) == str(written.value)
     whole = pl.label_mesh(cube_mesh, init_labels=naive_labeling(cube_mesh).astype(np.float64))
     assert whole.status == "valid-all-monotone"
+
+
+def test_init_labels_of_the_wrong_length_are_refused(cube_mesh):
+    # refused up front, not from inside the crash-catching fallback
+    with pytest.raises(ValueError, match="has 5 labels, the mesh 12 triangles") as run:
+        pl.label_mesh(cube_mesh, init_labels=np.zeros(5, dtype=np.int64))
+    assert run.value.__context__ is None
+
+
+def test_remove_chart_solves_with_the_run_cut_energy(monkeypatch):
+    energy = dict(compactness=2.5, fidelity=2.0, smoothness_mode="angle-proportional",
+                  sensitivity=1e-3, tilt_angle=0.1)
+    seen = []
+    relabel = operators.restricted_relabel
+
+    def recording(*args, **kw):
+        seen.append({k: v for k, v in kw.items() if k != "allowed"})
+        return relabel(*args, **kw)
+
+    monkeypatch.setattr(operators, "restricted_relabel", recording)
+    m = box_mesh()
+    labels = naive_labeling(m)
+    labels[top_cell(3, 3)] = 0  # a +X island on the +Z face
+    res = pl.label_mesh(m, pl.PipelineConfig(**energy), init_labels=labels)
+    assert res.op_log[0].startswith("remove_chart")
+    assert seen and all(kw == energy for kw in seen)
+
+
+def _repair_noise_torus():
+    """perfbench's repair-noise torus, turned 0.25 rad about z, then 0.2 about x."""
+    v, f = shapes.torus(R=2, r=1, nu=64, nv=32)
+    c, s = math.cos(0.2), math.sin(0.2)
+    m = SurfaceMesh(shapes.rotate_z(v, 0.25) @ np.array([[1, 0, 0], [0, c, -s], [0, s, c]]).T, f)
+    return pl.label_mesh(m, init_labels=naive_labeling(m))
+
+
+def _cone_apex():
+    m, labels = cone_quadrants(2)
+    return pl.label_mesh(m, init_labels=labels)
+
+
+def _wedge():
+    return pl.label_mesh(SurfaceMesh(*shapes.subdivide(*shapes.wedge(), 3)))
+
+
+PINNED_RUNS = {
+    "repair-noise-torus": (_repair_noise_torus, [
+        "move_boundary_near_turning_point target=1709/3 changed=8",
+        "straighten_boundary target=0 changed=44",
+        "straighten_boundary target=1 changed=6",
+        "straighten_boundary target=4 changed=6",
+        "straighten_boundary target=4 changed=26",
+        "straighten_boundary target=8 changed=42",
+        "straighten_boundary target=9 changed=26",
+        "straighten_boundary target=13 changed=20",
+        "straighten_boundary target=14 changed=69",
+        "straighten_boundary target=15 changed=10",
+        "straighten_boundary target=16 changed=4",
+        "straighten_boundary target=20 changed=55",
+        "straighten_boundary target=21 changed=26",
+        "straighten_boundary target=22 changed=8",
+        "straighten_boundary target=23 changed=12",
+    ], "d8a2b99509b53acb291fc4e5b48ef12c813dcc059512d4dd705da3ed56adcca8"),
+    "cone-apex": (_cone_apex, [
+        "fix_invalid_corner target=4 changed=32",
+    ], "746a98d459078e168e3f9c838961db48a1ef3407842aacc1a953d0b1235875c4"),
+    "wedge": (_wedge, [
+        "increase_chart_valence target=0 changed=16",
+    ], "33afd0bb60b1f50fc2778ffac7b5f3c26df58318a242e78b6402d0446383f690"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_repair_log_and_labels_are_pinned(name):
+    run, log, digest = PINNED_RUNS[name]
+    res = run()
+    assert res.status == "valid-all-monotone"
+    assert res.op_log == log
+    assert hashlib.sha256(res.labels.astype(np.int64).tobytes()).hexdigest() == digest
 
 
 def test_label_mesh_deterministic():

@@ -11,6 +11,13 @@ An expansion move gives each node one net terminal arc (Kolmogorov & Zabih,
 PAMI 2004): the common part of its source and sink capacities is pushed at
 once. Every s-t cut then costs the same constant less, so the minimum cuts
 and the smallest source side, which the solver returns, do not change.
+Nodes are then fixed until none changes: one whose s->i arc outweighs its
+pair arcs out to free nodes is on the source side of every minimum cut, as
+moving it there saves more than it can cost, and one whose i->t arc
+outweighs its pair arcs in, on the sink side. Their arcs to free nodes turn
+into terminal arcs, so in exact arithmetic the smallest source side is
+unchanged; a margin of _EPS leaves float near-ties to the flow. Nodes with
+no arc left are sink side, and Dinic runs on the rest only, if any.
 
 The filtered search is exact. Within a phase an arc gains capacity only when
 its partner carries flow, so it points one level down and never becomes
@@ -207,10 +214,9 @@ def _expansion_move(costs, pairs, weights, cur, alpha):
     when the node switches, and t_cap, of i->t, cut when it stays. Their
     common part is pushed at once, leaving at most one terminal arc per
     node; that lowers every cut by the same constant, so the minimum cuts
-    do not change.
+    do not change. Nodes are then fixed as the module docstring says.
     """
     n = costs.shape[0]
-    s, t = n, n + 1
     nodes = np.arange(n)
     u, v = pairs[:, 0], pairs[:, 1]
     a = np.where(cur[u] != cur[v], weights, 0.0)
@@ -221,19 +227,41 @@ def _expansion_move(costs, pairs, weights, cur, alpha):
     s_cap = costs[nodes, alpha] + np.bincount(u, np.maximum(c - a, 0.0), n)
     t_cap = costs[nodes, cur] + np.bincount(np.concatenate((u, v)),
                                             np.concatenate((np.maximum(a - c, 0.0), c)), n)
-    pushed = np.minimum(s_cap, t_cap)
-    s_cap -= pushed
-    t_cap -= pushed
-    from_s, into_t = np.flatnonzero(s_cap > 0.0), np.flatnonzero(t_cap > 0.0)
     across = b + c - a
     pos = across > 0.0
+    # free nodes, ascending, and their capacities; pair arcs among them by position
+    free, tail, head, cap = nodes, u[pos], v[pos], across[pos]
+    switch = np.zeros(n, dtype=bool)
+    while True:
+        k = len(free)
+        pushed = np.minimum(s_cap, t_cap)
+        s_cap -= pushed
+        t_cap -= pushed
+        out, inn = np.bincount(tail, cap, k), np.bincount(head, cap, k)
+        stays = s_cap > out + _EPS
+        goes = (t_cap > inn + _EPS) | (s_cap + t_cap + out + inn == 0.0)
+        fixed = stays | goes
+        if not fixed.any():
+            break
+        switch[free[goes]] = True
+        # an arc out of a staying node is cut when its head switches, one
+        # into a switching node when its tail stays: terminal arcs now
+        into, away = stays[tail] & ~fixed[head], goes[head] & ~fixed[tail]
+        s_cap = (s_cap + np.bincount(head[into], cap[into], k))[~fixed]
+        t_cap = (t_cap + np.bincount(tail[away], cap[away], k))[~fixed]
+        live, at = ~fixed[tail] & ~fixed[head], np.cumsum(~fixed) - 1
+        free, tail, head, cap = free[~fixed], at[tail[live]], at[head[live]], cap[live]
+    if not k:
+        return switch
+    from_s, into_t = np.flatnonzero(s_cap > 0.0), np.flatnonzero(t_cap > 0.0)
     side = _dinic(*_paired_arcs(
-        n + 2,
-        np.concatenate((np.full(len(from_s), s), into_t, u[pos])),
-        np.concatenate((from_s, np.full(len(into_t), t), v[pos])),
-        np.concatenate((s_cap[from_s], t_cap[into_t], across[pos])),
-    ), s, t)
-    return ~side[:n]
+        k + 2,
+        np.concatenate((np.full(len(from_s), k), into_t, tail)),
+        np.concatenate((from_s, np.full(len(into_t), k + 1), head)),
+        np.concatenate((s_cap[from_s], t_cap[into_t], cap)),
+    ), k, k + 1)
+    switch[free] = ~side[:k]
+    return switch
 
 
 def potts_energy(costs, pairs, weights, labels) -> float:
@@ -252,22 +280,34 @@ def alpha_expansion(costs, pairs, weights, init=None):
     pairs: (m, 2) node pairs; weights: (m,) discontinuity penalties.
     Sweeps the labels in increasing order, accepting strict improvements,
     until a full sweep changes nothing (or after _MAX_SWEEPS sweeps).
-    Returns (labels, energy).
+    Returns (labels, energy). Raises ValueError for a NaN or -inf cost, a
+    pair that is not two node ids, a weight count other than m, a negative
+    or non-finite weight, and an `init` that is not n labels in 0..L-1.
     """
-    costs = np.minimum(np.ascontiguousarray(costs, dtype=np.float64), BIG)
-    pairs = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1, 2)
+    costs = np.ascontiguousarray(costs, dtype=np.float64)
+    pairs = np.asarray(pairs)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
+    if costs.ndim != 2 or not np.all(costs > -np.inf):
+        raise ValueError("costs must be an (n, L) array without NaN or -inf")
     n, n_labels = costs.shape
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.size and (
+            pairs.dtype.kind not in "iu" or pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError(f"pairs must be (m, 2) node ids in 0..{n - 1}")
+    if weights.shape != (len(pairs),) or not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ValueError(f"weights must be {len(pairs)} finite non-negative numbers, one a pair")
+    costs, pairs = np.minimum(costs, BIG), pairs.astype(np.int64)
     if init is None:
         cur = np.argmin(costs, axis=1).astype(np.int64)
     else:
-        cur = np.ascontiguousarray(init, dtype=np.int64).copy()
+        cur = np.array(init, dtype=np.int64)
+        if cur.shape != (n,) or not np.all((cur >= 0) & (cur < n_labels)):
+            raise ValueError(f"init must be {n} labels in 0..{n_labels - 1}")
     energy = _potts_energy(costs, pairs, weights, cur)
     for _ in range(_MAX_SWEEPS):
         improved = False
         for alpha in range(n_labels):
             switch = _expansion_move(costs, pairs, weights, cur, alpha)
-            if not switch.any():
+            if not np.any(switch & (cur != alpha)):
                 continue
             cand = np.where(switch, alpha, cur)
             cand_energy = _potts_energy(costs, pairs, weights, cand)

@@ -174,7 +174,8 @@ def restricted_relabel(
     Fixed neighbors act through their boundary edges: crossing such an edge
     into a different label costs that edge's smoothness weight, folded into
     the data term of the free triangle. `allowed` optionally masks permitted
-    labels, either one (6,) row for all free triangles or one row each.
+    labels, either one (6,) row for all free triangles or one row each;
+    raises ValueError naming the first free triangle it leaves no label.
     """
     from .graphcut import BIG, alpha_expansion
 
@@ -193,7 +194,11 @@ def restricted_relabel(
 
     costs = data_costs(mesh.normals[idx], fidelity, sensitivity, tilt_angle)
     if allowed is not None:
-        costs = np.where(np.asarray(allowed, dtype=bool), costs, BIG)
+        allowed = np.broadcast_to(np.asarray(allowed, dtype=bool), costs.shape)
+        empty = np.flatnonzero(~allowed.any(axis=1))
+        if empty.size:
+            raise ValueError(f"allowed leaves free triangle {idx[empty[0]]} no label")
+        costs = np.where(allowed, costs, BIG)
 
     w_all = smoothness_weights(mesh, compactness, smoothness_mode)
     t1, t2 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]

@@ -276,10 +276,18 @@ def label_mesh(
 ) -> PipelineResult:
     """Initial labeling plus both repair routines, with per-stage timings.
 
-    Raises ValueError, before any work, for `init_labels` that are not a
-    labeling of the mesh; a crash after that becomes a "failed" result.
+    Raises ValueError, before any work, for a cut energy outside the
+    contract (compactness or fidelity NaN, infinite or negative, sensitivity
+    or tilt_angle not finite) and for `init_labels` that are not a labeling
+    of the mesh; a crash after that becomes a "failed" result.
     """
     cfg = cfg or PipelineConfig()
+    for name in ("compactness", "fidelity"):
+        if not 0.0 <= getattr(cfg, name) < np.inf:  # NaN too
+            raise ValueError(f"{name} must be finite and non-negative, not {getattr(cfg, name)}")
+    for name in ("sensitivity", "tilt_angle"):
+        if not np.isfinite(getattr(cfg, name)):
+            raise ValueError(f"{name} must be finite, not {getattr(cfg, name)}")
     if init_labels is not None:
         init_labels = checked_labels(init_labels)
         if init_labels.shape != (mesh.n_triangles,):

@@ -147,6 +147,23 @@ def test_label_zero_face_index_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out.flags").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--fidelity", "nan", "fidelity must be finite and non-negative, not nan"),
+    ("--compactness", "inf", "compactness must be finite and non-negative, not inf"),
+    ("--compactness", "-1", "compactness must be finite and non-negative, not -1.0"),
+    ("--sensitivity", "nan", "sensitivity must be finite"),
+    ("--tilt-angle", "inf", "tilt_angle must be finite"),
+], ids=["fidelity-nan", "compactness-inf", "compactness-negative", "sensitivity-nan",
+        "tilt-angle-inf"])
+def test_label_cut_energy_outside_the_contract_exits_2(tmp_path, cube_files, capsys,
+                                                       flag, value, message):
+    mesh, _ = cube_files
+    out = tmp_path / "out.flags"
+    assert main(["label", str(mesh), "-o", str(out), f"{flag}={value}"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("solid, message", [
     (cube_with_a_stray_vertex, "vertex 8 is used by no triangle"),
     (two_disjoint_cubes, "2 connected components"),

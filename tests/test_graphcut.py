@@ -1,9 +1,12 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycubelabel import graphcut, labeling, shapes
 from polycubelabel.graphcut import (
@@ -22,6 +25,7 @@ import oracles
 from oracles import (
     brute_force_min_cut,
     brute_force_potts,
+    net_arc_expansion_move,
     push_arcs_one_by_one,
     random_cut_instance,
     random_potts_instance,
@@ -305,8 +309,52 @@ def test_expansion_move_matches_the_per_pair_terminal_arcs(kind):
             assert got.tolist() == want.tolist()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MOVE_KINDS), st.integers(0, 2**32 - 1))
+def test_reduced_move_equals_the_net_arc_and_per_pair_moves(kind, seed):
+    # fixing the decided nodes before the flow switches the same nodes as
+    # the move that hands every node to Dinic, on up to 40 nodes
+    costs, pairs, weights, cur = _random_move(np.random.default_rng(seed), kind, max_nodes=40)
+    for alpha in range(costs.shape[1]):
+        got = _expansion_move(costs, pairs, weights, cur, alpha)
+        assert got.tolist() == net_arc_expansion_move(costs, pairs, weights, cur, alpha).tolist()
+        assert got.tolist() == reference_expansion_move(costs, pairs, weights, cur, alpha).tolist()
+
+
+def _rotated_l_prism():
+    v, t = shapes.subdivide(*shapes.l_prism(), 3)
+    return shapes.rotate_z(v, math.pi / 4), t
+
+
+@pytest.mark.parametrize("shape, sensitivity", [
+    (lambda: shapes.icosphere(3), 1e-10),
+    (_rotated_l_prism, 1e-3),
+    (lambda: shapes.torus(nu=32, nv=16), 1e-10),
+    (lambda: shapes.subdivide(*shapes.cone(32), 1), 1e-10),
+], ids=["icosphere-3", "l-prism-rot45", "torus-32x16", "cone-32-subdivided"])
+def test_alpha_expansion_equals_the_net_arc_move(shape, sensitivity, monkeypatch):
+    mesh = SurfaceMesh(*shape())
+    costs = labeling.data_costs(mesh.normals, 3.0, sensitivity)
+    pairs, weights = mesh.edge_tris, labeling.smoothness_weights(mesh)
+    starts = [None, np.arange(mesh.n_triangles) % 6]  # the nearest axes, and far from optimal
+    got = [alpha_expansion(costs, pairs, weights, init=init) for init in starts]
+    monkeypatch.setattr(graphcut, "_expansion_move", net_arc_expansion_move)
+    want = [alpha_expansion(costs, pairs, weights, init=init) for init in starts]
+    for (labels, energy), (want_labels, want_energy) in zip(got, want):
+        assert labels.tolist() == want_labels.tolist() and energy == want_energy
+
+
+def test_compute_labeling_on_an_exact_prism_runs_no_flow(monkeypatch):
+    # every node of every move outweighs its pair arcs: no Dinic at all
+    calls = []
+    monkeypatch.setattr(graphcut, "_dinic", lambda *args: calls.append(args))
+    mesh = SurfaceMesh(*shapes.subdivide(*shapes.l_prism(), 2))
+    assert labeling.compute_labeling(mesh).tolist() == labeling.naive_labeling(mesh).tolist()
+    assert calls == []
+
+
 def _recording_arcs(monkeypatch):
-    """Record each graph the expansion moves, new and reference, hand to
+    """Record each graph the expansion moves, reduced and reference, hand to
     _paired_arcs."""
     graphs = []
 
@@ -321,28 +369,64 @@ def _recording_arcs(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["uniform", "integer", "zero-weights"])
 def test_expansion_move_is_the_smallest_minimum_cut(kind, monkeypatch):
-    # on up to 10 nodes, against the enumerated cuts of the graph the move
-    # builds and of the per-pair graph; each node has at most one terminal
-    # arc and no arc has zero capacity
+    # on up to 10 nodes, against the enumerated cuts of the per-pair graph;
+    # the reduced graph, when the move builds one, has no more nodes, each
+    # of them with an arc, at most one terminal arc each, and no arc of
+    # zero capacity
     graphs = _recording_arcs(monkeypatch)
     rng = np.random.default_rng(40 + MOVE_KINDS.index(kind))
+    built = 0
     for _ in range(25):
         costs, pairs, weights, cur = _random_move(rng, kind, max_nodes=10)
         n = len(costs)
         for alpha in range(costs.shape[1]):
             graphs.clear()
             switched = _expansion_move(costs, pairs, weights, cur, alpha)
+            reduced = list(graphs)
             reference_expansion_move(costs, pairs, weights, cur, alpha)
-            assert len(graphs) == 2
-            for n_nodes, tails, heads, caps in graphs:
-                edges = np.stack((tails, heads), axis=1)
-                side = smallest_min_cut_source_side(n_nodes, edges, caps, n, n + 1)
-                assert (~side[:n]).tolist() == switched.tolist()
-            tails, heads, caps = graphs[0][1:]
-            assert np.all(caps > 0.0)
-            terminal = np.concatenate((heads[tails == n], tails[heads == n + 1]))
-            assert len(np.unique(terminal)) == len(terminal)
-            assert not np.any((tails == n + 1) | (heads == n))
+            assert len(graphs) == len(reduced) + 1 <= 2
+            n_nodes, tails, heads, caps = graphs[-1]
+            side = smallest_min_cut_source_side(n_nodes, np.stack((tails, heads), axis=1),
+                                                caps, n, n + 1)
+            assert (~side[:n]).tolist() == switched.tolist()
+            for n_nodes, tails, heads, caps in reduced:
+                built += 1
+                k = n_nodes - 2
+                assert 1 <= k <= n and np.all(caps > 0.0)
+                assert set(tails.tolist()) | set(heads.tolist()) >= set(range(k))
+                terminal = np.concatenate((heads[tails == k], tails[heads == k + 1]))
+                assert len(np.unique(terminal)) == len(terminal)
+                assert not np.any((tails == k + 1) | (heads == k))
+    assert built >= 10
+
+
+@pytest.mark.parametrize("costs, pairs, weights, init, match", [
+    ([[0.0, np.nan], [1.0, 0.0]], [[0, 1]], [1.0], None, "NaN"),
+    ([[0.0, -np.inf], [1.0, 0.0]], [[0, 1]], [1.0], None, "-inf"),
+    ([0.0, 1.0], [[0, 1]], [1.0], None, r"\(n, L\)"),
+    ([[0.0, 1.0], [1.0, 0.0]], [0, 1], [1.0], None, "node ids"),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0, 2]], [1.0], None, "node ids in 0..1"),
+    ([[0.0, 1.0], [1.0, 0.0]], [[-1, 1]], [1.0], None, "node ids"),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.5]], [1.0], None, "node ids"),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0, 2.0], None, "1 finite non-negative"),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [-1.0], None, "non-negative"),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [np.nan], None, "finite"),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [np.inf], None, "finite"),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0], [0], "init must be 2 labels"),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0], [0, 2], r"in 0\.\.1"),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0], [-1, 0], r"in 0\.\.1"),
+], ids=["nan-cost", "minus-inf-cost", "costs-1d", "pairs-1d", "pair-past-n", "pair-negative",
+        "pair-not-integer", "weight-count", "weight-negative", "weight-nan", "weight-inf",
+        "init-length", "init-past-L", "init-negative"])
+def test_alpha_expansion_rejects_bad_input(costs, pairs, weights, init, match):
+    with pytest.raises(ValueError, match=match):
+        alpha_expansion(np.array(costs), np.array(pairs), np.array(weights), init=init)
+
+
+def test_alpha_expansion_allows_inf_costs_and_no_pairs():
+    labels, energy = alpha_expansion(np.array([[np.inf, 1.0], [0.5, np.inf]]),
+                                     np.empty((0, 2), dtype=np.int64), np.empty(0))
+    assert labels.tolist() == [1, 0] and energy == 1.5
 
 
 def test_alpha_expansion_matches_bruteforce():

@@ -209,6 +209,16 @@ def test_restricted_relabel_accepts_index_sets(cube_mesh):
     assert np.array_equal(a, b)
 
 
+def test_restricted_relabel_refuses_a_free_triangle_with_no_allowed_label(cube_mesh):
+    base = naive_labeling(cube_mesh)
+    with pytest.raises(ValueError, match="free triangle 0 no label"):
+        restricted_relabel(cube_mesh, base, [0, 1], allowed=np.zeros(6, dtype=bool))
+    rows = np.ones((2, 6), dtype=bool)
+    rows[1] = False  # one row per free triangle: the second, triangle 7, has none
+    with pytest.raises(ValueError, match="free triangle 7 no label"):
+        restricted_relabel(cube_mesh, base, [3, 7], allowed=rows)
+
+
 # -- full initial labeling -------------------------------------------------------
 
 

@@ -123,6 +123,27 @@ def test_init_labels_of_the_wrong_length_are_refused(cube_mesh):
     assert run.value.__context__ is None
 
 
+@pytest.mark.parametrize("name, value, match", [
+    ("compactness", math.inf, "compactness must be finite and non-negative, not inf"),
+    ("compactness", -1.0, "compactness must be finite and non-negative, not -1.0"),
+    ("fidelity", math.nan, "fidelity must be finite and non-negative, not nan"),
+    ("fidelity", -0.5, "fidelity must be finite and non-negative"),
+    ("sensitivity", math.nan, "sensitivity must be finite, not nan"),
+    ("tilt_angle", -math.inf, "tilt_angle must be finite, not -inf"),
+], ids=["compactness-inf", "compactness-negative", "fidelity-nan", "fidelity-negative",
+        "sensitivity-nan", "tilt-angle-minus-inf"])
+def test_cut_energy_outside_the_contract_is_refused(cube_mesh, monkeypatch, name, value, match):
+    # refused up front, with or without a start, not run to a quiet result
+    def no_cut(*args, **kw):
+        raise AssertionError("the cut ran")
+
+    monkeypatch.setattr(pl, "compute_labeling", no_cut)
+    cfg = pl.PipelineConfig(**{name: value})
+    for init in (None, naive_labeling(cube_mesh)):
+        with pytest.raises(ValueError, match=match):
+            pl.label_mesh(cube_mesh, cfg, init_labels=init)
+
+
 def test_remove_chart_solves_with_the_run_cut_energy(monkeypatch):
     energy = dict(compactness=2.5, fidelity=2.0, smoothness_mode="angle-proportional",
                   sensitivity=1e-3, tilt_angle=0.1)

@@ -14,7 +14,7 @@ import sys
 
 from .io import load_mesh, read_labeling, write_labeling, write_ply
 from .graph import LabelingGraph
-from .labeling import LABEL_NAMES
+from .labeling import LABEL_NAMES, SMOOTHNESS_MODES
 from .pipeline import (PipelineConfig, PipelineResult, label_mesh,
                        labeling_status, metrics_report)
 from .validity import validate
@@ -60,8 +60,7 @@ def _labeling_flags(p):
                         "axes are closer than this")
     p.add_argument("--tilt-angle", type=float, default=0.05,
                    help="radians of rotation applied to flagged normals")
-    p.add_argument("--smoothness-mode", default="uniform-potts",
-                   choices=("uniform-potts", "angle-proportional", "crease-discount"))
+    p.add_argument("--smoothness-mode", default="uniform-potts", choices=SMOOTHNESS_MODES)
     p.add_argument("--max-iterations", type=int, default=10)
 
 

@@ -2,6 +2,11 @@
 the boundaries between them, corners where boundaries meet, and per-boundary
 turning points (where a boundary locally reverses along its polycube axis).
 
+The graph is the one index of that structure: callers look up which
+vertices and edges lie on a boundary (`boundary_vertex_mask`,
+`boundary_edge_mask`), which vertex is a corner (`corner_at`) and where a
+turning point sits (`turning_point_at`) instead of rescanning boundaries.
+
 Everything here is ordered deterministically. Charts go by smallest triangle
 index and corners by vertex index. Open boundaries come first, ordered by the
 smaller of their two ends (corner vertex, end edge id) and walked from that
@@ -9,7 +14,7 @@ end; cyclic boundaries follow, ordered by smallest edge id and walked from
 that edge's smaller vertex. Rebuilding from the same labeling yields
 identical output.
 
-A build is a few whole-array passes: charts by pointer jumping, boundary
+A build is a few whole-array passes: charts by min-label hooking, boundary
 chains from the ends of the discontinuity edges, sides and edge signs in one
 gather each. Only boundaries with mixed or zero signs run the direction DP.
 """
@@ -23,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .labeling import checked_labels
-from .mesh import SurfaceMesh
+from .mesh import SurfaceMesh, component_roots
 
 _SIGN_TOL = 1e-9
 
@@ -144,6 +149,14 @@ class LabelingGraph:
     ----------
     mesh : SurfaceMesh
     labels : (F,) int array, values 0..5; kept as a read-only copy
+
+    Besides charts, boundaries and corners it keeps the read-only masks
+    ``boundary_edge_mask`` (E,) and ``boundary_vertex_mask`` (V,), True on
+    the edges and vertices of any boundary; ``corner_at``, corner vertex ->
+    corner id; ``turning_point_at``, turning-point vertex -> (boundary id,
+    position in its ``vertices``), one-to-one since a turning point is an
+    interior vertex of its boundary and so lies on no other; and
+    ``total_turning_points``.
     """
 
     def __init__(self, mesh: SurfaceMesh, labels):
@@ -153,7 +166,10 @@ class LabelingGraph:
         self.mesh = mesh
         self.labels.flags.writeable = False
 
-        cut = discontinuity_edges(mesh, self.labels)
+        cut = self.boundary_edge_mask = discontinuity_edges(mesh, self.labels)
+        self.boundary_vertex_mask = np.zeros(mesh.n_vertices, dtype=bool)
+        self.boundary_vertex_mask[mesh.edges[cut]] = True
+        cut.flags.writeable = self.boundary_vertex_mask.flags.writeable = False
         self._build_charts(~cut)
         self._build_boundaries(np.flatnonzero(cut))
         self._collect_corners()
@@ -162,27 +178,7 @@ class LabelingGraph:
 
     def _build_charts(self, same):
         n = self.mesh.n_triangles
-        a, b = self.mesh.edge_tris[same].T
-        # min-label propagation between the roots of both ends of each
-        # same-label edge, then pointer jumping; roots only ever point to
-        # smaller triangles, so every triangle ends up holding the smallest
-        # triangle index of its chart. Ends that share a root always will.
-        root = np.arange(n)
-        while True:
-            ra, rb = root[a], root[b]
-            differ = ra != rb
-            if not differ.any():
-                break
-            a, b, ra, rb = a[differ], b[differ], ra[differ], rb[differ]
-            low = np.minimum(ra, rb)
-            np.minimum.at(root, ra, low)
-            np.minimum.at(root, rb, low)
-            while True:
-                jumped = root[root]
-                if np.array_equal(jumped, root):
-                    break
-                root = jumped
-
+        root = component_roots(n, *self.mesh.edge_tris[same].T)
         first = root == np.arange(n)  # each chart's smallest triangle
         self.chart_of = (np.cumsum(first) - 1)[root]
         splits = np.cumsum(np.bincount(self.chart_of))[:-1]
@@ -254,6 +250,7 @@ class LabelingGraph:
         flat = np.minimum.reduceat(signs, starts) == np.maximum.reduceat(signs, starts)
 
         self.boundaries = []
+        self.turning_point_at = {}
         self._endpoint_map = {}  # corner vertex -> boundary ids (with multiplicity)
         per_chart = [[] for _ in self.charts]
         neighbors = [set() for _ in self.charts]
@@ -270,6 +267,8 @@ class LabelingGraph:
                 if not (one_sign and bd.raw_signs[0]):
                     bd.edge_signs, _ = optimal_edge_directions(bd.raw_signs, cyclic=cyclic)
                     bd.turning_points = _flip_positions(bd.edge_signs, cyclic)
+                    for pos in bd.turning_points:
+                        self.turning_point_at[verts[pos]] = (bid, pos)
             if not cyclic:
                 self._endpoint_map.setdefault(v0, []).append(bid)
                 self._endpoint_map.setdefault(verts[-1], []).append(bid)
@@ -279,6 +278,7 @@ class LabelingGraph:
             self.boundaries.append(bd)
         for c, bids, nbrs in zip(self.charts, per_chart, neighbors):
             c.boundaries, c.neighbors = tuple(bids), tuple(sorted(nbrs))
+        self.total_turning_points = sum(len(b.turning_points) for b in self.boundaries)
 
     # -- corners ---------------------------------------------------------------
 
@@ -312,13 +312,9 @@ class LabelingGraph:
     def n_corners(self) -> int:
         return len(self.corners)
 
-    @property
-    def total_turning_points(self) -> int:
-        return sum(len(b.turning_points) for b in self.boundaries)
-
     def turning_point_vertices(self) -> tuple:
-        """Vertices holding a turning point of any boundary, sorted, once each."""
-        return tuple(sorted({v for b in self.boundaries for v in b.turning_point_vertices()}))
+        """Vertices holding a turning point of any boundary, sorted."""
+        return tuple(sorted(self.turning_point_at))
 
     def boundaries_between(self, c1: int, c2: int) -> list:
         pair = {c1, c2}

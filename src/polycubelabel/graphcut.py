@@ -282,7 +282,7 @@ def alpha_expansion(costs, pairs, weights, init=None):
     until a full sweep changes nothing (or after _MAX_SWEEPS sweeps).
     Returns (labels, energy). Raises ValueError for a NaN or -inf cost, a
     pair that is not two node ids, a weight count other than m, a negative
-    or non-finite weight, and an `init` that is not n labels in 0..L-1.
+    or non-finite weight, and an `init` that is not n whole labels in 0..L-1.
     """
     costs = np.ascontiguousarray(costs, dtype=np.float64)
     pairs = np.asarray(pairs)
@@ -299,9 +299,11 @@ def alpha_expansion(costs, pairs, weights, init=None):
     if init is None:
         cur = np.argmin(costs, axis=1).astype(np.int64)
     else:
-        cur = np.array(init, dtype=np.int64)
-        if cur.shape != (n,) or not np.all((cur >= 0) & (cur < n_labels)):
-            raise ValueError(f"init must be {n} labels in 0..{n_labels - 1}")
+        cur = np.asarray(init)
+        if cur.shape != (n,) or cur.dtype.kind not in "biuf" or not np.all(
+                (cur >= 0) & (cur < n_labels) & (cur == np.round(cur))):
+            raise ValueError(f"init must be {n} labels in 0..{n_labels - 1}, whole numbers")
+        cur = cur.astype(np.int64)
     energy = _potts_energy(costs, pairs, weights, cur)
     for _ in range(_MAX_SWEEPS):
         improved = False

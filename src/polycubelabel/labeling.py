@@ -41,6 +41,8 @@ LABEL_COLORS = (
 
 N_LABELS = 6
 
+SMOOTHNESS_MODES = ("uniform-potts", "angle-proportional", "crease-discount")
+
 _CREASE_SIGMA = 0.25  # radians of dihedral deviation of the crease-discount falloff
 
 
@@ -128,16 +130,16 @@ def smoothness_weights(
     Modes: 'uniform-potts' charges every label change equally;
     'angle-proportional' scales with the dihedral deviation, discouraging
     cuts across flats; 'crease-discount' makes cutting along sharp creases
-    nearly free.
+    nearly free. Raises ValueError for a mode not in SMOOTHNESS_MODES.
     """
+    if mode not in SMOOTHNESS_MODES:
+        raise ValueError(f"unknown smoothness mode {mode!r}, not one of {SMOOTHNESS_MODES}")
     deviation = np.abs(mesh.dihedral_angles - math.pi)
     if mode == "uniform-potts":
         return np.full(mesh.n_edges, float(compactness))
     if mode == "angle-proportional":
         return compactness * deviation
-    if mode == "crease-discount":
-        return compactness * np.exp(-((deviation / _CREASE_SIGMA) ** 2))
-    raise ValueError(f"unknown smoothness mode {mode!r}")
+    return compactness * np.exp(-((deviation / _CREASE_SIGMA) ** 2))
 
 
 def compute_labeling(

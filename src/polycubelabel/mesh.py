@@ -79,6 +79,20 @@ class DihedralInfo(NamedTuple):
     is_reflex: bool
 
 
+def component_roots(n, a, b) -> np.ndarray:
+    """The smallest node of each node's connected component, for nodes
+    0..n-1 joined by the edges (a[i], b[i]). Min-label hooking: hook the
+    larger of two adjacent roots onto the smaller, then jump pointers to
+    the roots, until no edge joins two roots."""
+    root = np.arange(n)
+    while (apart := root[a] != root[b]).any():
+        ra, rb = root[a[apart]], root[b[apart]]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    return root
+
+
 class SurfaceMesh:
     """Indexed closed 2-manifold triangle mesh.
 
@@ -130,8 +144,7 @@ class SurfaceMesh:
     ignored_feature_edges : frozenset of (int, int)
         Supplied CAD edges whose dihedral deviation is below the threshold.
 
-    ``vertex_triangles(v)`` lists the star of ``v`` in triangle-index order;
-    ``vertex_fan(v)`` lists it in cyclic order around ``v``.
+    ``vertex_triangles(v)`` lists the star of ``v`` in triangle-index order.
     """
 
     def __init__(self, vertices, triangles, feature_edges=None, feature_angle=math.pi / 4):
@@ -270,19 +283,11 @@ class SurfaceMesh:
         self.ignored_feature_edges = frozenset(map(tuple, self.edges[given & ~sharp].tolist()))
 
     def _check_one_surface(self):
-        # The genus formula holds for one closed surface with no stray
-        # vertices. Components by min-label hooking: hook the larger of two
-        # adjacent roots onto the smaller, then jump pointers to the roots.
+        # The genus formula holds for one closed surface with no stray vertices.
         unused = np.nonzero(np.diff(self._star_start) == 0)[0]
         if unused.size:
             raise UnreferencedVertexError(unused[0])
-        root = np.arange(self.n_triangles)
-        a, b = self.edge_tris[:, 0], self.edge_tris[:, 1]
-        while (apart := root[a] != root[b]).any():
-            ra, rb = root[a[apart]], root[b[apart]]
-            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-            while not np.array_equal(jumped := root[root], root):
-                root = jumped
+        root = component_roots(self.n_triangles, *self.edge_tris.T)
         n_components = np.count_nonzero(root == np.arange(self.n_triangles))
         if n_components > 1:
             raise DisconnectedSurfaceError(n_components)
@@ -340,23 +345,13 @@ class SurfaceMesh:
         """Triangles incident to vertex ``v``, in triangle-index order."""
         return tuple(self._star_tris[self._star_start[v]:self._star_start[v + 1]].tolist())
 
-    def _fan_corners(self, v, start=None) -> list:
-        if start is None:
-            start = int(self._star_tris[self._star_start[v]])
+    def _fan_corners(self, v) -> list:
+        start = int(self._star_tris[self._star_start[v]])
         c = first = 3 * start + int(np.nonzero(self.triangles[start] == v)[0][0])
         out = [c]
         while (c := int(self._corner_next[c])) != first:
             out.append(c)
         return out
-
-    def vertex_fan(self, v, start=None) -> list:
-        """Incident triangles in cyclic order around ``v``.
-
-        The orbit crosses, at each step, the triangle edge that leaves ``v``
-        toward its cyclic successor, so the result is consistently oriented.
-        Starts at ``start`` or at the lowest incident triangle index.
-        """
-        return [c // 3 for c in self._fan_corners(v, start)]
 
     def vertex_ring(self, v) -> list:
         """(neighbor vertex, edge id) of each edge at ``v``, in fan cyclic order."""

@@ -6,7 +6,9 @@ fix_invalid_boundary, fix_invalid_corner) plus five newer ones
 move_boundary_near_turning_point, straighten_boundary).
 
 Every operator is a pure function (graph, *targets, ...) -> OperatorOutcome
-that reads the mesh and the labeling off the LabelingGraph. The graph's
+that reads the mesh and the labeling off the LabelingGraph, and looks up
+boundary vertices and edges, corners and turning points in the graph's
+index rather than rescanning its boundaries. The graph's
 labels are read-only, so the input labeling cannot be mutated; `applied` is
 False when the precondition does not hold at the target or the attempt
 changed nothing, in which case the returned labeling is a copy of the input.
@@ -42,9 +44,8 @@ class OperatorOutcome:
 
 @dataclass(frozen=True)
 class TracedPath:
-    vertices: tuple
     edges: tuple
-    reason: str  # hit-corner | hit-boundary | hit-turning-point | hit-feature-edge | max-steps
+    reason: str  # hit-boundary | hit-turning-point | max-steps
 
 
 def _skip(labels) -> OperatorOutcome:
@@ -99,10 +100,6 @@ def _grow(mesh: SurfaceMesh, seeds, allowed=None, barrier=(), rings=None) -> np.
     return np.sort(np.concatenate(region))
 
 
-def _boundary_vertex_set(graph: LabelingGraph) -> set:
-    return {v for b in graph.boundaries for v in b.vertices}
-
-
 def _chart_contour_loops(graph: LabelingGraph, chart_id: int) -> list:
     """Contour(s) of a chart as directed loops [(v, w, edge, boundary), ...],
     each edge oriented so the chart lies on its left."""
@@ -146,28 +143,28 @@ def is_feature_surrounded(graph: LabelingGraph, chart_id: int) -> bool:
 
 
 def trace_path(
-    mesh: SurfaceMesh,
+    graph: LabelingGraph,
     start: int,
     direction,
     stop_vertices,
     forbidden_edges=frozenset(),
     feature_only: bool = False,
     tp_vertices=frozenset(),
-    through_edges=frozenset(),
-    corner_vertices=frozenset(),
 ) -> TracedPath:
-    """Greedy vertex walk along `direction`.
+    """Greedy vertex walk along `direction` over the graph's mesh.
 
     At each vertex the outgoing mesh edge with the highest dot product to the
     goal direction is taken (no immediate backtracking, no revisits, no
     forbidden edges; only feature edges when `feature_only`). Stops on a
-    vertex of `stop_vertices` (hit-boundary), on a turning-point vertex, or
-    after one mesh-edge-count worth of steps. Edges in `through_edges`
-    (typically chart-boundary polylines the path may travel along) do not
-    trigger the stop-vertex check, but `corner_vertices` always stop.
+    vertex of `tp_vertices` (hit-turning-point), on a corner of the graph, on
+    a vertex where the bool mask `stop_vertices` holds reached over an edge
+    that is not a boundary edge (hit-boundary; the path may travel along
+    boundaries), or when no edge is left or after one mesh-edge-count worth
+    of steps (max-steps).
     """
+    mesh = graph.mesh
     direction = _unit(np.asarray(direction, dtype=np.float64))
-    verts, eids = [start], []
+    eids = []
     cur, seen = start, {start}
     for _ in range(mesh.n_edges):
         best = None
@@ -180,18 +177,15 @@ def trace_path(
             if best is None or d > best[0] + 1e-12 or (abs(d - best[0]) <= 1e-12 and nbr < best[1]):
                 best = (d, nbr, eid)
         if best is None:
-            return TracedPath(tuple(verts), tuple(eids), "max-steps")
+            break
         _, cur, eid = best
-        verts.append(cur)
         eids.append(eid)
         seen.add(cur)
         if cur in tp_vertices:
-            return TracedPath(tuple(verts), tuple(eids), "hit-turning-point")
-        if cur in corner_vertices:
-            return TracedPath(tuple(verts), tuple(eids), "hit-boundary")
-        if cur in stop_vertices and eid not in through_edges:
-            return TracedPath(tuple(verts), tuple(eids), "hit-boundary")
-    return TracedPath(tuple(verts), tuple(eids), "max-steps")
+            return TracedPath(tuple(eids), "hit-turning-point")
+        if cur in graph.corner_at or (stop_vertices[cur] and not graph.boundary_edge_mask[eid]):
+            return TracedPath(tuple(eids), "hit-boundary")
+    return TracedPath(tuple(eids), "max-steps")
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +308,6 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
     scores = [abs(np.dot(d1, AXIS_DIRECTIONS[a])) + abs(np.dot(d2, AXIS_DIRECTIONS[a])) for a in range(3)]
     new_axis = int(np.argmax(scores))
 
-    corner_set = set(graph.corner_at)
-
     def polyedge_dirs(step):
         """Contour edges leaving v in the +-1 loop direction, until a corner."""
         out = []
@@ -325,7 +317,7 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
             a, b_, eid, bid = loop[idx]
             tail = b_ if step == 1 else a
             out.append((eid, _unit(pts[tail] - pts[prev]), tail, bid))
-            if tail in corner_set and tail != v:
+            if tail in graph.corner_at and tail != v:
                 break
             prev = tail
             idx = (idx + step) % n
@@ -394,16 +386,10 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
     direction = axis_vec if align >= 0 else -axis_vec
 
     contour_edges = {e for _, _, e, _ in loop}
-    stop = _boundary_vertex_set(graph)
-    tp_set = frozenset(graph.turning_point_vertices())
-    boundary_edges = frozenset(e for b in graph.boundaries for e in b.edge_ids)
     paths = []
     for o in (v, o_far):
-        p = trace_path(
-            mesh, o, direction, stop_vertices=stop,
-            forbidden_edges=frozenset(contour_edges), tp_vertices=tp_set,
-            through_edges=boundary_edges, corner_vertices=frozenset(graph.corner_at),
-        )
+        p = trace_path(graph, o, direction, graph.boundary_vertex_mask,
+                       forbidden_edges=contour_edges, tp_vertices=graph.turning_point_at)
         if len(p.edges) == 0:
             return _skip(labels)
         paths.append(p)
@@ -427,10 +413,7 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
 def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> OperatorOutcome:
     """Bond two turning-points with a new chart along their lost feature path."""
     mesh, labels = graph.mesh, graph.labels
-    if t1 == t2:
-        return _skip(labels)
-    tp_set = graph.turning_point_vertices()
-    if t1 not in tp_set or t2 not in tp_set:
+    if t1 == t2 or t1 not in graph.turning_point_at or t2 not in graph.turning_point_at:
         return _skip(labels)
 
     # lost feature edges: sharp but with equal labels on both sides
@@ -495,14 +478,6 @@ def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> Operator
     return _outcome(labels, out)
 
 
-def _locate_turning_point(graph: LabelingGraph, vertex: int):
-    for b in graph.boundaries:
-        for pos in b.turning_points:
-            if b.vertices[pos] == vertex:
-                return b, pos
-    return None, None
-
-
 def _corner_angle(mesh: SurfaceMesh, t: int, v: int) -> float:
     tri = mesh.triangles[t]
     j = int(np.nonzero(tri == v)[0][0])
@@ -520,10 +495,12 @@ def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOut
     the old and new position is relabeled to the chart across it.
     """
     mesh, labels = graph.mesh, graph.labels
-    b, pos = _locate_turning_point(graph, turning_point)
-    if b is None or b.cyclic:
+    if turning_point not in graph.turning_point_at:
         return _skip(labels)
-    tp = turning_point
+    bid, pos = graph.turning_point_at[turning_point]
+    b, tp = graph.boundaries[bid], turning_point
+    if b.cyclic:
+        return _skip(labels)
 
     # nearest endpoint corner along the path
     n_edges = b.n_edges
@@ -568,15 +545,10 @@ def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOut
         return _skip(labels)
     direction = _unit(mesh.vertices[nxt] - mesh.vertices[c])
 
-    stop = _boundary_vertex_set(graph) - set(
-        b.vertices[1:-1]
-    )  # passing along b itself must not stop the trace
-    path = trace_path(
-        mesh, tp, direction,
-        stop_vertices=stop,
-        forbidden_edges=frozenset(b.edge_ids),
-        feature_only=mesh.is_feature_vertex(tp),
-    )
+    stop = graph.boundary_vertex_mask.copy()
+    stop[list(b.vertices[1:-1])] = False  # passing along b itself must not stop the trace
+    path = trace_path(graph, tp, direction, stop, forbidden_edges=frozenset(b.edge_ids),
+                      feature_only=mesh.is_feature_vertex(tp))
     if path.reason == "max-steps":
         return _skip(labels)
 
@@ -595,9 +567,9 @@ def move_boundary_near_turning_point(
     """Push the better-anchored side's label over the other around a smooth
     turning-point; the larger sum of triangle corner angles at the vertex wins."""
     mesh, labels = graph.mesh, graph.labels
-    b, pos = _locate_turning_point(graph, turning_point)
-    if b is None:
+    if turning_point not in graph.turning_point_at:
         return _skip(labels)
+    b = graph.boundaries[graph.turning_point_at[turning_point][0]]
     tp = turning_point
     if mesh.is_feature_vertex(tp):
         return _skip(labels)  # feature turning-points belong to pull_closest_corner

@@ -7,7 +7,8 @@ labeling valid.
 
 The current labeling is its LabelingGraph: `_State` holds that graph and
 its ValidityReport, and operators read the mesh and the read-only labels
-off the graph. Both routines apply operators through one step,
+off the graph. Turning-point targets and counts come from the graph's
+index (`turning_point_vertices`, `total_turning_points`), built once. Both routines apply operators through one step,
 `_State.attempt`: run the operator on the graph, build the outcome's
 LabelingGraph and ValidityReport once, ask the step's accept predicate,
 then commit and log the outcome or drop it. An outcome that changed nothing
@@ -24,9 +25,13 @@ from raw labels, or in `attempt`; `run_monotonicity_routine` takes over the
 graph the validity routine ends with.
 
 The validity routine carries a visited-state set of tuples
-(#charts, #boundaries, #corners, #invalid of each, #turning-points); seeing
-the same tuple twice means the loop is cycling, which triggers the more
-aggressive escape (removing the charts around invalid boundaries).
+(#charts, #boundaries, #corners, #invalid of each, #turning-points) for the
+whole run. When a chart-removal sweep ends on a tuple already in it, the
+routine runs the more aggressive escape (removing the charts around invalid
+boundaries) and goes round its outer loop again. That catches cycles, but it
+also fires after any removal sweep that commits something and leaves the
+labeling invalid: the sweep runs once more, spends one restricted cut on
+the same first chart, commits nothing and sees the tuple it just recorded.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import numpy as np
 
 from . import operators as ops
 from .graph import LabelingGraph
-from .labeling import checked_labels, compute_labeling, fidelity_score
+from .labeling import SMOOTHNESS_MODES, checked_labels, compute_labeling, fidelity_score
 from .mesh import SurfaceMesh
 from .validity import ValidityReport, feature_edge_stats, validate
 
@@ -278,10 +283,14 @@ def label_mesh(
 
     Raises ValueError, before any work, for a cut energy outside the
     contract (compactness or fidelity NaN, infinite or negative, sensitivity
-    or tilt_angle not finite) and for `init_labels` that are not a labeling
-    of the mesh; a crash after that becomes a "failed" result.
+    or tilt_angle not finite, a smoothness_mode not in SMOOTHNESS_MODES) and
+    for `init_labels` that are not a labeling of the mesh; a crash after
+    that becomes a "failed" result.
     """
     cfg = cfg or PipelineConfig()
+    if cfg.smoothness_mode not in SMOOTHNESS_MODES:
+        raise ValueError(f"unknown smoothness mode {cfg.smoothness_mode!r},"
+                         f" not one of {SMOOTHNESS_MODES}")
     for name in ("compactness", "fidelity"):
         if not 0.0 <= getattr(cfg, name) < np.inf:  # NaN too
             raise ValueError(f"{name} must be finite and non-negative, not {getattr(cfg, name)}")

@@ -325,6 +325,15 @@ def _assert_same_graph(g, ref):
         assert _typed(vars(b)) == _typed(vars(r))  # every field, signs and turning points too
     assert [_typed(vars(c)) for c in g.corners] == [_typed(vars(c)) for c in ref.corners]
     assert _typed(list(g.corner_at.items())) == _typed(list(ref.corner_at.items()))
+    # the index: turning points located once, and which vertices and edges a boundary holds
+    scan = {r.vertices[pos]: (r.index, pos) for r in ref.boundaries for pos in r.turning_points}
+    assert _typed(sorted(g.turning_point_at.items())) == _typed(sorted(scan.items()))
+    assert len(g.turning_point_at) == g.total_turning_points == ref.total_turning_points
+    assert _typed(g.turning_point_vertices()) == _typed(ref.turning_point_vertices())
+    on_boundary = sorted({v for r in ref.boundaries for v in r.vertices})
+    assert np.flatnonzero(g.boundary_vertex_mask).tolist() == on_boundary
+    assert np.flatnonzero(g.boundary_edge_mask).tolist() == sorted(
+        e for r in ref.boundaries for e in r.edge_ids)
 
 
 def _boundary_kinds(g):

@@ -415,12 +415,21 @@ def test_expansion_move_is_the_smallest_minimum_cut(kind, monkeypatch):
     ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0], [0], "init must be 2 labels"),
     ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0], [0, 2], r"in 0\.\.1"),
     ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0], [-1, 0], r"in 0\.\.1"),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0], [0.7, 1.2], "whole numbers"),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0], [np.nan, 0.0], "whole numbers"),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0], ["0", "1"], "whole numbers"),
 ], ids=["nan-cost", "minus-inf-cost", "costs-1d", "pairs-1d", "pair-past-n", "pair-negative",
         "pair-not-integer", "weight-count", "weight-negative", "weight-nan", "weight-inf",
-        "init-length", "init-past-L", "init-negative"])
+        "init-length", "init-past-L", "init-negative", "init-not-integer", "init-nan",
+        "init-strings"])
 def test_alpha_expansion_rejects_bad_input(costs, pairs, weights, init, match):
     with pytest.raises(ValueError, match=match):
         alpha_expansion(np.array(costs), np.array(pairs), np.array(weights), init=init)
+
+
+def test_alpha_expansion_takes_whole_float_init():
+    costs, pairs, weights = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0, 1]]), np.array([0.1])
+    assert alpha_expansion(costs, pairs, weights, init=[1.0, 0.0])[0].tolist() == [0, 1]
 
 
 def test_alpha_expansion_allows_inf_costs_and_no_pairs():

@@ -91,10 +91,14 @@ def test_escape_hatch_dissolves_boundary_charts():
     assert st.valid  # one removal already merges the split halves
 
 
-def test_failed_status_carries_the_error(cube_mesh):
-    res = pl.label_mesh(cube_mesh, pl.PipelineConfig(smoothness_mode="bogus"))
+def test_failed_status_carries_the_error(cube_mesh, monkeypatch):
+    def crash(*args, **kw):
+        raise RuntimeError("the cut crashed")
+
+    monkeypatch.setattr(pl, "compute_labeling", crash)
+    res = pl.label_mesh(cube_mesh)
     assert res.status == "failed"
-    assert "smoothness" in res.error
+    assert res.error == "RuntimeError: the cut crashed"
     assert res.report is not None  # placeholder state, still inspectable
 
 
@@ -130,8 +134,9 @@ def test_init_labels_of_the_wrong_length_are_refused(cube_mesh):
     ("fidelity", -0.5, "fidelity must be finite and non-negative"),
     ("sensitivity", math.nan, "sensitivity must be finite, not nan"),
     ("tilt_angle", -math.inf, "tilt_angle must be finite, not -inf"),
+    ("smoothness_mode", "bogus", "unknown smoothness mode 'bogus'"),
 ], ids=["compactness-inf", "compactness-negative", "fidelity-nan", "fidelity-negative",
-        "sensitivity-nan", "tilt-angle-minus-inf"])
+        "sensitivity-nan", "tilt-angle-minus-inf", "smoothness-mode-bogus"])
 def test_cut_energy_outside_the_contract_is_refused(cube_mesh, monkeypatch, name, value, match):
     # refused up front, with or without a start, not run to a quiet result
     def no_cut(*args, **kw):

@@ -8,9 +8,11 @@ postcondition.  `run` wraps every call with the shared checks (including
 a determinism re-run).
 """
 
+import hashlib
 import math
 
 import numpy as np
+import pytest
 
 from polycubelabel import shapes
 from polycubelabel.graph import LabelingGraph
@@ -396,3 +398,93 @@ def test_feature_surrounded_classification(cube_mesh):
     g = LabelingGraph(m, labels)
     painted = int(g.chart_of[top_cell(5, 5)[0]])
     assert not is_feature_surrounded(g, painted)
+
+
+# ------------------------------------------------------------ pinned outcomes
+
+
+def noisy_lprism():
+    """Seeded label-noise blobs over the naive labeling of a twice
+    subdivided L prism."""
+    m = build(*shapes.subdivide(*shapes.l_prism(), 2))
+    labels = naive_labeling(m)
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        seed = int(rng.integers(m.n_triangles))
+        labels[grown_blob(m, seed, 2)] = int(rng.integers(6))
+    return m, labels
+
+
+def grown_blob(mesh, seed, rings):
+    """Triangles within `rings` edge-adjacent rings of `seed` (ring 0)."""
+    region = {seed}
+    for _ in range(rings):
+        region |= {int(u) for t in region for u in mesh.triangle_adjacency[t]}
+    return sorted(region)
+
+
+def small_rotated_torus():
+    v, f = shapes.torus(nu=24, nv=12)
+    c, s = math.cos(0.5), math.sin(0.5)
+    rot = np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
+    return build(shapes.rotate_z(v, 0.3) @ rot.T, f)
+
+
+def pinned_graphs():
+    m, labels = noisy_lprism()
+    yield LabelingGraph(m, labels)
+    m = small_rotated_torus()
+    yield LabelingGraph(m, naive_labeling(m))
+    for make in (s_curve_box, l_hook_box):
+        m, labels, _ = make()
+        yield LabelingGraph(m, labels)
+
+
+def every_target(graph, op):
+    """Every target the operator accepts on `graph`, in index order."""
+    tps = graph.turning_point_vertices()
+    if op in (remove_chart, increase_chart_valence):
+        return [(c,) for c in range(graph.n_charts)]
+    if op in (fix_invalid_boundary, straighten_boundary):
+        return [(b,) for b in range(graph.n_boundaries)]
+    if op is fix_invalid_corner:
+        return [(c,) for c in range(graph.n_corners)]
+    if op is join_turning_points_pair:
+        return [(a, b) for a in tps for b in tps if a != b]
+    return [(t,) for t in tps]
+
+
+# sha256 over (applied, sorted changed, labels) of every target of the four
+# labelings of `pinned_graphs`, as the operators gave them before they were
+# rewritten around one paint step
+PINNED = {
+    remove_chart:
+        "2509c53093879e15c8c387f6199db4bdaac5f0685d7d3f06fc92c0d5b61aa74e",
+    fix_invalid_boundary:
+        "067e1225c75912920bb1e3e3784a232641248295464497f57d1827d5efd769f2",
+    fix_invalid_corner:
+        "9f715e5620a80336070747420298fdb23738c5052e8ce88d500a1030b0811e5d",
+    increase_chart_valence:
+        "50e4de499326584c2c304b3e70e844cfecda5acc91d08a822dfd57334486e501",
+    join_turning_points_pair:
+        "3c8448993b7ef2aa6adb8c6658137ad25c9260a99734a7b01bbc657c1ca78b4a",
+    pull_closest_corner:
+        "d07322a7422895448df82dadded7a63c851d56086a3ea3b6a8d83f3ea01840e9",
+    move_boundary_near_turning_point:
+        "d57c3471831511d305de6229f10a38713fb4d544e3ee79d7a4fbfbfd9dca052f",
+    straighten_boundary:
+        "3706cb81d33db797d2868891589156c49be43821957c58b334be19a08fa14a7b",
+}
+
+
+@pytest.mark.parametrize("op", list(PINNED), ids=lambda op: op.__name__)
+def test_outcomes_are_pinned(op):
+    digest, applied = hashlib.sha256(), 0
+    for g in pinned_graphs():
+        for target in every_target(g, op):
+            out = op(g, *target)
+            applied += out.applied
+            digest.update(repr((out.applied, sorted(out.changed))).encode())
+            digest.update(out.labels.astype("<i8").tobytes())
+    assert applied  # every operator applies somewhere, pull_closest_corner included
+    assert digest.hexdigest() == PINNED[op]

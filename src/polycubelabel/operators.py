@@ -14,6 +14,11 @@ False when the precondition does not hold at the target or the attempt
 changed nothing, in which case the returned labeling is a copy of the input.
 Callers rebuild the LabelingGraph after an applied operator.
 
+Every operator but remove_chart and straighten_boundary ends in one step,
+`_paint`, which relabels one region to one label and diffs the result; the
+operators that create a chart pick its label with `_closest_label`, the
+allowed label nearest the region's area-weighted mean normal.
+
 All tie-breaks (label choices, path steps, target scans) resolve toward the
 lowest encoding / index so repeated runs are bit-identical.
 """
@@ -59,24 +64,38 @@ def _outcome(labels_in, labels_out) -> OperatorOutcome:
     return OperatorOutcome(labels_out, changed, True)
 
 
+def _paint(labels, region, label) -> OperatorOutcome:
+    """The labeling with `region` relabeled to `label`; not applied when
+    `label` is None or nothing changed."""
+    if label is None:
+        return _skip(labels)
+    out = labels.copy()
+    out[region] = label
+    return _outcome(labels, out)
+
+
 def _unit(v):
     return v / np.linalg.norm(v)
 
 
-def _average_normal(mesh: SurfaceMesh, tris) -> np.ndarray:
+def _closest_label(mesh: SurfaceMesh, tris, candidates):
+    """The candidate label nearest the area-weighted mean normal of `tris`,
+    or None without candidates. The highest dot wins; scanning the
+    candidates in ascending order makes ties deterministic."""
     n = (mesh.normals[tris] * mesh.areas[tris, None]).sum(axis=0)
     norm = np.linalg.norm(n)
-    return n / norm if norm > 0 else np.zeros(3)
-
-
-def _best_label(direction, candidates) -> int:
-    # highest dot wins; scanning sorted candidates makes ties deterministic
+    direction = n / norm if norm > 0 else np.zeros(3)
     best, best_dot = None, -np.inf
-    for l in sorted(candidates):
+    for l in candidates:
         d = float(np.dot(direction, LABEL_DIRECTIONS[l]))
         if d > best_dot + 1e-15:
             best, best_dot = l, d
     return best
+
+
+def _fresh_label(mesh: SurfaceMesh, region, taken_axes):
+    """The label off `taken_axes` nearest the region's mean normal, or None."""
+    return _closest_label(mesh, region, [l for l in range(6) if l >> 1 not in taken_axes])
 
 
 def _grow(mesh: SurfaceMesh, seeds, allowed=None, barrier=(), rings=None) -> np.ndarray:
@@ -101,8 +120,9 @@ def _grow(mesh: SurfaceMesh, seeds, allowed=None, barrier=(), rings=None) -> np.
 
 
 def _chart_contour_loops(graph: LabelingGraph, chart_id: int) -> list:
-    """Contour(s) of a chart as directed loops [(v, w, edge, boundary), ...],
-    each edge oriented so the chart lies on its left."""
+    """Contour(s) of a chart as closed directed loops [(v, w, edge, boundary),
+    ...], each edge oriented so the chart lies on its left. Every contour
+    vertex has as many contour edges in as out, so each walk closes."""
     outgoing = {}  # v -> list of (w, eid, bid)
     for bid in graph.charts[chart_id].boundaries:
         b = graph.boundaries[bid]
@@ -124,9 +144,7 @@ def _chart_contour_loops(graph: LabelingGraph, chart_id: int) -> list:
             used.add(e0)
             v = w0
             while v != start:
-                nxt = next((x for x in outgoing[v] if x[1] not in used), None)
-                if nxt is None:  # open contour fragment: inconsistent graph
-                    break
+                nxt = next(x for x in outgoing[v] if x[1] not in used)
                 used.add(nxt[1])
                 loop.append((v,) + nxt)
                 v = nxt[0]
@@ -221,11 +239,7 @@ def fix_invalid_boundary(
     allowed = np.isin(graph.chart_of, (b.left_chart, b.right_chart))
     region = _grow(mesh, mesh.edge_tris[list(b.edge_ids)].ravel(), allowed, rings=width)
     shared_axis = graph.charts[b.left_chart].label >> 1
-    candidates = [l for l in range(6) if l >> 1 != shared_axis]
-    label = _best_label(_average_normal(mesh, region), candidates)
-    out = labels.copy()
-    out[region] = label
-    return _outcome(labels, out)
+    return _paint(labels, region, _fresh_label(mesh, region, {shared_axis}))
 
 
 def fix_invalid_corner(
@@ -249,13 +263,7 @@ def fix_invalid_corner(
         if allowed[region].all():
             break  # at r = 1 the disk is the vertex star, which always fits
     used_axes = {graph.charts[c].label >> 1 for c in incident_charts}
-    candidates = [l for l in range(6) if l >> 1 not in used_axes]
-    if not candidates:
-        return _skip(labels)
-    label = _best_label(_average_normal(mesh, region), candidates)
-    out = labels.copy()
-    out[region] = label
-    return _outcome(labels, out)
+    return _paint(labels, region, _fresh_label(mesh, region, used_axes))
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +288,7 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
     # v: most acute same-axis contour vertex
     best = None  # (−dot, vertex, loop idx, position)
     for li, loop in enumerate(loops):
-        n = len(loop)
-        if loop[-1][1] != loop[0][0]:
-            continue  # open fragment, cannot treat cyclically
-        for k in range(n):
+        for k in range(len(loop)):
             (u, v, e_in, b_in) = loop[k - 1]
             (_, w, e_out, b_out) = loop[k]
             ax_in = graph.boundaries[b_in].axis
@@ -297,10 +302,10 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
                 continue
             key = (-dot, v)
             if best is None or key < best[0]:
-                best = (key, v, li, k, d1, d2)
+                best = (key, v, li, k, d1, d2, ax_in)
     if best is None:
         return _skip(labels)
-    _, v, li, k, d1, d2 = best
+    _, v, li, k, d1, d2, ax_cur = best
     loop = loops[li]
     n = len(loop)
 
@@ -323,17 +328,10 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
             idx = (idx + step) % n
         return out
 
-    def axis_costs(poly):
-        """Per-edge angles to the distributed axis and to the current one."""
-        ax_cur = graph.boundaries[poly[0][3]].axis if poly else None
-        cn, cc = [], []
-        for _, d, _, _ in poly:
-            cn.append(math.acos(min(1.0, abs(float(np.dot(d, AXIS_DIRECTIONS[new_axis]))))))
-            if ax_cur is None:
-                cc.append(cn[-1])
-            else:
-                cc.append(math.acos(min(1.0, abs(float(np.dot(d, AXIS_DIRECTIONS[ax_cur]))))))
-        return cn, cc
+    def angles(poly, axis):
+        """Per-edge angles of a polyedge to an axis."""
+        return [math.acos(min(1.0, abs(float(np.dot(d, AXIS_DIRECTIONS[axis])))))
+                for _, d, _, _ in poly]
 
     def equilibrium(cn, cc):
         """Split index minimizing new-axis cost before + current-axis cost after."""
@@ -346,8 +344,10 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
 
     poly_o = polyedge_dirs(+1)
     poly_s = polyedge_dirs(-1)
-    cn_o, cc_o = axis_costs(poly_o)
-    cn_s, cc_s = axis_costs(poly_s)
+    # costs of the distributed axis and of the current one, the axis of both
+    # boundaries at v
+    cn_o, cc_o = angles(poly_o, new_axis), angles(poly_o, ax_cur)
+    cn_s, cc_s = angles(poly_s, new_axis), angles(poly_s, ax_cur)
     s_o = equilibrium(cn_o, cc_o)
     s_s = equilibrium(cn_s, cc_s)
     # a corner must land on v itself: one equilibrium stays at v, the other
@@ -359,12 +359,8 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
             s_s = 0
     elif s_o == 0 and s_s == 0:
         # flat cost profile: force a minimal one-edge segment where the
-        # reassignment is cheapest
-        loss_o = (cn_o[0] - cc_o[0]) if poly_o else None
-        loss_s = (cn_s[0] - cc_s[0]) if poly_s else None
-        if loss_o is None and loss_s is None:
-            return _skip(labels)
-        if loss_s is None or (loss_o is not None and loss_o <= loss_s):
+        # reassignment is cheapest (each polyedge has at least one edge)
+        if cn_o[0] - cc_o[0] <= cn_s[0] - cc_s[0]:
             s_o = 1
         else:
             s_s = 1
@@ -381,7 +377,7 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
     chart_axis = chart.label >> 1
     axis_vec = AXIS_DIRECTIONS[chart_axis]
     align = 0.0
-    for nbr in mesh.vertex_neighbors_ordered(v):
+    for nbr, _ in mesh.vertex_ring(v):
         align += float(np.dot(_unit(pts[nbr] - pts[v]), axis_vec))
     direction = axis_vec if align >= 0 else -axis_vec
 
@@ -397,17 +393,10 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
     # region: flood the base chart between the two paths
     barrier = set(paths[0].edges) | set(paths[1].edges) | contour_edges
     region = _grow(mesh, seeds, allowed, barrier)
-    if not region.size or len(region) == int(allowed.sum()):
+    if len(region) == int(allowed.sum()):
         return _skip(labels)  # paths failed to pinch off a proper subregion
-
     forbidden_axes = {chart_axis} | {int(labels[t]) >> 1 for t in region}
-    candidates = [l for l in range(6) if l >> 1 not in forbidden_axes]
-    if not candidates:
-        return _skip(labels)
-    label = _best_label(_average_normal(mesh, region), candidates)
-    out = labels.copy()
-    out[region] = label
-    return _outcome(labels, out)
+    return _paint(labels, region, _fresh_label(mesh, region, forbidden_axes))
 
 
 def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> OperatorOutcome:
@@ -458,10 +447,9 @@ def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> Operator
 
     around = {int(labels[t]) for t in mesh.vertex_triangles(t1)}
     around |= {int(labels[t]) for t in mesh.vertex_triangles(t2)}
-    candidates = [l for l in range(6) if l not in around]
-    if not candidates:
+    label = _closest_label(mesh, sorted(left | right), [l for l in range(6) if l not in around])
+    if label is None:
         return _skip(labels)
-    label = _best_label(_average_normal(mesh, sorted(left | right)), candidates)
 
     def side_fidelity(side):
         n = mesh.normals[sorted(side)]
@@ -473,9 +461,7 @@ def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> Operator
     region = _grow(mesh, side, allowed, path_edges)
     if len(region) == int(allowed.sum()):
         region = sorted(side)  # flood leaked around the path; keep the thin strip
-    out = labels.copy()
-    out[region] = label
-    return _outcome(labels, out)
+    return _paint(labels, region, label)
 
 
 def _corner_angle(mesh: SurfaceMesh, t: int, v: int) -> float:
@@ -502,13 +488,11 @@ def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOut
     if b.cyclic:
         return _skip(labels)
 
-    # nearest endpoint corner along the path
-    n_edges = b.n_edges
-    c = b.vertices[0] if pos <= n_edges - pos else b.vertices[-1]
-    toward_start = pos <= n_edges - pos
+    # nearest endpoint corner along the path; a turning point is an interior
+    # vertex of its boundary, so the segment has at least one edge
+    toward_start = pos <= b.n_edges - pos
+    c = b.vertices[0] if toward_start else b.vertices[-1]
     seg_edges = b.edge_ids[:pos] if toward_start else b.edge_ids[pos:]
-    if not seg_edges:
-        return _skip(labels)
 
     # which side does the turning-point lean into: the chart with the smaller
     # angular sector at the tp vertex (the side the V pokes into)
@@ -536,13 +520,8 @@ def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOut
         return _skip(labels)
     other_chart = bs.right_chart if bs.left_chart == wedge_chart else bs.left_chart
 
-    # direction of B_s leaving the corner
-    if bs.vertices[0] == c:
-        nxt = bs.vertices[1]
-    elif bs.vertices[-1] == c:
-        nxt = bs.vertices[-2]
-    else:
-        return _skip(labels)
+    # direction of B_s leaving the corner, which is one of its ends
+    nxt = bs.vertices[1] if bs.vertices[0] == c else bs.vertices[-2]
     direction = _unit(mesh.vertices[nxt] - mesh.vertices[c])
 
     stop = graph.boundary_vertex_mask.copy()
@@ -554,11 +533,9 @@ def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOut
 
     allowed = graph.chart_of == wedge_chart
     region = _grow(mesh, mesh.edge_tris[list(seg_edges)].ravel(), allowed, path.edges)
-    if not region.size or len(region) == int(allowed.sum()):
+    if len(region) == int(allowed.sum()):
         return _skip(labels)
-    out = labels.copy()
-    out[region] = graph.charts[other_chart].label
-    return _outcome(labels, out)
+    return _paint(labels, region, graph.charts[other_chart].label)
 
 
 def move_boundary_near_turning_point(
@@ -585,11 +562,7 @@ def move_boundary_near_turning_point(
 
     allowed = graph.chart_of == loser_chart
     region = _grow(mesh, mesh.vertex_triangles(tp), allowed, rings=radius)
-    if not region.size:
-        return _skip(labels)
-    out = labels.copy()
-    out[region] = winner
-    return _outcome(labels, out)
+    return _paint(labels, region, winner)
 
 
 def straighten_boundary(graph: LabelingGraph, boundary_id: int) -> OperatorOutcome:

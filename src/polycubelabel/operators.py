@@ -14,10 +14,9 @@ False when the precondition does not hold at the target or the attempt
 changed nothing, in which case the returned labeling is a copy of the input.
 Callers rebuild the LabelingGraph after an applied operator.
 
-Every operator but remove_chart and straighten_boundary ends in one step,
-`_paint`, which relabels one region to one label and diffs the result; the
-operators that create a chart pick its label with `_closest_label`, the
-allowed label nearest the region's area-weighted mean normal.
+All but remove_chart and straighten_boundary end in `_paint`, which relabels
+one region to one label; a new chart takes `_closest_label`, the allowed
+label nearest the region's area-weighted mean normal.
 
 All tie-breaks (label choices, path steps, target scans) resolve toward the
 lowest encoding / index so repeated runs are bit-identical.
@@ -382,16 +381,15 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
     direction = axis_vec if align >= 0 else -axis_vec
 
     contour_edges = {e for _, _, e, _ in loop}
-    paths = []
+    barrier = set(contour_edges)
     for o in (v, o_far):
         p = trace_path(graph, o, direction, graph.boundary_vertex_mask,
                        forbidden_edges=contour_edges, tp_vertices=graph.turning_point_at)
-        if len(p.edges) == 0:
+        if not p.edges:
             return _skip(labels)
-        paths.append(p)
+        barrier |= set(p.edges)
 
     # region: flood the base chart between the two paths
-    barrier = set(paths[0].edges) | set(paths[1].edges) | contour_edges
     region = _grow(mesh, seeds, allowed, barrier)
     if len(region) == int(allowed.sum()):
         return _skip(labels)  # paths failed to pinch off a proper subregion

@@ -13,12 +13,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycubelabel import shapes
 from polycubelabel.graph import LabelingGraph
 from polycubelabel.labeling import naive_labeling
 from polycubelabel.mesh import SurfaceMesh, detect_feature_edges
 from polycubelabel.operators import (
+    _chart_contour_loops,
     fix_invalid_boundary,
     fix_invalid_corner,
     increase_chart_valence,
@@ -403,37 +406,30 @@ def test_feature_surrounded_classification(cube_mesh):
 # ------------------------------------------------------------ pinned outcomes
 
 
-def noisy_lprism():
-    """Seeded label-noise blobs over the naive labeling of a twice
-    subdivided L prism."""
-    m = build(*shapes.subdivide(*shapes.l_prism(), 2))
-    labels = naive_labeling(m)
-    rng = np.random.default_rng(3)
-    for _ in range(4):
-        seed = int(rng.integers(m.n_triangles))
-        labels[grown_blob(m, seed, 2)] = int(rng.integers(6))
-    return m, labels
+def blob_labeling(mesh, rng, n_blobs):
+    """The naive labeling with `n_blobs` blobs of random labels painted over
+    it, each two edge-adjacent triangle rings around a random triangle."""
+    labels = naive_labeling(mesh)
+    for _ in range(n_blobs):
+        region = {int(rng.integers(mesh.n_triangles))}
+        for _ in range(2):
+            region |= {int(u) for t in region for u in mesh.triangle_adjacency[t]}
+        labels[sorted(region)] = int(rng.integers(6))
+    return labels
 
 
-def grown_blob(mesh, seed, rings):
-    """Triangles within `rings` edge-adjacent rings of `seed` (ring 0)."""
-    region = {seed}
-    for _ in range(rings):
-        region |= {int(u) for t in region for u in mesh.triangle_adjacency[t]}
-    return sorted(region)
-
-
-def small_rotated_torus():
-    v, f = shapes.torus(nu=24, nv=12)
+def tilted_torus(nu, nv):
+    """torus(nu, nv) turned 0.3 rad about z, then 0.5 rad about x."""
+    v, f = shapes.torus(nu=nu, nv=nv)
     c, s = math.cos(0.5), math.sin(0.5)
     rot = np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
     return build(shapes.rotate_z(v, 0.3) @ rot.T, f)
 
 
 def pinned_graphs():
-    m, labels = noisy_lprism()
-    yield LabelingGraph(m, labels)
-    m = small_rotated_torus()
+    m = build(*shapes.subdivide(*shapes.l_prism(), 2))
+    yield LabelingGraph(m, blob_labeling(m, np.random.default_rng(3), 4))
+    m = tilted_torus(24, 12)
     yield LabelingGraph(m, naive_labeling(m))
     for make in (s_curve_box, l_hook_box):
         m, labels, _ = make()
@@ -488,3 +484,40 @@ def test_outcomes_are_pinned(op):
             digest.update(out.labels.astype("<i8").tobytes())
     assert applied  # every operator applies somewhere, pull_closest_corner included
     assert digest.hexdigest() == PINNED[op]
+
+
+# ------------------------------------------------- contours and label noise
+
+NOISE_SHAPES = {
+    "cube": lambda: build(*shapes.subdivide(*shapes.cube(), 2)),
+    "l-prism": lambda: build(*shapes.subdivide(*shapes.l_prism(), 2)),
+    "wedge": lambda: build(*shapes.subdivide(*shapes.wedge(), 2)),
+    "cylinder": lambda: build(*shapes.cylinder(16)),
+    "cone": lambda: build(*shapes.subdivide(*shapes.cone(16), 1)),
+    "sphere": lambda: build(*shapes.icosphere(2)),
+    "torus": lambda: build(*shapes.torus()),
+    "tilted-torus": lambda: tilted_torus(48, 24),  # turning points for the pull
+}
+_noise_meshes = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(NOISE_SHAPES)), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_contour_loops_close_on_label_noise(shape, n_blobs, seed):
+    """Every chart contour splits into closed loops that use each contour
+    edge once, and the operators that walk contours and boundaries never
+    raise, so they need no guard for open or missing pieces."""
+    if shape not in _noise_meshes:
+        _noise_meshes[shape] = NOISE_SHAPES[shape]()
+    m = _noise_meshes[shape]
+    g = LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs))
+    for chart in g.charts:
+        loops = _chart_contour_loops(g, chart.index)
+        for loop in loops:
+            assert all(loop[k][1] == loop[(k + 1) % len(loop)][0] for k in range(len(loop)))
+        inside = g.chart_of[m.edge_tris] == chart.index
+        contour = np.flatnonzero(inside[:, 0] != inside[:, 1]).tolist()
+        assert sorted(e for loop in loops for _, _, e, _ in loop) == contour
+        increase_chart_valence(g, chart.index)
+    for tp in g.turning_point_vertices():
+        pull_closest_corner(g, tp)

@@ -315,13 +315,3 @@ class LabelingGraph:
     def turning_point_vertices(self) -> tuple:
         """Vertices holding a turning point of any boundary, sorted."""
         return tuple(sorted(self.turning_point_at))
-
-    def boundaries_between(self, c1: int, c2: int) -> list:
-        pair = {c1, c2}
-        return [b for b in self.boundaries if {b.left_chart, b.right_chart} == pair]
-
-    def chart_label_counts(self) -> np.ndarray:
-        out = np.zeros(6, dtype=np.int64)
-        for c in self.charts:
-            out[c.label] += 1
-        return out

@@ -39,23 +39,9 @@ LABEL_COLORS = (
     (12, 12, 115),
 )
 
-N_LABELS = 6
-
 SMOOTHNESS_MODES = ("uniform-potts", "angle-proportional", "crease-discount")
 
 _CREASE_SIGMA = 0.25  # radians of dihedral deviation of the crease-discount falloff
-
-
-def axis_of(label: int) -> int:
-    return label >> 1
-
-
-def opposite(label: int) -> int:
-    return label ^ 1
-
-
-def same_axis(a: int, b: int) -> bool:
-    return a >> 1 == b >> 1
 
 
 def checked_labels(labels) -> np.ndarray:

@@ -330,13 +330,6 @@ class SurfaceMesh:
             left, right = right, left
         return int(left), int(right)
 
-    def is_feature_edge(self, a, b) -> bool:
-        """True when (a, b) is an active feature edge; False for non-edges."""
-        try:
-            return bool(self.feature_edge_mask[self.edge_id(a, b)])
-        except MeshError:
-            return False
-
     def is_feature_vertex(self, v) -> bool:
         """True when a sharp feature edge ends at vertex ``v``."""
         return bool(self.feature_vertex_mask[v])
@@ -357,10 +350,6 @@ class SurfaceMesh:
         """(neighbor vertex, edge id) of each edge at ``v``, in fan cyclic order."""
         flat, edge_of = self.triangles.ravel(), self.triangle_edges.ravel()
         return [(int(flat[c - c % 3 + (c + 1) % 3]), int(edge_of[c])) for c in self._fan_corners(v)]
-
-    def vertex_neighbors_ordered(self, v) -> list:
-        """Neighbor vertices of ``v`` in fan cyclic order."""
-        return [w for w, _ in self.vertex_ring(v)]
 
     def signed_volume(self) -> float:
         """Signed enclosed volume; positive for outward orientation."""

@@ -119,11 +119,11 @@ class _State:
     def valid(self):
         return self.report.is_valid
 
-    def attempt(self, op, *args, target=None, accept=None, extra="", **kw) -> bool:
+    def attempt(self, op, *args, accept=None, extra="", **kw) -> bool:
         """Apply `op(graph, *args, **kw)` and commit the outcome if it changed
         the labeling and `accept(old_graph, new_graph, new_report)` holds (no
-        predicate: always). Returns whether it committed; the log names
-        `target`, by default the args joined with '/'."""
+        predicate: always). Returns whether it committed; the log names the
+        target as the args joined with '/'."""
         out = op(self.graph, *args, **kw)
         if not out.applied:
             return False
@@ -132,8 +132,7 @@ class _State:
         if accept is not None and not accept(self.graph, graph, report):
             return False
         self.graph, self.report = graph, report
-        if target is None:
-            target = "/".join(str(a) for a in args)
+        target = "/".join(str(a) for a in args)
         suffix = f" {extra}" if extra else ""
         self.log.append(f"{op.__name__} target={target} changed={len(out.changed)}{suffix}")
         return True

@@ -10,12 +10,10 @@ from scipy.integrate import dblquad
 from polycubelabel import labeling, shapes
 from polycubelabel.labeling import (
     LABEL_DIRECTIONS,
-    axis_of,
     data_costs,
     fidelity_score,
     naive_labeling,
     nearest_label,
-    opposite,
     restricted_relabel,
     smoothness_weights,
     tilted_normals,
@@ -26,10 +24,11 @@ from helpers import build, face_mask
 
 
 def test_label_encoding_helpers():
+    # the axis of a label is label >> 1 and its opposite is label ^ 1
     for lab in range(6):
-        assert opposite(opposite(lab)) == lab
-        assert axis_of(lab) == axis_of(opposite(lab))
-        assert np.dot(LABEL_DIRECTIONS[lab], LABEL_DIRECTIONS[opposite(lab)]) == -1.0
+        assert (lab ^ 1) ^ 1 == lab
+        assert lab >> 1 == (lab ^ 1) >> 1
+        assert np.dot(LABEL_DIRECTIONS[lab], LABEL_DIRECTIONS[lab ^ 1]) == -1.0
 
 
 def test_nearest_label_matches_bruteforce():

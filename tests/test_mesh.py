@@ -122,7 +122,7 @@ def test_inconsistent_orientation_rejected():
 def test_dihedral_coplanar():
     # the cube's face diagonals are the flat edges
     m = build(*shapes.cube())
-    flat = [e for e in range(m.n_edges) if not m.is_feature_edge(*m.edges[e])]
+    flat = [e for e in range(m.n_edges) if not m.feature_edge_mask[e]]
     assert len(flat) == 6  # one diagonal per face
     for e in flat:
         info = interior_dihedral(m, e)
@@ -131,8 +131,7 @@ def test_dihedral_coplanar():
 
 
 def test_dihedral_cube_edges(cube_mesh):
-    sharp = [e for e in range(cube_mesh.n_edges)
-             if cube_mesh.is_feature_edge(*cube_mesh.edges[e])]
+    sharp = [e for e in range(cube_mesh.n_edges) if cube_mesh.feature_edge_mask[e]]
     assert len(sharp) == 12
     for e in sharp:
         info = interior_dihedral(cube_mesh, e)
@@ -190,7 +189,7 @@ def test_supplied_features_filtered_by_angle():
 def test_vertex_fan_cycles(lprism_mesh):
     m = lprism_mesh
     for v in range(m.n_vertices):
-        nbrs = m.vertex_neighbors_ordered(v)
+        nbrs = [w for w, _ in m.vertex_ring(v)]
         assert len(nbrs) == len(set(nbrs))
         assert len(nbrs) == len(m.vertex_triangles(v))  # closed fan
 

@@ -90,7 +90,7 @@ def test_chart_rule_threshold():
 
 def _boundary_between(graph, t_a, t_b):
     ca, cb = int(graph.chart_of[t_a]), int(graph.chart_of[t_b])
-    bs = graph.boundaries_between(ca, cb)
+    bs = [b for b in graph.boundaries if {b.left_chart, b.right_chart} == {ca, cb}]
     assert len(bs) == 1
     return bs[0]
 

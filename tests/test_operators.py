@@ -451,8 +451,8 @@ def every_target(graph, op):
 
 
 # sha256 over (applied, sorted changed, labels) of every target of the four
-# labelings of `pinned_graphs`, as the operators gave them before they were
-# rewritten around one paint step
+# labelings of `pinned_graphs`, taken before the operators were rewritten
+# around one paint step: a changed digest is a changed outcome
 PINNED = {
     remove_chart:
         "2509c53093879e15c8c387f6199db4bdaac5f0685d7d3f06fc92c0d5b61aa74e",

@@ -263,7 +263,8 @@ def flood_fill_charts(mesh, labels):
 class DictMesh:
     """Mesh connectivity the way ``SurfaceMesh`` first built it: a Python
     dict keyed by vertex pairs, filled by one loop over the triangle corners.
-    Normals, dihedral angles and feature edges follow the same formulas;
+    Areas, normals, dihedral angles and feature edges follow the same
+    formulas, through ``np.cross`` and ``np.linalg.norm``;
     geometry errors are not checked."""
 
     def __init__(self, vertices, triangles, feature_edges=None, feature_angle=math.pi / 4):
@@ -272,7 +273,9 @@ class DictMesh:
         self.feature_angle = float(feature_angle)
         v, t = self.vertices, self.triangles
         cross = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
-        self.normals = cross / np.linalg.norm(cross, axis=1)[:, None]
+        double_area = np.linalg.norm(cross, axis=1)
+        self.areas = double_area / 2.0
+        self.normals = cross / double_area[:, None]
         self._build_edge_table()
         self._compute_dihedrals()
         self._assign_feature_edges(feature_edges)

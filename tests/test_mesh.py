@@ -265,6 +265,30 @@ def test_connectivity_matches_dict_reference(case, supply_features):
     assert np.nonzero(m.feature_vertex_mask)[0].tolist() == sorted(ends)
 
 
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus_cases, st.sampled_from(["exact", "jitter", "rotate"]))
+def test_geometry_bits_match_dict_reference(case, warp):
+    # jittered and rotated vertices make the products inexact, so a change
+    # in the order of the arithmetic would show in the last bits
+    v, f, rng = scrambled(*case)
+    if warp == "jitter":
+        v = shapes.jitter(v, 1e-3, seed=int(rng.integers(2**32)))
+    elif warp == "rotate":
+        v = shapes.rotate_z(v, float(rng.uniform(0.1, 3.0)))
+    m, ref = SurfaceMesh(v, f), DictMesh(v, f)
+
+    assert np.array_equal(_bits(m.normals), _bits(ref.normals))
+    assert np.array_equal(_bits(m.areas), _bits(ref.areas))
+    assert np.array_equal(_bits(m.dihedral_angles), _bits(ref.dihedral_angles))
+    p0, p1, p2 = (m.vertices[m.triangles[:, j]] for j in range(3))
+    volume = np.einsum("ij,ij->i", p0, np.cross(p1, p2)).sum() / 6.0
+    assert _bits(m.signed_volume()) == _bits(volume)
+
+
 @settings(max_examples=40, deadline=None)
 @given(corpus_cases, st.sampled_from(["drop", "repeat", "flip"]))
 def test_broken_connectivity_raises_like_dict_reference(case, damage):

@@ -1,12 +1,15 @@
 """Closed triangle surface mesh with the connectivity needed for labeling.
 
-The mesh is immutable after construction: all derived quantities (normals,
+The mesh is immutable after construction: the derived quantities (normals,
 areas, edge table, triangle adjacency, interior dihedral angles, feature
-edges) are computed once and the underlying arrays are marked read-only.
+edges) are computed once, in the constructor, and the underlying arrays are
+marked read-only. The one exception is the vertex stars, which only the
+repair operators walk: they are built on first use, read-only as well.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -79,6 +82,21 @@ class DihedralInfo(NamedTuple):
     is_reflex: bool
 
 
+def _cross(x, y):
+    """Row-wise cross product of (N, 3) arrays, multiplied and subtracted as ``np.cross`` does."""
+    out, tmp = np.empty_like(x), np.empty(len(x))
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(x[:, i], y[:, j], out=out[:, k])
+        out[:, k] -= np.multiply(x[:, j], y[:, i], out=tmp)
+    return out
+
+
+def _norm(x):
+    """Row lengths of an (N, 3) array, summed left to right as ``np.linalg.norm`` does."""
+    sq = x * x
+    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+
+
 def component_roots(n, a, b) -> np.ndarray:
     """The smallest node of each node's connected component, for nodes
     0..n-1 joined by the edges (a[i], b[i]). Min-label hooking: hook the
@@ -113,7 +131,8 @@ class SurfaceMesh:
         edges are detected from the dihedral angles.
     feature_angle : float
         Threshold on |theta_int - pi| (radians) above which an edge counts
-        as sharp. Defaults to 45 degrees.
+        as sharp; it must be 0 or more, and pi or more means no edge is
+        sharp. Defaults to 45 degrees.
 
     Attributes
     ----------
@@ -145,6 +164,8 @@ class SurfaceMesh:
         Supplied CAD edges whose dihedral deviation is below the threshold.
 
     ``vertex_triangles(v)`` lists the star of ``v`` in triangle-index order.
+    The stars are built on its first call, or ``vertex_ring``'s; the rest
+    is computed in the constructor.
     """
 
     def __init__(self, vertices, triangles, feature_edges=None, feature_angle=math.pi / 4):
@@ -157,8 +178,12 @@ class SurfaceMesh:
             raise NonFiniteVertexError(np.argmin(finite))
         if t.ndim != 2 or t.shape[1] != 3:
             raise NonTriangleFaceError("triangles must be an (F, 3) array")
-        if t.size and (t.min() < 0 or t.max() >= len(v)):
+        if not len(t):
+            raise MeshError("mesh has no triangles")
+        if t.min() < 0 or t.max() >= len(v):
             raise MeshError("triangle vertex index out of range")
+        if not float(feature_angle) >= 0.0:  # also refuses NaN
+            raise MeshError(f"feature angle must be 0 or more radians, got {feature_angle}")
 
         self.vertices = v
         self.triangles = t
@@ -180,32 +205,37 @@ class SurfaceMesh:
 
     def _compute_geometry(self):
         v, t = self.vertices, self.triangles
-        p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-        cross = np.cross(p1 - p0, p2 - p0)
-        double_area = np.linalg.norm(cross, axis=1)
-        bbox_diag2 = float(np.sum((v.max(axis=0) - v.min(axis=0)) ** 2)) if len(v) else 0.0
+        p0 = v[t[:, 0]]
+        cross = _cross(v[t[:, 1]] - p0, v[t[:, 2]] - p0)
+        double_area = _norm(cross)
+        bbox_diag2 = float(np.sum((v.max(axis=0) - v.min(axis=0)) ** 2))
         bad = np.nonzero(double_area < 2e-12 * max(bbox_diag2, 1e-300))[0]
         if bad.size:
             raise DegenerateTriangleError(bad[0])
         self.areas = double_area / 2.0
-        self.normals = cross / double_area[:, None]
+        self.normals = np.divide(cross, double_area[:, None], out=cross)
 
     def _build_connectivity(self):
-        # Corner c = 3 * t + j stands for local edge j of triangle t. One sort
-        # of the corner keys min(a, b) * V + max(a, b) numbers the edges in
-        # lexicographic order; a stable argsort of the edge ids lists each
-        # edge's corners in corner order.
+        # Corner c = 3 * t + j stands for local edge j of triangle t. One
+        # stable sort of the corner keys min(a, b) * V + max(a, b) numbers the
+        # edges in lexicographic order and lists each edge's corners in
+        # corner order; a run of equal keys is one edge.
         t = self.triangles
         n_v = len(self.vertices)
         a, b = t.ravel(), np.roll(t, -1, axis=1).ravel()
-        keys, edge_of, counts = np.unique(
-            np.minimum(a, b) * n_v + np.maximum(a, b), return_inverse=True, return_counts=True
-        )
-        self._edge_keys = keys
-        self.edges = np.stack(np.divmod(keys, n_v), axis=1)
+        forward = a < b
+        keys = np.minimum(a, b) * n_v + np.maximum(a, b)
+        by_edge = np.argsort(keys, kind="stable")
+        keys = keys[by_edge]
+        starts = np.concatenate(([True], keys[1:] != keys[:-1]))
+        first = np.flatnonzero(starts)
+        counts = np.diff(first, append=len(keys))
+        self._edge_keys = keys[first]
+        edge_of = np.empty_like(by_edge)
+        edge_of[by_edge] = np.cumsum(starts) - 1
+        del b, keys, starts  # free the sort's temporaries before the tables below
+        self.edges = np.stack(np.divmod(self._edge_keys, n_v), axis=1)
         self.triangle_edges = edge_of.reshape(-1, 3)
-        by_edge = np.argsort(edge_of, kind="stable")
-        first = np.cumsum(counts) - counts
 
         # a third corner on an edge is reported first, then a lone corner,
         # each at the edge where it shows earliest in corner order
@@ -218,7 +248,6 @@ class SurfaceMesh:
             e = under[np.argmin(by_edge[first[under]])]
             raise OpenSurfaceError(self.edges[e].tolist())
         c0, c1 = by_edge[0::2], by_edge[1::2]
-        forward = a < b
         bad = np.nonzero(forward[c0] == forward[c1])[0]
         if bad.size:
             key = tuple(self.edges[bad[np.argmin(c0[bad])]].tolist())
@@ -230,10 +259,7 @@ class SurfaceMesh:
         partner[c0], partner[c1] = c1, c0
         self.triangle_adjacency = (partner // 3).reshape(-1, 3)
 
-        # vertex stars: corners grouped by vertex, in triangle order
-        self._star_tris = np.argsort(a, kind="stable") // 3
-        degree = np.bincount(a, minlength=n_v)
-        self._star_start = np.concatenate(([0], np.cumsum(degree)))
+        self._degree = degree = np.bincount(a, minlength=n_v)
 
         # Crossing the edge that leaves a corner's vertex leads to the next
         # corner of that vertex, so the corners of each vertex split into
@@ -257,9 +283,9 @@ class SurfaceMesh:
         n1 = self.normals[self.edge_tris[:, 0]]
         n2 = self.normals[self.edge_tris[:, 1]]
         e = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        e /= np.linalg.norm(e, axis=1)[:, None]
-        cross = np.cross(n1, n2)
-        alpha = np.arctan2(np.linalg.norm(cross, axis=1), np.einsum("ij,ij->i", n1, n2))
+        e /= _norm(e)[:, None]
+        cross = _cross(n1, n2)
+        alpha = np.arctan2(_norm(cross), np.einsum("ij,ij->i", n1, n2))
         sign = np.where(np.einsum("ij,ij->i", cross, e) >= 0.0, 1.0, -1.0)
         self.dihedral_angles = np.pi - sign * alpha
 
@@ -284,7 +310,7 @@ class SurfaceMesh:
 
     def _check_one_surface(self):
         # The genus formula holds for one closed surface with no stray vertices.
-        unused = np.nonzero(np.diff(self._star_start) == 0)[0]
+        unused = np.nonzero(self._degree == 0)[0]
         if unused.size:
             raise UnreferencedVertexError(unused[0])
         root = component_roots(self.n_triangles, *self.edge_tris.T)
@@ -334,12 +360,23 @@ class SurfaceMesh:
         """True when a sharp feature edge ends at vertex ``v``."""
         return bool(self.feature_vertex_mask[v])
 
+    @functools.cached_property
+    def _stars(self):
+        """(triangles, starts): the corners grouped by vertex, in triangle
+        order, as triangle ids; vertex v's star is triangles[starts[v]:starts[v + 1]]."""
+        tris = np.argsort(self.triangles.ravel(), kind="stable") // 3
+        starts = np.concatenate(([0], np.cumsum(self._degree)))
+        tris.flags.writeable = starts.flags.writeable = False
+        return tris, starts
+
     def vertex_triangles(self, v) -> tuple:
         """Triangles incident to vertex ``v``, in triangle-index order."""
-        return tuple(self._star_tris[self._star_start[v]:self._star_start[v + 1]].tolist())
+        tris, starts = self._stars
+        return tuple(tris[starts[v]:starts[v + 1]].tolist())
 
     def _fan_corners(self, v) -> list:
-        start = int(self._star_tris[self._star_start[v]])
+        tris, starts = self._stars
+        start = int(tris[starts[v]])
         c = first = 3 * start + int(np.nonzero(self.triangles[start] == v)[0][0])
         out = [c]
         while (c := int(self._corner_next[c])) != first:
@@ -354,7 +391,7 @@ class SurfaceMesh:
     def signed_volume(self) -> float:
         """Signed enclosed volume; positive for outward orientation."""
         v, t = self.vertices, self.triangles
-        return float(np.einsum("ij,ij->i", v[t[:, 0]], np.cross(v[t[:, 1]], v[t[:, 2]])).sum() / 6.0)
+        return float(np.einsum("ij,ij->i", v[t[:, 0]], _cross(v[t[:, 1]], v[t[:, 2]])).sum() / 6.0)
 
 
 def interior_dihedral(mesh: SurfaceMesh, edge) -> DihedralInfo:
@@ -368,5 +405,5 @@ def interior_dihedral(mesh: SurfaceMesh, edge) -> DihedralInfo:
 
 def detect_feature_edges(mesh: SurfaceMesh, threshold: float) -> frozenset:
     """Edges whose dihedral deviation |theta_int - pi| reaches ``threshold``."""
-    deviation = np.abs(mesh.dihedral_angles - np.pi)
-    return frozenset(tuple(mesh.edges[i]) for i in np.nonzero(deviation >= threshold)[0])
+    sharp = np.abs(mesh.dihedral_angles - np.pi) >= threshold
+    return frozenset(map(tuple, mesh.edges[sharp].tolist()))

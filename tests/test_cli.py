@@ -176,6 +176,29 @@ def test_label_stray_vertex_or_two_components_exits_2(tmp_path, capsys, solid, m
     assert not (tmp_path / "out.flags").exists()
 
 
+def test_mesh_without_triangles_exits_2(tmp_path, capsys):
+    mesh = tmp_path / "empty.mesh"
+    io.write_medit(mesh, np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    flags = tmp_path / "empty.flags"
+    flags.write_text("")
+    out = tmp_path / "out.flags"
+    assert main(["label", str(mesh), "-o", str(out)]) == 2
+    assert "error: mesh has no triangles" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["validate", str(mesh), str(flags)]) == 2
+    assert "error: mesh has no triangles" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-10"])
+def test_nan_or_negative_feature_angle_exits_2(tmp_path, capsys, value):
+    mesh = tmp_path / "l.obj"
+    io.write_obj(mesh, *shapes.l_prism())
+    out = tmp_path / "out.flags"
+    assert main(["label", str(mesh), "-o", str(out), f"--feature-angle={value}"]) == 2
+    assert "feature angle must be 0 or more" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_command(tmp_path, cube_files):
     mesh, flags = cube_files
     out = tmp_path / "metrics.json"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -184,6 +185,46 @@ def test_supplied_features_filtered_by_angle():
     m = SurfaceMesh(v, f, feature_edges=sharp[:4] + [one_flat])
     assert m.feature_edges == frozenset(sharp[:4])
     assert m.ignored_feature_edges == frozenset([one_flat])
+
+
+@pytest.mark.parametrize("angle", [math.pi / 4, 0.1])
+def test_detect_feature_edges_matches_the_mesh_and_holds_ints(angle):
+    m = SurfaceMesh(*shapes.subdivide(*shapes.l_prism(), 1), feature_angle=angle)
+    found = detect_feature_edges(m, angle)
+    assert found == m.feature_edges and found
+    assert all(type(i) is int for pair in found for i in pair)
+    assert json.loads(json.dumps(sorted(found))) == [list(p) for p in sorted(found)]
+
+
+@pytest.mark.parametrize("angle", [math.nan, -0.1, -math.inf])
+def test_nan_or_negative_feature_angle_rejected(angle):
+    with pytest.raises(MeshError, match="feature angle must be 0 or more"):
+        SurfaceMesh(*shapes.l_prism(), feature_angle=angle)
+
+
+@pytest.mark.parametrize("angle", [math.pi, 4.0, math.inf])
+def test_feature_angle_of_pi_or_more_marks_no_edge(angle):
+    m = SurfaceMesh(*shapes.l_prism(), feature_angle=angle)
+    assert m.feature_edges == frozenset()
+    assert not m.feature_vertex_mask.any()
+
+
+@pytest.mark.parametrize("n_vertices", [0, 4])
+def test_mesh_without_triangles_rejected(n_vertices):
+    with pytest.raises(MeshError, match="no triangles"):
+        SurfaceMesh(np.zeros((n_vertices, 3)), np.zeros((0, 3), dtype=np.int64))
+
+
+def test_vertex_stars_are_built_on_first_use_and_read_only():
+    m = SurfaceMesh(*shapes.l_prism())
+    assert "_stars" not in vars(m)
+    star = m.vertex_triangles(3)
+    tris, starts = m._stars
+    assert star == tuple(tris[starts[3]:starts[4]].tolist())
+    for arr in (tris, starts):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_vertex_fan_cycles(lprism_mesh):

@@ -280,9 +280,10 @@ class SurfaceMesh:
         # with alpha the angle between the two face normals. Convexity is read
         # from cross(n_left, n_right) against the directed edge of the left
         # triangle, which makes the result independent of triangle order.
-        n1 = self.normals[self.edge_tris[:, 0]]
-        n2 = self.normals[self.edge_tris[:, 1]]
-        e = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
+        # np.take gathers rows about three times faster than fancy indexing
+        n1, n2 = (np.take(self.normals, self.edge_tris[:, k], axis=0) for k in (0, 1))
+        v = self.vertices
+        e = np.take(v, self.edges[:, 1], axis=0) - np.take(v, self.edges[:, 0], axis=0)
         e /= _norm(e)[:, None]
         cross = _cross(n1, n2)
         alpha = np.arctan2(_norm(cross), np.einsum("ij,ij->i", n1, n2))

@@ -14,7 +14,7 @@ import numpy as np
 
 from polycubelabel import shapes
 from polycubelabel.graph import LabelingGraph
-from polycubelabel.labeling import compute_labeling, fidelity_score, naive_labeling
+from polycubelabel.labeling import CutEnergy, compute_labeling, fidelity_score, naive_labeling
 from polycubelabel.mesh import SurfaceMesh
 
 verts, tris = shapes.subdivide(*shapes.l_prism(), 2)
@@ -22,7 +22,7 @@ verts = shapes.jitter(shapes.rotate_z(verts, math.pi / 4), 1e-6, seed=5)
 m = SurfaceMesh(verts, tris)
 
 naive = naive_labeling(m)
-tweaked = compute_labeling(m, sensitivity=1e-3)
+tweaked = compute_labeling(m, CutEnergy(sensitivity=1e-3))
 print("rotated + jittered L-prism (8 geometric faces):")
 print(f"  per-triangle argmax: {LabelingGraph(m, naive).n_charts} charts")
 print(f"  tweaked graph cut:   {LabelingGraph(m, tweaked).n_charts} charts")

@@ -15,12 +15,13 @@ from .labeling import (
     LABEL_COLORS,
     LABEL_DIRECTIONS,
     LABEL_NAMES,
+    CutEnergy,
     compute_labeling,
     fidelity_score,
     naive_labeling,
 )
 from .mesh import SurfaceMesh, detect_feature_edges, interior_dihedral
-from .validity import ValidityReport, feature_edge_stats, validate
+from .validity import ValidityReport, ValidityRules, feature_edge_stats, validate
 
 __version__ = "0.1.0"
 
@@ -28,9 +29,11 @@ __all__ = [
     "LABEL_COLORS",
     "LABEL_DIRECTIONS",
     "LABEL_NAMES",
+    "CutEnergy",
     "LabelingGraph",
     "SurfaceMesh",
     "ValidityReport",
+    "ValidityRules",
     "alpha_expansion",
     "compute_labeling",
     "detect_feature_edges",

@@ -14,10 +14,10 @@ import sys
 
 from .io import load_mesh, read_labeling, write_labeling, write_ply
 from .graph import LabelingGraph
-from .labeling import LABEL_NAMES, SMOOTHNESS_MODES
+from .labeling import LABEL_NAMES, SMOOTHNESS_MODES, CutEnergy
 from .pipeline import (PipelineConfig, PipelineResult, label_mesh,
                        labeling_status, metrics_report)
-from .validity import validate
+from .validity import CORNER_RULES, ValidityRules, validate
 from . import operators as ops
 
 _OPERATORS = {
@@ -43,25 +43,24 @@ def _mesh_flags(p):
 
 def _validity_flags(p):
     p.add_argument("--allow-opposite-labels", action=argparse.BooleanOptionalAction,
-                   default=False,
+                   default=ValidityRules.allow_opposite_labels,
                    help="accept same-axis boundaries running along reflex edges")
-    p.add_argument("--min-reflex-fraction", type=float, default=1.0,
-                   help="fraction of reflex edges a same-axis boundary needs "
-                        "(default 1.0)")
-    p.add_argument("--corner-rule", choices=("improved", "legacy"),
-                   default="improved")
+    p.add_argument("--min-reflex-fraction", type=float, default=ValidityRules.min_reflex_fraction,
+                   help="fraction of reflex edges a same-axis boundary needs, "
+                        "within 0..1 (default %(default)s)")
+    p.add_argument("--corner-rule", choices=CORNER_RULES, default=ValidityRules.corner_rule)
 
 
 def _labeling_flags(p):
-    p.add_argument("--compactness", type=float, default=1.0)
-    p.add_argument("--fidelity", type=float, default=3.0)
-    p.add_argument("--sensitivity", type=float, default=1e-10,
+    p.add_argument("--compactness", type=float, default=CutEnergy.compactness)
+    p.add_argument("--fidelity", type=float, default=CutEnergy.fidelity)
+    p.add_argument("--sensitivity", type=float, default=CutEnergy.sensitivity,
                    help="tilted-normal trigger: flag triangles whose two best "
                         "axes are closer than this")
-    p.add_argument("--tilt-angle", type=float, default=0.05,
+    p.add_argument("--tilt-angle", type=float, default=CutEnergy.tilt_angle,
                    help="radians of rotation applied to flagged normals")
-    p.add_argument("--smoothness-mode", default="uniform-potts", choices=SMOOTHNESS_MODES)
-    p.add_argument("--max-iterations", type=int, default=10)
+    p.add_argument("--smoothness-mode", default=CutEnergy.smoothness_mode, choices=SMOOTHNESS_MODES)
+    p.add_argument("--max-iterations", type=int, default=PipelineConfig.max_iterations)
 
 
 def _load(args):
@@ -78,18 +77,13 @@ def _load_labeled(args):
     return mesh, labels
 
 
-def _config(args) -> PipelineConfig:
-    return PipelineConfig(
-        compactness=args.compactness,
-        fidelity=args.fidelity,
-        smoothness_mode=args.smoothness_mode,
-        sensitivity=args.sensitivity,
-        tilt_angle=args.tilt_angle,
-        allow_opposite_labels=args.allow_opposite_labels,
-        min_reflex_fraction=args.min_reflex_fraction,
-        corner_rule=args.corner_rule,
-        max_iterations=args.max_iterations,
-    )
+def _energy(args) -> CutEnergy:
+    return CutEnergy(args.compactness, args.fidelity, args.smoothness_mode,
+                     args.sensitivity, args.tilt_angle)
+
+
+def _rules(args) -> ValidityRules:
+    return ValidityRules(args.allow_opposite_labels, args.min_reflex_fraction, args.corner_rule)
 
 
 def _write_json(path, payload):
@@ -99,8 +93,9 @@ def _write_json(path, payload):
 
 
 def _cmd_label(args) -> int:
+    cfg = PipelineConfig(_energy(args), _rules(args), args.max_iterations)
     mesh = _load(args)
-    result = label_mesh(mesh, _config(args))
+    result = label_mesh(mesh, cfg)
     print(f"status: {result.status}  charts={result.graph.n_charts} "
           f"turning-points={result.graph.total_turning_points}", file=sys.stderr)
     if args.output:
@@ -116,10 +111,10 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    rules = _rules(args)
     mesh, labels = _load_labeled(args)
     graph = LabelingGraph(mesh, labels)
-    report = validate(graph, args.allow_opposite_labels,
-                      args.min_reflex_fraction, args.corner_rule)
+    report = validate(graph, rules)
     if args.json:
         _write_json(args.json, {
             "schema_version": 1,
@@ -135,10 +130,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    rules = _rules(args)
     mesh, labels = _load_labeled(args)
     graph = LabelingGraph(mesh, labels)
-    report = validate(graph, args.allow_opposite_labels,
-                      args.min_reflex_fraction, args.corner_rule)
+    report = validate(graph, rules)
     shim = PipelineResult(labels, graph, report, labeling_status(graph, report))
     _write_json(args.output, metrics_report(mesh, shim))
     print(f"wrote {args.output}", file=sys.stderr)

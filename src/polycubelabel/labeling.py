@@ -4,11 +4,15 @@ graph-cut labelings, and labeling quality metrics.
 Labels are encoded 0..5 as +X, -X, +Y, -Y, +Z, -Z; the axis is ``label >> 1``
 and the opposite direction is ``label ^ 1``. Every tie in this module breaks
 toward the lowest encoding so results are reproducible.
+
+The graph cut's settings are one `CutEnergy`, checked when it is built;
+`compute_labeling` and `restricted_relabel` take it whole.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +48,32 @@ SMOOTHNESS_MODES = ("uniform-potts", "angle-proportional", "crease-discount")
 _CREASE_SIGMA = 0.25  # radians of dihedral deviation of the crease-discount falloff
 
 
+@dataclass(frozen=True)
+class CutEnergy:
+    """`fidelity` weighs the data term, `compactness` the `smoothness_mode`
+    term; normals whose two best axis scores are closer than `sensitivity`
+    turn by `tilt_angle` radians. Raises ValueError for an unknown mode, a
+    compactness or fidelity NaN, infinite or negative, and a sensitivity or
+    tilt_angle not finite."""
+
+    compactness: float = 1.0
+    fidelity: float = 3.0
+    smoothness_mode: str = "uniform-potts"
+    sensitivity: float = 1e-10
+    tilt_angle: float = 0.05
+
+    def __post_init__(self):
+        if self.smoothness_mode not in SMOOTHNESS_MODES:
+            raise ValueError(f"unknown smoothness mode {self.smoothness_mode!r},"
+                             f" not one of {SMOOTHNESS_MODES}")
+        for name in ("compactness", "fidelity"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN too
+                raise ValueError(f"{name} must be finite and non-negative, not {getattr(self, name)}")
+        for name in ("sensitivity", "tilt_angle"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
+
+
 def checked_labels(labels) -> np.ndarray:
     """The labels as a fresh int64 array; raises ValueError naming the first
     triangle whose label is not a whole number, or else the first outside
@@ -68,7 +98,7 @@ def naive_labeling(mesh: SurfaceMesh) -> np.ndarray:
     return nearest_label(mesh.normals)
 
 
-def tilt_matrix(angle: float = 0.05) -> np.ndarray:
+def tilt_matrix(angle: float) -> np.ndarray:
     """Small composite rotation Rz(a) @ Ry(a) @ Rx(a) used to break axis ties."""
     c, s = math.cos(angle), math.sin(angle)
     rx = np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float)
@@ -77,8 +107,9 @@ def tilt_matrix(angle: float = 0.05) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def tilted_normals(normals, sensitivity: float = 1e-10, tilt_angle: float = 0.05):
-    """Rotate the normals whose two best axis scores are nearly tied.
+def tilted_normals(normals, energy: CutEnergy = CutEnergy()):
+    """Rotate the normals whose two best axis scores are closer than
+    `energy.sensitivity` by `energy.tilt_angle`.
 
     Triangles sitting exactly between two labels (45-degree walls, jittered
     flats) otherwise fragment into noise charts after smoothing. Returns the
@@ -87,61 +118,44 @@ def tilted_normals(normals, sensitivity: float = 1e-10, tilt_angle: float = 0.05
     normals = np.asarray(normals, dtype=np.float64)
     dots = normals @ LABEL_DIRECTIONS.T
     top2 = np.sort(dots, axis=1)[:, -2:]
-    flagged = (top2[:, 1] - top2[:, 0]) < sensitivity
+    flagged = (top2[:, 1] - top2[:, 0]) < energy.sensitivity
     out = normals.copy()
     if flagged.any():
-        out[flagged] = normals[flagged] @ tilt_matrix(tilt_angle).T
+        out[flagged] = normals[flagged] @ tilt_matrix(energy.tilt_angle).T
     return out, flagged
 
 
-def data_costs(
-    normals,
-    fidelity: float = 3.0,
-    sensitivity: float = 1e-10,
-    tilt_angle: float = 0.05,
-) -> np.ndarray:
+def data_costs(normals, energy: CutEnergy = CutEnergy()) -> np.ndarray:
     """(F, 6) data term: fidelity * angle(adjusted normal, label direction)."""
-    adjusted, _ = tilted_normals(normals, sensitivity, tilt_angle)
+    adjusted, _ = tilted_normals(normals, energy)
     dots = np.clip(adjusted @ LABEL_DIRECTIONS.T, -1.0, 1.0)
-    return fidelity * np.arccos(dots)
+    return energy.fidelity * np.arccos(dots)
 
 
-def smoothness_weights(
-    mesh: SurfaceMesh,
-    compactness: float = 1.0,
-    mode: str = "uniform-potts",
-) -> np.ndarray:
-    """(E,) discontinuity penalty per mesh edge for the graph cut.
+def smoothness_weights(mesh: SurfaceMesh, energy: CutEnergy = CutEnergy()) -> np.ndarray:
+    """(E,) discontinuity penalty per mesh edge for the graph cut: the
+    compactness times a factor of `energy.smoothness_mode`.
 
     Modes: 'uniform-potts' charges every label change equally;
     'angle-proportional' scales with the dihedral deviation, discouraging
     cuts across flats; 'crease-discount' makes cutting along sharp creases
-    nearly free. Raises ValueError for a mode not in SMOOTHNESS_MODES.
+    nearly free.
     """
-    if mode not in SMOOTHNESS_MODES:
-        raise ValueError(f"unknown smoothness mode {mode!r}, not one of {SMOOTHNESS_MODES}")
     deviation = np.abs(mesh.dihedral_angles - math.pi)
-    if mode == "uniform-potts":
-        return np.full(mesh.n_edges, float(compactness))
-    if mode == "angle-proportional":
-        return compactness * deviation
-    return compactness * np.exp(-((deviation / _CREASE_SIGMA) ** 2))
+    if energy.smoothness_mode == "uniform-potts":
+        return np.full(mesh.n_edges, float(energy.compactness))
+    if energy.smoothness_mode == "angle-proportional":
+        return energy.compactness * deviation
+    return energy.compactness * np.exp(-((deviation / _CREASE_SIGMA) ** 2))
 
 
-def compute_labeling(
-    mesh: SurfaceMesh,
-    compactness: float = 1.0,
-    fidelity: float = 3.0,
-    smoothness_mode: str = "uniform-potts",
-    sensitivity: float = 1e-10,
-    tilt_angle: float = 0.05,
-) -> np.ndarray:
+def compute_labeling(mesh: SurfaceMesh, energy: CutEnergy = CutEnergy()) -> np.ndarray:
     """Initial labeling: tie-broken nearest axis smoothed by a graph cut."""
     from .graphcut import alpha_expansion
 
-    costs = data_costs(mesh.normals, fidelity, sensitivity, tilt_angle)
+    costs = data_costs(mesh.normals, energy)
     pairs = mesh.edge_tris
-    weights = smoothness_weights(mesh, compactness, smoothness_mode)
+    weights = smoothness_weights(mesh, energy)
     labels, _ = alpha_expansion(costs, pairs, weights)  # from the nearest axes
     return labels
 
@@ -151,11 +165,7 @@ def restricted_relabel(
     labels,
     region,
     allowed=None,
-    compactness: float = 1.0,
-    fidelity: float = 3.0,
-    smoothness_mode: str = "uniform-potts",
-    sensitivity: float = 1e-10,
-    tilt_angle: float = 0.05,
+    energy: CutEnergy = CutEnergy(),
 ) -> np.ndarray:
     """Re-optimize the labels of `region` only, everything else held fixed.
 
@@ -180,7 +190,7 @@ def restricted_relabel(
     pos = np.full(mesh.n_triangles, -1, dtype=np.int64)
     pos[idx] = np.arange(idx.size)
 
-    costs = data_costs(mesh.normals[idx], fidelity, sensitivity, tilt_angle)
+    costs = data_costs(mesh.normals[idx], energy)
     if allowed is not None:
         allowed = np.broadcast_to(np.asarray(allowed, dtype=bool), costs.shape)
         empty = np.flatnonzero(~allowed.any(axis=1))
@@ -188,7 +198,7 @@ def restricted_relabel(
             raise ValueError(f"allowed leaves free triangle {idx[empty[0]]} no label")
         costs = np.where(allowed, costs, BIG)
 
-    w_all = smoothness_weights(mesh, compactness, smoothness_mode)
+    w_all = smoothness_weights(mesh, energy)
     t1, t2 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
     both = mask[t1] & mask[t2]
     pairs = np.column_stack([pos[t1[both]], pos[t2[both]]])

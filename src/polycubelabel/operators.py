@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import LabelingGraph
-from .labeling import LABEL_DIRECTIONS, restricted_relabel
+from .labeling import LABEL_DIRECTIONS, CutEnergy, restricted_relabel
 from .mesh import SurfaceMesh
-from .validity import corner_is_valid
+from .validity import ValidityRules, corner_is_valid
 
 AXIS_DIRECTIONS = LABEL_DIRECTIONS[::2]  # unit +X, +Y, +Z
 STRIP_WIDTH = 3  # triangle rings of the strip fix_invalid_boundary inserts
@@ -43,7 +43,10 @@ DISK_RADIUS = 3  # most triangle rings of a disk around a corner or turning poin
 class OperatorOutcome:
     labels: np.ndarray
     changed: frozenset
-    applied: bool
+
+    @property
+    def applied(self) -> bool:
+        return bool(self.changed)
 
 
 @dataclass(frozen=True)
@@ -53,14 +56,14 @@ class TracedPath:
 
 
 def _skip(labels) -> OperatorOutcome:
-    return OperatorOutcome(np.array(labels, dtype=np.int64), frozenset(), False)
+    return OperatorOutcome(np.array(labels, dtype=np.int64), frozenset())
 
 
 def _outcome(labels_in, labels_out) -> OperatorOutcome:
     changed = frozenset(int(i) for i in np.nonzero(labels_in != labels_out)[0])
     if not changed:
         return _skip(labels_in)
-    return OperatorOutcome(labels_out, changed, True)
+    return OperatorOutcome(labels_out, changed)
 
 
 def _paint(labels, region, label) -> OperatorOutcome:
@@ -210,12 +213,9 @@ def trace_path(
 # ---------------------------------------------------------------------------
 
 
-def remove_chart(graph: LabelingGraph, chart_id: int, **energy) -> OperatorOutcome:
-    """Dissolve a chart by re-solving its triangles over the neighbors' labels.
-
-    `energy` holds the cut-energy keywords of `restricted_relabel`
-    (compactness, fidelity, smoothness_mode, sensitivity, tilt_angle).
-    """
+def remove_chart(graph: LabelingGraph, chart_id: int,
+                 energy: CutEnergy = CutEnergy()) -> OperatorOutcome:
+    """Dissolve a chart by re-solving its triangles over the neighbors' labels."""
     labels = graph.labels
     chart = graph.charts[chart_id]
     if not chart.neighbors:  # constant labeling: nothing to absorb into
@@ -223,7 +223,7 @@ def remove_chart(graph: LabelingGraph, chart_id: int, **energy) -> OperatorOutco
     allowed_labels = sorted({graph.charts[n].label for n in chart.neighbors})
     allowed = np.zeros(6, dtype=bool)
     allowed[allowed_labels] = True
-    out = restricted_relabel(graph.mesh, labels, chart.triangles, allowed=allowed, **energy)
+    out = restricted_relabel(graph.mesh, labels, chart.triangles, allowed=allowed, energy=energy)
     return _outcome(labels, out)
 
 
@@ -241,9 +241,8 @@ def fix_invalid_boundary(
     return _paint(labels, region, _fresh_label(mesh, region, {shared_axis}))
 
 
-def fix_invalid_corner(
-    graph: LabelingGraph, corner_id: int, radius: int = DISK_RADIUS, rule: str = "improved"
-) -> OperatorOutcome:
+def fix_invalid_corner(graph: LabelingGraph, corner_id: int, radius: int = DISK_RADIUS,
+                       rules: ValidityRules = ValidityRules()) -> OperatorOutcome:
     """Bury an invalid corner under a small disk chart with a fresh axis.
 
     The disk is the widest one of at most `radius` triangle rings around the
@@ -251,7 +250,7 @@ def fix_invalid_corner(
     """
     mesh, labels = graph.mesh, graph.labels
     corner = graph.corners[corner_id]
-    if corner_is_valid(corner, rule)[0]:
+    if corner_is_valid(corner, rules)[0]:
         return _skip(labels)
     v = corner.vertex
     star = mesh.vertex_triangles(v)

@@ -3,7 +3,9 @@
 Two routines run after the initial graph-cut labeling: the validity routine
 inserts/removes charts until every chart, boundary and corner passes its
 rule, then the monotonicity routine removes turning points while keeping the
-labeling valid.
+labeling valid. A `PipelineConfig` holds the cut energy (`CutEnergy`) of the
+initial cut and of every chart removal, the `ValidityRules` of every check,
+and the validity routine's iteration cap.
 
 The current labeling is its LabelingGraph: `_State` holds that graph and
 its ValidityReport, and operators read the mesh and the read-only labels
@@ -45,21 +47,15 @@ import numpy as np
 
 from . import operators as ops
 from .graph import LabelingGraph
-from .labeling import SMOOTHNESS_MODES, checked_labels, compute_labeling, fidelity_score
+from .labeling import CutEnergy, checked_labels, compute_labeling, fidelity_score
 from .mesh import SurfaceMesh
-from .validity import ValidityReport, feature_edge_stats, validate
+from .validity import ValidityReport, ValidityRules, feature_edge_stats, validate
 
 
 @dataclass
 class PipelineConfig:
-    compactness: float = 1.0
-    fidelity: float = 3.0
-    smoothness_mode: str = "uniform-potts"
-    sensitivity: float = 1e-10
-    tilt_angle: float = 0.05
-    allow_opposite_labels: bool = False
-    min_reflex_fraction: float = 1.0
-    corner_rule: str = "improved"
+    energy: CutEnergy = CutEnergy()
+    rules: ValidityRules = ValidityRules()
     max_iterations: int = 10
 
 
@@ -95,13 +91,6 @@ def labeling_status(graph: LabelingGraph, report: ValidityReport) -> str:
     return "valid-with-turning-points"
 
 
-def _cut_energy(cfg: PipelineConfig) -> dict:
-    """The graph-cut energy keywords of compute_labeling and restricted_relabel."""
-    return dict(compactness=cfg.compactness, fidelity=cfg.fidelity,
-                smoothness_mode=cfg.smoothness_mode, sensitivity=cfg.sensitivity,
-                tilt_angle=cfg.tilt_angle)
-
-
 class _State:
     """(graph, report) of the current labeling; every operator application
     goes through `attempt`."""
@@ -112,8 +101,7 @@ class _State:
         self.graph, self.report = graph, self._validate(graph)
 
     def _validate(self, graph):
-        cfg = self.cfg
-        return validate(graph, cfg.allow_opposite_labels, cfg.min_reflex_fraction, cfg.corner_rule)
+        return validate(graph, self.cfg.rules)
 
     @property
     def valid(self):
@@ -176,7 +164,7 @@ def _remove_invalid_charts(st: _State) -> bool:
         lambda: itertools.islice(
             (c for c in st.report.invalid_charts if not ops.is_feature_surrounded(st.graph, c)), 1
         ),
-        lambda c: st.attempt(ops.remove_chart, c, **_cut_energy(st.cfg)),
+        lambda c: st.attempt(ops.remove_chart, c, energy=st.cfg.energy),
     )
 
 
@@ -191,7 +179,7 @@ def _remove_charts_around_invalid_boundaries(st: _State) -> bool:
 
     return _sweep(
         targets,
-        lambda c: st.attempt(ops.remove_chart, c, extra="escape", **_cut_energy(st.cfg)),
+        lambda c: st.attempt(ops.remove_chart, c, extra="escape", energy=st.cfg.energy),
         limit=2 * max(1, st.graph.n_boundaries),
     )
 
@@ -219,7 +207,7 @@ def run_validity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, 
         )
         _sweep(
             lambda: st.report.invalid_corners,
-            lambda c: st.attempt(ops.fix_invalid_corner, c, rule=cfg.corner_rule),
+            lambda c: st.attempt(ops.fix_invalid_corner, c, rules=cfg.rules),
         )
         while True:
             removed = _remove_invalid_charts(st)
@@ -280,22 +268,11 @@ def label_mesh(
 ) -> PipelineResult:
     """Initial labeling plus both repair routines, with per-stage timings.
 
-    Raises ValueError, before any work, for a cut energy outside the
-    contract (compactness or fidelity NaN, infinite or negative, sensitivity
-    or tilt_angle not finite, a smoothness_mode not in SMOOTHNESS_MODES) and
-    for `init_labels` that are not a labeling of the mesh; a crash after
-    that becomes a "failed" result.
+    Raises ValueError, before any work, for `init_labels` that are not a
+    labeling of the mesh (`cfg` was checked when built); a crash after that
+    becomes a "failed" result.
     """
     cfg = cfg or PipelineConfig()
-    if cfg.smoothness_mode not in SMOOTHNESS_MODES:
-        raise ValueError(f"unknown smoothness mode {cfg.smoothness_mode!r},"
-                         f" not one of {SMOOTHNESS_MODES}")
-    for name in ("compactness", "fidelity"):
-        if not 0.0 <= getattr(cfg, name) < np.inf:  # NaN too
-            raise ValueError(f"{name} must be finite and non-negative, not {getattr(cfg, name)}")
-    for name in ("sensitivity", "tilt_angle"):
-        if not np.isfinite(getattr(cfg, name)):
-            raise ValueError(f"{name} must be finite, not {getattr(cfg, name)}")
     if init_labels is not None:
         init_labels = checked_labels(init_labels)
         if init_labels.shape != (mesh.n_triangles,):
@@ -305,7 +282,7 @@ def label_mesh(
     op_log = []
     t0 = time.perf_counter()
     try:
-        labels = compute_labeling(mesh, **_cut_energy(cfg)) if init_labels is None else init_labels
+        labels = compute_labeling(mesh, cfg.energy) if init_labels is None else init_labels
         durations["initial"] = time.perf_counter() - t0
 
         t1 = time.perf_counter()

@@ -10,8 +10,10 @@ A labeling is valid when every chart, boundary and corner passes its rule:
   trio ("improved" rule). The "legacy" rule instead requires exactly three
   boundaries with three distinct axes.
 
-Validity is deliberately separate from quality (fidelity, monotonicity):
-the repair pipeline restores the former before spending effort on the latter.
+The settable parts of these rules are one `ValidityRules`; a value outside
+its contract is refused when it is built. Validity is deliberately separate
+from quality (fidelity, monotonicity): the repair pipeline restores the
+former before spending effort on the latter.
 """
 
 from __future__ import annotations
@@ -24,6 +26,29 @@ import numpy as np
 from .graph import Boundary, Corner, LabelingGraph
 
 _REFLEX_TOL = 1e-9
+
+CORNER_RULES = ("improved", "legacy")
+
+
+@dataclass(frozen=True)
+class ValidityRules:
+    """Whether same-axis boundaries along reflex creases are accepted, the
+    fraction of reflex edges such a boundary needs, and the corner rule.
+
+    Raises ValueError for a corner_rule not in CORNER_RULES and for a
+    min_reflex_fraction that is NaN or outside 0..1.
+    """
+
+    allow_opposite_labels: bool = False
+    min_reflex_fraction: float = 1.0
+    corner_rule: str = "improved"
+
+    def __post_init__(self):
+        if self.corner_rule not in CORNER_RULES:
+            raise ValueError(f"unknown corner rule {self.corner_rule!r},"
+                             f" not one of {CORNER_RULES}")
+        if not 0.0 <= self.min_reflex_fraction <= 1.0:  # NaN too
+            raise ValueError(f"min_reflex_fraction must be in 0..1, not {self.min_reflex_fraction}")
 
 
 def reflex_fraction(mesh, boundary: Boundary) -> float:
@@ -38,35 +63,26 @@ def chart_is_valid(chart) -> tuple:
     return True, ""
 
 
-def boundary_is_valid(
-    mesh,
-    boundary: Boundary,
-    allow_opposite_labels: bool = False,
-    min_reflex_fraction: float = 1.0,
-) -> tuple:
+def boundary_is_valid(mesh, boundary: Boundary, rules: ValidityRules = ValidityRules()) -> tuple:
     if boundary.axis is not None:
         return True, ""
-    if not allow_opposite_labels:
+    if not rules.allow_opposite_labels:
         return False, "separates two charts of the same axis"
     frac = reflex_fraction(mesh, boundary)
-    if frac < min_reflex_fraction:
-        return False, (
-            f"same-axis boundary with reflex fraction {frac:.3f}"
-            f" < {min_reflex_fraction:.3f}"
-        )
+    if frac < rules.min_reflex_fraction:
+        return False, (f"same-axis boundary with reflex fraction {frac:.3f}"
+                       f" < {rules.min_reflex_fraction:.3f}")
     return True, ""
 
 
-def corner_is_valid(corner: Corner, rule: str = "improved") -> tuple:
+def corner_is_valid(corner: Corner, rules: ValidityRules = ValidityRules()) -> tuple:
     if corner.has_undefined_axis:
         return False, "incident to a same-axis boundary (no polycube axis)"
     counts = corner.axis_counts
-    if rule == "legacy":
+    if rules.corner_rule == "legacy":
         if counts == (1, 1, 1):
             return True, ""
         return False, f"needs exactly one X, Y and Z boundary, got {counts}"
-    if rule != "improved":
-        raise ValueError(f"unknown corner rule {rule!r}")
     if counts == (1, 1, 1):
         return True, ""
     if all(c % 2 == 0 for c in counts) and sum(c > 0 for c in counts) >= 2:
@@ -103,12 +119,7 @@ class ValidityReport:
         )
 
 
-def validate(
-    graph: LabelingGraph,
-    allow_opposite_labels: bool = False,
-    min_reflex_fraction: float = 1.0,
-    corner_rule: str = "improved",
-) -> ValidityReport:
+def validate(graph: LabelingGraph, rules: ValidityRules = ValidityRules()) -> ValidityReport:
     """Check every component of the labeling graph against its rule."""
     report = ValidityReport()
     bad_charts, bad_boundaries, bad_corners = [], [], []
@@ -118,14 +129,12 @@ def validate(
             bad_charts.append(chart.index)
             report.reasons[("chart", chart.index)] = why
     for boundary in graph.boundaries:
-        ok, why = boundary_is_valid(
-            graph.mesh, boundary, allow_opposite_labels, min_reflex_fraction
-        )
+        ok, why = boundary_is_valid(graph.mesh, boundary, rules)
         if not ok:
             bad_boundaries.append(boundary.index)
             report.reasons[("boundary", boundary.index)] = why
     for i, corner in enumerate(graph.corners):
-        ok, why = corner_is_valid(corner, corner_rule)
+        ok, why = corner_is_valid(corner, rules)
         if not ok:
             bad_corners.append(i)
             report.reasons[("corner", i)] = why

@@ -17,9 +17,10 @@ import pytest
 from polycubelabel import io, pipeline as pl, shapes
 from polycubelabel.graph import Corner, LabelingGraph, optimal_edge_directions
 from polycubelabel.graphcut import alpha_expansion, min_st_cut, potts_energy
-from polycubelabel.labeling import compute_labeling, fidelity_score, naive_labeling
+from polycubelabel.labeling import CutEnergy, compute_labeling, fidelity_score, naive_labeling
 from polycubelabel.mesh import SurfaceMesh
 from polycubelabel.validity import (
+    ValidityRules,
     boundary_is_valid,
     corner_is_valid,
     feature_edge_stats,
@@ -72,7 +73,7 @@ def _corpus():
     rv, rf = shapes.subdivide(*shapes.l_prism(), 2)
     # exact 45-degree walls tie two labels; the sensitivity tweak untangles them
     yield "rotated-prism", build(shapes.rotate_z(rv, math.pi / 4), rf), \
-        pl.PipelineConfig(sensitivity=1e-3)
+        pl.PipelineConfig(CutEnergy(sensitivity=1e-3))
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +107,8 @@ def test_criterion_2_corner_conformance_table():
     for counts, improved, legacy in CORNER_TABLE:
         for perm in set(itertools.permutations(counts)):
             c = Corner(0, (0,) * sum(perm), tuple(perm), False)
-            assert corner_is_valid(c, rule="improved")[0] is improved, perm
-            assert corner_is_valid(c, rule="legacy")[0] is legacy, perm
+            assert corner_is_valid(c, ValidityRules(corner_rule="improved"))[0] is improved, perm
+            assert corner_is_valid(c, ValidityRules(corner_rule="legacy"))[0] is legacy, perm
             checked += 1
     _line(2, "corner conformance table", f"{checked} corner configurations")
 
@@ -120,7 +121,7 @@ def test_criterion_3_same_axis_boundary_rules(cube_mesh, lprism_mesh):
     convex = [b for b in g.boundaries if b.axis is None]
     assert len(convex) == 1 and reflex_fraction(cube_mesh, convex[0]) == 0.0
     assert not boundary_is_valid(cube_mesh, convex[0])[0]
-    assert not boundary_is_valid(cube_mesh, convex[0], allow_opposite_labels=True)[0]
+    assert not boundary_is_valid(cube_mesh, convex[0], ValidityRules(allow_opposite_labels=True))[0]
 
     # fully reflex crease of the L: +X / -X boundary, flag-gated
     labels = naive_labeling(lprism_mesh)
@@ -136,7 +137,7 @@ def test_criterion_3_same_axis_boundary_rules(cube_mesh, lprism_mesh):
     ]
     assert len(reflex) == 1
     assert not boundary_is_valid(lprism_mesh, reflex[0])[0]
-    assert boundary_is_valid(lprism_mesh, reflex[0], allow_opposite_labels=True)[0]
+    assert boundary_is_valid(lprism_mesh, reflex[0], ValidityRules(allow_opposite_labels=True))[0]
     _line(3, "same-axis boundary rules")
 
 
@@ -185,7 +186,7 @@ def test_criterion_5_fragmentation_regression():
     n_faces = 8  # six walls plus two caps
 
     naive_charts = LabelingGraph(m, naive_labeling(m)).n_charts
-    runs = [compute_labeling(m, sensitivity=1e-3) for _ in range(10)]
+    runs = [compute_labeling(m, CutEnergy(sensitivity=1e-3)) for _ in range(10)]
     tweaked_charts = LabelingGraph(m, runs[0]).n_charts
     assert tweaked_charts <= n_faces
     assert naive_charts > n_faces

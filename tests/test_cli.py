@@ -164,6 +164,44 @@ def test_label_cut_energy_outside_the_contract_exits_2(tmp_path, cube_files, cap
     assert not out.exists()
 
 
+@pytest.fixture()
+def half_flipped_lid_files(tmp_path):
+    """A subdivided cube whose +Z lid is half relabelled -Z: one same-axis
+    boundary across a flat, so no reflex fraction above 0 accepts it."""
+    v, f = shapes.subdivide(*shapes.cube(), 2)
+    m = SurfaceMesh(v, f)
+    labels = naive_labeling(m)
+    centroids = m.vertices[m.triangles].mean(axis=1)
+    labels[(labels == 4) & (centroids[:, 0] < np.median(centroids[:, 0]))] = 5
+    mesh, flags = tmp_path / "lid.obj", tmp_path / "lid.flags"
+    io.write_obj(mesh, v, f)
+    io.write_labeling(flags, labels)
+    return mesh, flags
+
+
+def test_validate_counts_the_flat_same_axis_boundary(tmp_path, half_flipped_lid_files):
+    mesh, flags = half_flipped_lid_files
+    report = tmp_path / "why.json"
+    assert main(["validate", str(mesh), str(flags), "--allow-opposite-labels",
+                 "--min-reflex-fraction", "1.0", "--json", str(report)]) == 1
+    assert len(json.loads(report.read_text())["invalid_boundaries"]) == 1
+
+
+@pytest.mark.parametrize("command", ["label", "validate", "report"])
+@pytest.mark.parametrize("value", ["nan", "-0.5", "1.5"])
+def test_min_reflex_fraction_outside_0_to_1_exits_2(tmp_path, half_flipped_lid_files, capsys,
+                                                    command, value):
+    # NaN used to drop the reflex rule: validate then reported 0 invalid boundaries
+    mesh, flags = half_flipped_lid_files
+    out = tmp_path / "out.json"
+    args = [str(mesh)] if command == "label" else [str(mesh), str(flags)]
+    out_flag = "--json" if command == "validate" else "-o"
+    assert main([command, *args, "--allow-opposite-labels", f"--min-reflex-fraction={value}",
+                 out_flag, str(out)]) == 2
+    assert f"min_reflex_fraction must be in 0..1, not {float(value)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("solid, message", [
     (cube_with_a_stray_vertex, "vertex 8 is used by no triangle"),
     (two_disjoint_cubes, "2 connected components"),
@@ -361,13 +399,17 @@ def _project_scripts():
         return tomllib.load(fh)["project"]["scripts"]
 
 
-def test_console_script_is_installed(tmp_path):
+def _entry_point():
     value = _project_scripts()["polycubelabel"]
-    ep = EntryPoint(name="polycubelabel", value=value, group="console_scripts")
-    assert ep.load() is main
+    return EntryPoint(name="polycubelabel", value=value, group="console_scripts")
 
-    # Write the launcher an installer would put in bin/ for this entry point,
-    # so the command runs by its name without a site-packages install.
+
+def _launcher_env(tmp_path):
+    """An environment whose PATH starts with tmp_path/bin, holding the
+    launcher an installer would write for the entry point, so the command
+    runs by its name without a site-packages install, and a `python3` that
+    is the interpreter running the tests."""
+    ep = _entry_point()
     bindir = tmp_path / "bin"
     bindir.mkdir()
     launcher = bindir / "polycubelabel"
@@ -378,19 +420,41 @@ def test_console_script_is_installed(tmp_path):
         "if __name__ == '__main__':\n"
         f"    sys.exit({ep.attr}())\n"
     )
-    launcher.chmod(0o755)
+    python3 = bindir / "python3"
+    python3.write_text(f'#!/bin/sh\nexec "{sys.executable}" "$@"\n')
+    for script in (launcher, python3):
+        script.chmod(0o755)
 
     env = dict(os.environ)
     env["PATH"] = os.pathsep.join([str(bindir), env.get("PATH", "")])
     pkg_root = str(Path(polycubelabel.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    return env
 
+
+def test_console_script_is_installed(tmp_path):
+    assert _entry_point().load() is main
+    env = _launcher_env(tmp_path)
     exe = shutil.which("polycubelabel", path=env["PATH"])
-    assert exe and Path(exe).parent == bindir
+    assert exe and Path(exe).parent == tmp_path / "bin"
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: polycubelabel")
+
+
+def test_cli_tour_runs(tmp_path):
+    script = tmp_path / "05_cli_tour.sh"  # a copy, so its output/ lands in tmp_path
+    shutil.copy(REPO_ROOT / "demos" / script.name, script)
+    proc = subprocess.run(["sh", str(script)], cwd=tmp_path, env=_launcher_env(tmp_path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("all output in demos/output/")
+    out = tmp_path / "output"
+    for name in ("notched.obj", "notched.flags", "notched.json", "notched.ply",
+                 "notched.graph.json"):
+        assert (out / name).stat().st_size > 0, name
+    assert (out / "notched.ops").exists()  # empty: the notched box needs no repair
 
 
 @pytest.mark.skipif(shutil.which("polycubelabel") is None,

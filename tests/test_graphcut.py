@@ -19,6 +19,7 @@ from polycubelabel.graphcut import (
     min_st_cut,
     potts_energy,
 )
+from polycubelabel.labeling import CutEnergy
 from polycubelabel.mesh import SurfaceMesh
 
 import oracles
@@ -243,8 +244,10 @@ def _use_reference_cut(monkeypatch):
 
 
 def _corpus_energy(mesh):
-    costs = labeling.data_costs(mesh.normals, 3.0, 1e-10, 0.05)
-    return costs, mesh.edge_tris, labeling.smoothness_weights(mesh, 1.0, "angle-proportional")
+    energy = CutEnergy(compactness=1.0, fidelity=3.0, smoothness_mode="angle-proportional",
+                       sensitivity=1e-10, tilt_angle=0.05)
+    costs = labeling.data_costs(mesh.normals, energy)
+    return costs, mesh.edge_tris, labeling.smoothness_weights(mesh, energy)
 
 
 @pytest.mark.parametrize("shape", [
@@ -334,7 +337,7 @@ def _rotated_l_prism():
 ], ids=["icosphere-3", "l-prism-rot45", "torus-32x16", "cone-32-subdivided"])
 def test_alpha_expansion_equals_the_net_arc_move(shape, sensitivity, monkeypatch):
     mesh = SurfaceMesh(*shape())
-    costs = labeling.data_costs(mesh.normals, 3.0, sensitivity)
+    costs = labeling.data_costs(mesh.normals, CutEnergy(fidelity=3.0, sensitivity=sensitivity))
     pairs, weights = mesh.edge_tris, labeling.smoothness_weights(mesh)
     starts = [None, np.arange(mesh.n_triangles) % 6]  # the nearest axes, and far from optimal
     got = [alpha_expansion(costs, pairs, weights, init=init) for init in starts]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,8 @@ from scipy.integrate import dblquad
 from polycubelabel import labeling, shapes
 from polycubelabel.labeling import (
     LABEL_DIRECTIONS,
+    CutEnergy,
+    compute_labeling,
     data_costs,
     fidelity_score,
     naive_labeling,
@@ -80,31 +83,60 @@ def test_tilt_zero_sensitivity_is_identity():
     rng = np.random.default_rng(0)
     n = rng.normal(size=(40, 3))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
-    out, flagged = tilted_normals(n, sensitivity=0.0)
+    out, flagged = tilted_normals(n, CutEnergy(sensitivity=0.0))
     assert not flagged.any()
     assert np.array_equal(out, n)
 
 
 def test_data_costs_zero_on_axis_and_scales():
     n = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    c1 = data_costs(n, fidelity=1.0)
+    c1 = data_costs(n, CutEnergy(fidelity=1.0))
     assert c1[0, 4] == 0.0 and c1[1, 0] == 0.0
     assert c1[0, 5] == pytest.approx(math.pi)
-    assert np.allclose(data_costs(n, fidelity=3.0), 3.0 * c1)
+    assert np.allclose(data_costs(n, CutEnergy(fidelity=3.0)), 3.0 * c1)
 
 
 def test_smoothness_modes(cube_mesh):
     flat = np.isclose(cube_mesh.dihedral_angles, math.pi)
-    uni = smoothness_weights(cube_mesh, compactness=2.5)
+    uni = smoothness_weights(cube_mesh, CutEnergy(compactness=2.5))
     assert np.all(uni == 2.5)
-    prop = smoothness_weights(cube_mesh, mode="angle-proportional")
+    prop = smoothness_weights(cube_mesh, CutEnergy(smoothness_mode="angle-proportional"))
     assert np.allclose(prop[flat], 0.0)
     assert np.allclose(prop[~flat], math.pi / 2)
-    disc = smoothness_weights(cube_mesh, mode="crease-discount")
+    disc = smoothness_weights(cube_mesh, CutEnergy(smoothness_mode="crease-discount"))
     assert np.allclose(disc[flat], 1.0)
     assert np.all(disc[~flat] < 1e-8)  # right-angle creases are free to cut
     with pytest.raises(ValueError, match="smoothness mode"):
-        smoothness_weights(cube_mesh, mode="bogus")
+        CutEnergy(smoothness_mode="bogus")
+
+
+@pytest.mark.parametrize("name, value, match", [
+    ("fidelity", -3.0, "fidelity must be finite and non-negative, not -3.0"),
+    ("sensitivity", math.nan, "sensitivity must be finite, not nan"),
+    ("sensitivity", math.inf, "sensitivity must be finite, not inf"),
+    ("tilt_angle", math.nan, "tilt_angle must be finite, not nan"),
+], ids=["fidelity-negative", "sensitivity-nan", "sensitivity-inf", "tilt-angle-nan"])
+def test_cut_energy_is_checked_however_it_is_built(name, value, match):
+    # a negative fidelity turns the data term around: on a subdivided L prism
+    # the cut then gives every triangle the opposite of its nearest axis
+    with pytest.raises(ValueError, match=match):
+        CutEnergy(**{name: value})
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(CutEnergy(), **{name: value})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(CutEnergy(), name, value)
+
+
+def test_cut_energy_reaches_the_cut_only_whole():
+    # the loose keywords are gone, so no entry point takes an unchecked value
+    m = SurfaceMesh(*shapes.subdivide(*shapes.l_prism(), 2))
+    labels = naive_labeling(m)
+    with pytest.raises(TypeError):
+        compute_labeling(m, fidelity=-3.0)
+    with pytest.raises(TypeError):
+        restricted_relabel(m, labels, np.arange(m.n_triangles), fidelity=-3.0)
+    assert np.array_equal(compute_labeling(m, CutEnergy()), labels)
+    assert np.array_equal(restricted_relabel(m, labels ^ 1, np.arange(m.n_triangles)), labels)
 
 
 # -- fidelity ----------------------------------------------------------------
@@ -147,8 +179,8 @@ def test_fidelity_unknown_mode(cube_mesh):
 
 def _energy(mesh, labels, region_mask, allowed_labels, fixed_labels):
     """Reference objective for the region subproblem, computed from scratch."""
-    costs = data_costs(mesh.normals, fidelity=3.0)
-    w = smoothness_weights(mesh, compactness=1.0)
+    costs = data_costs(mesh.normals, CutEnergy(fidelity=3.0))
+    w = smoothness_weights(mesh, CutEnergy(compactness=1.0))
     total = float(np.sum(costs[region_mask, labels[region_mask]]))
     for eid, (a, b) in enumerate(mesh.edge_tris):
         la = labels[a] if region_mask[a] else fixed_labels[a]
@@ -237,7 +269,7 @@ def test_compute_labeling_smooths_jittered_flats():
     v, f = shapes.subdivide(*shapes.cube(), 2)
     v = shapes.jitter(v, 1e-2, seed=7)
     m = SurfaceMesh(v, f, feature_angle=math.pi / 3)
-    smoothed = labeling.compute_labeling(m, compactness=1.0)
+    smoothed = labeling.compute_labeling(m, CutEnergy(compactness=1.0))
     assert len(np.unique(smoothed)) == 6
     naive = naive_labeling(m)
     # smoothing never increases the number of label islands

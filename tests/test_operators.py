@@ -8,6 +8,7 @@ postcondition.  `run` wraps every call with the shared checks (including
 a determinism re-run).
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -21,6 +22,7 @@ from polycubelabel.graph import LabelingGraph
 from polycubelabel.labeling import naive_labeling
 from polycubelabel.mesh import SurfaceMesh, detect_feature_edges
 from polycubelabel.operators import (
+    OperatorOutcome,
     _chart_contour_loops,
     fix_invalid_boundary,
     fix_invalid_corner,
@@ -94,6 +96,16 @@ def run(op, graph, *args, **kw):
     assert again.applied == out.applied
     assert np.array_equal(again.labels, out.labels)
     return out
+
+
+def test_outcome_applied_is_whether_anything_changed():
+    assert [f.name for f in dataclasses.fields(OperatorOutcome)] == ["labels", "changed"]
+    labels = np.zeros(3, dtype=np.int64)
+    assert OperatorOutcome(labels, frozenset({1})).applied is True
+    out = OperatorOutcome(labels, frozenset())
+    assert out.applied is False
+    with pytest.raises(AttributeError):
+        out.applied = True
 
 
 # ---------------------------------------------------------------- remove_chart

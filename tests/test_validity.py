@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from polycubelabel.graph import Corner, LabelingGraph
 from polycubelabel.labeling import naive_labeling
 from polycubelabel.validity import (
+    CORNER_RULES,
+    ValidityRules,
     boundary_is_valid,
     chart_is_valid,
     corner_is_valid,
@@ -46,8 +48,8 @@ CORNER_TABLE = [
 @pytest.mark.parametrize("counts,improved,legacy", CORNER_TABLE)
 def test_corner_rule_table(counts, improved, legacy):
     for perm in set(itertools.permutations(counts)):
-        ok_i, why_i = corner_is_valid(_corner(perm), rule="improved")
-        ok_l, why_l = corner_is_valid(_corner(perm), rule="legacy")
+        ok_i, why_i = corner_is_valid(_corner(perm), ValidityRules(corner_rule="improved"))
+        ok_l, why_l = corner_is_valid(_corner(perm), ValidityRules(corner_rule="legacy"))
         assert ok_i is improved, (perm, why_i)
         assert ok_l is legacy, (perm, why_l)
         assert ok_i or why_i
@@ -61,7 +63,26 @@ def test_corner_undefined_axis_always_invalid():
 
 def test_corner_unknown_rule():
     with pytest.raises(ValueError, match="corner rule"):
-        corner_is_valid(_corner((1, 1, 1)), rule="modern")
+        ValidityRules(corner_rule="modern")
+
+
+def test_unknown_corner_rule_is_refused_where_built():
+    # a torus split into +Z and -Z halves has loop boundaries and no corner,
+    # so no corner check ever reads the rule: it must be refused up front
+    assert CORNER_RULES == ("improved", "legacy")
+    m = build(*shapes.torus())
+    g = LabelingGraph(m, np.where(m.normals[:, 2] >= 0, 4, 5))
+    assert g.n_boundaries and not g.corners
+    with pytest.raises(ValueError, match="unknown corner rule 'bogus', not one of"):
+        validate(g, ValidityRules(corner_rule="bogus"))
+
+
+@pytest.mark.parametrize("value", [math.nan, -0.5, 1.5], ids=["nan", "negative", "above-one"])
+def test_min_reflex_fraction_outside_0_to_1_is_refused(value):
+    with pytest.raises(ValueError, match=f"min_reflex_fraction must be in 0..1, not {value}"):
+        ValidityRules(allow_opposite_labels=True, min_reflex_fraction=value)
+    for edge in (0.0, 1.0):
+        assert ValidityRules(min_reflex_fraction=edge).min_reflex_fraction == edge
 
 
 @given(
@@ -70,9 +91,9 @@ def test_corner_unknown_rule():
 )
 def test_corner_rule_axis_symmetric(counts, rule):
     """Relabeling the coordinate axes never changes a corner verdict."""
-    base = corner_is_valid(_corner(counts), rule=rule)[0]
+    base = corner_is_valid(_corner(counts), ValidityRules(corner_rule=rule))[0]
     for perm in itertools.permutations(counts):
-        assert corner_is_valid(_corner(perm), rule=rule)[0] == base
+        assert corner_is_valid(_corner(perm), ValidityRules(corner_rule=rule))[0] == base
 
 
 def test_chart_rule_threshold():
@@ -105,11 +126,11 @@ def test_same_axis_boundary_on_convex_edge_invalid(cube_mesh):
     assert b.axis is None
     assert reflex_fraction(cube_mesh, b) == 0.0
     assert not boundary_is_valid(cube_mesh, b)[0]
-    ok, why = boundary_is_valid(cube_mesh, b, allow_opposite_labels=True)
+    ok, why = boundary_is_valid(cube_mesh, b, ValidityRules(allow_opposite_labels=True))
     assert not ok and "reflex fraction 0.000" in why
     # threshold 0 turns the flag into a blanket opposite-label allowance
     assert boundary_is_valid(
-        cube_mesh, b, allow_opposite_labels=True, min_reflex_fraction=0.0
+        cube_mesh, b, ValidityRules(allow_opposite_labels=True, min_reflex_fraction=0.0)
     )[0]
 
 
@@ -120,7 +141,7 @@ def test_same_axis_boundary_on_flat_edge_invalid(cube_mesh):
     g = LabelingGraph(cube_mesh, labels)
     b = _boundary_between(g, int(top[0]), int(top[1]))
     assert b.axis is None
-    assert not boundary_is_valid(cube_mesh, b, allow_opposite_labels=True)[0]
+    assert not boundary_is_valid(cube_mesh, b, ValidityRules(allow_opposite_labels=True))[0]
 
 
 def test_same_axis_boundary_on_reflex_edge_needs_flag(lprism_mesh):
@@ -141,8 +162,8 @@ def test_same_axis_boundary_on_reflex_edge_needs_flag(lprism_mesh):
     assert set(same_axis) == {0, 1}
     reflex_b, convex_b = same_axis[1], same_axis[0]
     assert not boundary_is_valid(lprism_mesh, reflex_b)[0]
-    assert boundary_is_valid(lprism_mesh, reflex_b, allow_opposite_labels=True)[0]
-    assert not boundary_is_valid(lprism_mesh, convex_b, allow_opposite_labels=True)[0]
+    assert boundary_is_valid(lprism_mesh, reflex_b, ValidityRules(allow_opposite_labels=True))[0]
+    assert not boundary_is_valid(lprism_mesh, convex_b, ValidityRules(allow_opposite_labels=True))[0]
 
 
 def test_axis_separating_boundaries_always_fine(cube_mesh):
@@ -181,7 +202,7 @@ def test_validate_legacy_rule_rejects_paired_corners():
     labels = naive_labeling(m)
     g = LabelingGraph(m, labels)
     improved = validate(g)
-    legacy = validate(g, corner_rule="legacy")
+    legacy = validate(g, ValidityRules(corner_rule="legacy"))
     assert improved.is_valid
     assert set(improved.reasons) <= set(legacy.reasons)
 

@@ -9,31 +9,25 @@ and the validity routine's iteration cap.
 
 The current labeling is its LabelingGraph: `_State` holds that graph and
 its ValidityReport, and operators read the mesh and the read-only labels
-off the graph. Turning-point targets and counts come from the graph's
-index (`turning_point_vertices`, `total_turning_points`), built once. Both routines apply operators through one step,
-`_State.attempt`: run the operator on the graph, build the outcome's
-LabelingGraph and ValidityReport once, ask the step's accept predicate,
-then commit and log the outcome or drop it. An outcome that changed nothing
-is always dropped. Validity is worth more than quality: the validity
-routine commits every change (increase_chart_valence only when the target
-chart gains a neighbor), while the monotonicity routine drops any outcome
-that breaks validity or fails to reduce the turning-point count (for
-straightening: raises it).
+off the graph. Turning-point targets and counts come from the graph's index
+(`turning_point_vertices`, `total_turning_points`), built once. Both
+routines apply operators through one step, `_State.attempt`: run the
+operator on the graph, build the outcome's LabelingGraph and ValidityReport
+once, ask the step's accept predicate, then commit and log the outcome or
+drop it. An outcome that changed nothing is always dropped. Validity is
+worth more than quality: the validity routine commits every change
+(increase_chart_valence only when the target chart gains a neighbor), while
+the monotonicity routine drops any outcome that breaks validity or fails to
+reduce the turning-point count (for straightening: raises it).
 
 Most steps run as a sweep (`_sweep`): try the current targets in order,
 start over after the first commit, and stop once a whole pass commits
-nothing. Each labeling's graph is built once: either where a routine starts
+nothing. Each validity iteration runs four sweeps once, in this order:
+raise the valence of invalid charts walled in by feature edges, fix
+invalid boundaries, fix invalid corners, then dissolve the other invalid
+charts. Each labeling's graph is built once: either where a routine starts
 from raw labels, or in `attempt`; `run_monotonicity_routine` takes over the
 graph the validity routine ends with.
-
-The validity routine carries a visited-state set of tuples
-(#charts, #boundaries, #corners, #invalid of each, #turning-points) for the
-whole run. When a chart-removal sweep ends on a tuple already in it, the
-routine runs the more aggressive escape (removing the charts around invalid
-boundaries) and goes round its outer loop again. That catches cycles, but it
-also fires after any removal sweep that commits something and leaves the
-labeling invalid: the sweep runs once more, spends one restricted cut on
-the same first chart, commits nothing and sees the tuple it just recorded.
 """
 
 from __future__ import annotations
@@ -52,11 +46,19 @@ from .mesh import SurfaceMesh
 from .validity import ValidityReport, ValidityRules, feature_edge_stats, validate
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """Raises ValueError for a max_iterations that is negative or not an
+    int (a bool included)."""
+
     energy: CutEnergy = CutEnergy()
     rules: ValidityRules = ValidityRules()
     max_iterations: int = 10
+
+    def __post_init__(self):
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"max_iterations must be a non-negative int, not {n!r}")
 
 
 @dataclass
@@ -69,18 +71,6 @@ class PipelineResult:
     durations: dict = field(default_factory=dict)
     error: Optional[str] = None
     op_log: list = field(default_factory=list)
-
-
-def state_tuple(graph: LabelingGraph, report: ValidityReport) -> tuple:
-    return (
-        graph.n_charts,
-        graph.n_boundaries,
-        graph.n_corners,
-        len(report.invalid_charts),
-        len(report.invalid_boundaries),
-        len(report.invalid_corners),
-        graph.total_turning_points,
-    )
 
 
 def labeling_status(graph: LabelingGraph, report: ValidityReport) -> str:
@@ -98,16 +88,13 @@ class _State:
     def __init__(self, graph: LabelingGraph, cfg: PipelineConfig, log=None):
         self.cfg = cfg
         self.log = log if log is not None else []
-        self.graph, self.report = graph, self._validate(graph)
-
-    def _validate(self, graph):
-        return validate(graph, self.cfg.rules)
+        self.graph, self.report = graph, validate(graph, cfg.rules)
 
     @property
     def valid(self):
         return self.report.is_valid
 
-    def attempt(self, op, *args, accept=None, extra="", **kw) -> bool:
+    def attempt(self, op, *args, accept=None, **kw) -> bool:
         """Apply `op(graph, *args, **kw)` and commit the outcome if it changed
         the labeling and `accept(old_graph, new_graph, new_report)` holds (no
         predicate: always). Returns whether it committed; the log names the
@@ -116,28 +103,22 @@ class _State:
         if not out.applied:
             return False
         graph = LabelingGraph(self.graph.mesh, out.labels)
-        report = self._validate(graph)
+        report = validate(graph, self.cfg.rules)
         if accept is not None and not accept(self.graph, graph, report):
             return False
         self.graph, self.report = graph, report
         target = "/".join(str(a) for a in args)
-        suffix = f" {extra}" if extra else ""
-        self.log.append(f"{op.__name__} target={target} changed={len(out.changed)}{suffix}")
+        self.log.append(f"{op.__name__} target={target} changed={len(out.changed)}")
         return True
 
 
-def _start(mesh: SurfaceMesh, labels, cfg: PipelineConfig, log=None) -> _State:
-    return _State(LabelingGraph(mesh, labels), cfg, log)
-
-
-def _sweep(targets, step, limit: int = 100) -> bool:
+def _sweep(targets, step):
     """Try `step` on each of `targets()` in order and start over after the
-    first success, until a whole pass succeeds nowhere or `limit` steps
-    have succeeded. Returns whether any step succeeded."""
+    first success, until a whole pass succeeds nowhere or 100 steps have
+    succeeded."""
     done = 0
-    while done < limit and any(step(t) for t in targets()):
+    while done < 100 and any(step(t) for t in targets()):
         done += 1
-    return done > 0
 
 
 def _valence_gain(chart_id):
@@ -157,30 +138,14 @@ def _no_more_turning_points(old, new, report):
     return report.is_valid and new.total_turning_points <= old.total_turning_points
 
 
-def _remove_invalid_charts(st: _State) -> bool:
+def _remove_invalid_charts(st: _State):
     """Dissolve the first invalid chart not surrounded by feature edges,
     again and again, until that fails."""
-    return _sweep(
+    _sweep(
         lambda: itertools.islice(
             (c for c in st.report.invalid_charts if not ops.is_feature_surrounded(st.graph, c)), 1
         ),
         lambda c: st.attempt(ops.remove_chart, c, energy=st.cfg.energy),
-    )
-
-
-def _remove_charts_around_invalid_boundaries(st: _State) -> bool:
-    """Escape hatch when the state tuple repeats: dissolve both charts
-    adjacent to each invalid boundary."""
-    def targets():
-        if not st.report.invalid_boundaries:
-            return ()
-        b = st.graph.boundaries[st.report.invalid_boundaries[0]]
-        return sorted({b.left_chart, b.right_chart})
-
-    return _sweep(
-        targets,
-        lambda c: st.attempt(ops.remove_chart, c, extra="escape", energy=st.cfg.energy),
-        limit=2 * max(1, st.graph.n_boundaries),
     )
 
 
@@ -192,8 +157,7 @@ def run_validity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, 
     after max_iterations is the caller's signal.
     """
     cfg = cfg or PipelineConfig()
-    st = _start(mesh, labels, cfg, log)
-    visited = set()  # grows for the whole run
+    st = _State(LabelingGraph(mesh, labels), cfg, log)
     n = 0
     while not st.valid and n < cfg.max_iterations:
         n += 1
@@ -209,17 +173,7 @@ def run_validity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, 
             lambda: st.report.invalid_corners,
             lambda c: st.attempt(ops.fix_invalid_corner, c, rules=cfg.rules),
         )
-        while True:
-            removed = _remove_invalid_charts(st)
-            if st.valid:
-                break
-            s = state_tuple(st.graph, st.report)
-            if s in visited:
-                _remove_charts_around_invalid_boundaries(st)
-                break  # escape applied: go round the outer loop again
-            visited.add(s)
-            if not removed:
-                break
+        _remove_invalid_charts(st)
     return st.graph.labels, st.graph, st.report, n
 
 
@@ -294,8 +248,8 @@ def label_mesh(
             labels, graph, report = run_monotonicity_routine(graph, cfg, op_log)
         durations["monotonicity"] = time.perf_counter() - t2
     except Exception as exc:  # a crash is a result, not an abort
-        st = _start(mesh, init_labels if init_labels is not None else
-                    np.zeros(mesh.n_triangles, dtype=np.int64), cfg)
+        st = _State(LabelingGraph(mesh, init_labels if init_labels is not None else
+                                  np.zeros(mesh.n_triangles, dtype=np.int64)), cfg)
         durations["total"] = time.perf_counter() - t0
         return PipelineResult(
             st.graph.labels, st.graph, st.report, "failed",

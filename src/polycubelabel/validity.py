@@ -35,8 +35,9 @@ class ValidityRules:
     """Whether same-axis boundaries along reflex creases are accepted, the
     fraction of reflex edges such a boundary needs, and the corner rule.
 
-    Raises ValueError for a corner_rule not in CORNER_RULES and for a
-    min_reflex_fraction that is NaN or outside 0..1.
+    Raises ValueError for an allow_opposite_labels that is not a bool, a
+    corner_rule not in CORNER_RULES and a min_reflex_fraction that is NaN or
+    outside 0..1.
     """
 
     allow_opposite_labels: bool = False
@@ -44,6 +45,9 @@ class ValidityRules:
     corner_rule: str = "improved"
 
     def __post_init__(self):
+        if not isinstance(self.allow_opposite_labels, bool):
+            raise ValueError("allow_opposite_labels must be a bool,"
+                             f" not {self.allow_opposite_labels!r}")
         if self.corner_rule not in CORNER_RULES:
             raise ValueError(f"unknown corner rule {self.corner_rule!r},"
                              f" not one of {CORNER_RULES}")

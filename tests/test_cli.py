@@ -153,8 +153,9 @@ def test_label_zero_face_index_exits_2(tmp_path, capsys):
     ("--compactness", "-1", "compactness must be finite and non-negative, not -1.0"),
     ("--sensitivity", "nan", "sensitivity must be finite"),
     ("--tilt-angle", "inf", "tilt_angle must be finite"),
+    ("--max-iterations", "-3", "max_iterations must be a non-negative int, not -3"),
 ], ids=["fidelity-nan", "compactness-inf", "compactness-negative", "sensitivity-nan",
-        "tilt-angle-inf"])
+        "tilt-angle-inf", "max-iterations-negative"])
 def test_label_cut_energy_outside_the_contract_exits_2(tmp_path, cube_files, capsys,
                                                        flag, value, message):
     mesh, _ = cube_files
@@ -352,7 +353,7 @@ def test_unknown_operator_is_a_usage_error(cube_files, capsys):
     capsys.readouterr()
 
 
-def test_feature_edge_file_flag(tmp_path, cube_files):
+def test_feature_edge_file_flag(tmp_path, cube_files, capsys):
     mesh, flags = cube_files
     v, f = shapes.cube()
     m = SurfaceMesh(v, f)
@@ -360,6 +361,9 @@ def test_feature_edge_file_flag(tmp_path, cube_files):
     io.write_feature_edges(feats, sorted(m.edges[:, :2].tolist())[:4])
     assert main(["validate", str(mesh), str(flags),
                  "--feature-edges", str(feats)]) == 0
+    feats.write_text("6 0\n")  # the cube's body diagonal
+    assert main(["validate", str(mesh), str(flags), "--feature-edges", str(feats)]) == 2
+    assert "error: feature edge (0, 6) is not a mesh edge" in capsys.readouterr().err
 
 
 def test_non_integer_feature_edge_exits_2_naming_the_line(tmp_path, cube_files, capsys):
@@ -438,9 +442,10 @@ def test_console_script_is_installed(tmp_path):
     env = _launcher_env(tmp_path)
     exe = shutil.which("polycubelabel", path=env["PATH"])
     assert exe and Path(exe).parent == tmp_path / "bin"
-    proc = subprocess.run([exe, "--help"], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage: polycubelabel")
+    for cmd in ([exe], [sys.executable, "-m", "polycubelabel"]):
+        proc = subprocess.run(cmd + ["--help"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: polycubelabel")
 
 
 def test_cli_tour_runs(tmp_path):

@@ -147,6 +147,9 @@ def test_dihedral_reflex_lprism(lprism_mesh):
     assert len(reflex) == 1
     info = interior_dihedral(m, reflex[0])
     assert info.theta_int == pytest.approx(3 * math.pi / 2, abs=1e-9)
+    for bad in (-1, m.n_edges):
+        with pytest.raises(MeshError, match=f"invalid edge id {bad}"):
+            interior_dihedral(m, bad)
 
 
 def test_dihedral_orientation_independent(lprism_mesh):
@@ -185,6 +188,8 @@ def test_supplied_features_filtered_by_angle():
     m = SurfaceMesh(v, f, feature_edges=sharp[:4] + [one_flat])
     assert m.feature_edges == frozenset(sharp[:4])
     assert m.ignored_feature_edges == frozenset([one_flat])
+    with pytest.raises(MeshError, match=r"feature edge \(0, 6\) is not a mesh edge"):
+        SurfaceMesh(v, f, feature_edges=sharp[:4] + [(6, 0)])  # the body diagonal
 
 
 @pytest.mark.parametrize("angle", [math.pi / 4, 0.1])
@@ -213,6 +218,17 @@ def test_feature_angle_of_pi_or_more_marks_no_edge(angle):
 def test_mesh_without_triangles_rejected(n_vertices):
     with pytest.raises(MeshError, match="no triangles"):
         SurfaceMesh(np.zeros((n_vertices, 3)), np.zeros((0, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("damage, match", [
+    (lambda v, f: (v[:, :2], f), r"vertices must be an \(V, 3\) array"),
+    (lambda v, f: (v, np.hstack([f, f[:, :1]])), r"triangles must be an \(F, 3\) array"),
+    (lambda v, f: (v, np.where(f == 7, 8, f)), "triangle vertex index out of range"),
+    (lambda v, f: (v, np.where(f == 7, -1, f)), "triangle vertex index out of range"),
+], ids=["vertices-2d", "quads", "index-past-end", "index-negative"])
+def test_arrays_of_the_wrong_shape_or_range_rejected(damage, match):
+    with pytest.raises(MeshError, match=match):
+        SurfaceMesh(*damage(*(np.asarray(a) for a in shapes.cube())))
 
 
 def test_vertex_stars_are_built_on_first_use_and_read_only():

@@ -66,6 +66,13 @@ def test_corner_unknown_rule():
         ValidityRules(corner_rule="modern")
 
 
+@pytest.mark.parametrize("value", ["no", 0, None])
+def test_allow_opposite_labels_that_is_not_a_bool_is_refused(value):
+    # "no" is truthy: taken as it is, it would turn the allowance on
+    with pytest.raises(ValueError, match=f"allow_opposite_labels must be a bool, not {value!r}"):
+        ValidityRules(allow_opposite_labels=value)
+
+
 def test_unknown_corner_rule_is_refused_where_built():
     # a torus split into +Z and -Z halves has loop boundaries and no corner,
     # so no corner check ever reads the rule: it must be refused up front

@@ -3,14 +3,26 @@ feature-edge sidecars and colored PLY exports.
 
 Each reader reads its file as one UTF-8 text, refusing other bytes with the
 file name and offset, and converts whole blocks of numbers at once. A number
-means what Python's ``float()`` or ``int()`` makes of it: ``np.loadtxt``
-converts a block when it can (it takes the plain decimal spellings, to the
-same values), and a block it refuses goes to ``np.array`` over the tokens,
-which calls ``float()`` / ``int()`` and so also takes ``1_000`` and fails
-with their messages. Errors name the file and line (OBJ, labelings, feature
-edges) or the file and the token or triangle (MEDIT); an OBJ or labeling
-file the bulk pass refuses is read again line by line to find the first bad
-line.
+means what Python's ``float()`` or ``int()`` makes of it. Each reader tries
+a bulk pass first and falls back to a slower one that takes every spelling
+and names the first bad line or token:
+
+- OBJ: one ``np.loadtxt`` over the vertex lines and one over the face
+  lines, whose dtype (the ``f`` tag and three integers) refuses any line
+  that is not a triangle. Else the file is read again line by line.
+- MEDIT: a ``Vertices`` or ``Triangles`` section whose rows sit one per
+  line is one ``np.loadtxt`` over those lines, and the ``(n, dim + 1)``
+  shape proves the layout. Else the section's tokens are converted.
+- Labelings: a file as ``write_labeling`` writes it, one digit 0-5 and
+  ``"\n"`` per line, is one byte pass. Else the stripped lines are
+  converted, and a bad file is read again line by line.
+
+``np.loadtxt`` splits a line on the same whitespace as ``str.split`` and
+takes the plain decimal spellings, to the values ``float()`` / ``int()``
+give; a block it refuses goes to ``np.array`` over the tokens, which calls
+``float()`` / ``int()`` and so also takes ``1_000`` and fails with their
+messages. Errors name the file and line (OBJ, labelings, feature edges) or
+the file and the token or triangle (MEDIT), whichever pass finds them.
 
 All writers are byte-deterministic; coordinates are written with %.17g so
 geometry round-trips bit-exact through the text formats. Rows are formatted
@@ -91,6 +103,15 @@ def _obj_line_kinds(text, lines):
     return kind
 
 
+def _lines_of(lines, mask):
+    """The lines where ``mask`` holds; a slice when they are one run, as
+    ``write_obj`` writes its vertex and face lines."""
+    at = np.flatnonzero(mask)
+    if len(at) and at[-1] - at[0] + 1 == len(at):
+        return lines[at[0] : at[-1] + 1]
+    return list(compress(lines, mask.tolist()))
+
+
 def _obj_vertices(lines):
     """Columns 1-3 of the vertex lines, or None when any line is malformed
     or holds a number the bulk parser does not take."""
@@ -102,20 +123,21 @@ def _obj_vertices(lines):
         return None
 
 
+_OBJ_FACE = np.dtype([("tag", "U1"), ("refs", np.int64, 3)])
+
+
 def _obj_refs(lines):
     """The vertex indices of the face lines as written (1-based or negative),
     or None when any line is not a triangle of integer references."""
-    body = " ".join(lines)
+    if not lines:
+        return np.empty((0, 3), dtype=np.int64)
+    body = "\n".join(lines)
     if "/" in body:
-        body = _SLASH_TAIL.sub("", body)
-    toks = body.split()
-    if len(toks) != 4 * len(lines):
-        return None
-    # the "f" tags are no numbers, so if the rest converts, every line held
-    # exactly its tag and three references
-    del toks[::4]
+        lines = _SLASH_TAIL.sub("", body).split("\n")
+    # every line starts with its "f" tag, and the dtype takes exactly that
+    # tag and three integers, so loadtxt refuses any other line
     try:
-        return _numbers(toks, np.int64).reshape(-1, 3)
+        return np.loadtxt(lines, dtype=_OBJ_FACE, comments=None, ndmin=1)["refs"]
     except (ValueError, OverflowError):
         return None
 
@@ -151,21 +173,22 @@ def read_obj(path):
     lines = text.split("\n")
     kind = _obj_line_kinds(text, lines)
     del text
-    verts = _obj_vertices(list(compress(lines, (kind == 1).tolist())))
-    refs = _obj_refs(list(compress(lines, (kind == 2).tolist())))
+    verts = _obj_vertices(_lines_of(lines, kind == 1))
+    refs = _obj_refs(_lines_of(lines, kind == 2))
     if verts is None or refs is None:
         verts, refs = _obj_line_by_line(path, lines, kind)
     if not len(refs):
         raise FileFormatError(f"{path}: no faces found")
     # OBJ is 1-based, and a negative index counts back from the last vertex
     # read above the face; 0 becomes -1, which the range check rejects
-    face_at = np.flatnonzero(kind == 2)
-    seen = np.cumsum(kind == 1)[face_at]
-    tris = np.where(refs > 0, refs - 1, np.where(refs < 0, refs + seen[:, None], -1))
-    bad = np.flatnonzero(((tris < 0) | (tris >= len(verts))).any(axis=1))
-    if bad.size:
+    tris = refs - 1
+    if refs.min() <= 0:
+        seen = np.cumsum(kind == 1)[kind == 2]
+        tris = np.where(refs > 0, tris, np.where(refs < 0, refs + seen[:, None], -1))
+    if tris.min() < 0 or tris.max() >= len(verts):
+        bad = np.flatnonzero(((tris < 0) | (tris >= len(verts))).any(axis=1))
         raise FileFormatError(
-            f"{path}:{face_at[bad[0]] + 1}: face vertex index out of range "
+            f"{path}:{np.flatnonzero(kind == 2)[bad[0]] + 1}: face vertex index out of range "
             f"for {len(verts)} vertices"
         )
     return verts, tris
@@ -194,16 +217,30 @@ def read_medit(path):
     text = _read_text(path)
     if "#" in text:
         text = _MEDIT_COMMENT.sub("", text)
-    toks = text.split()
+    lines = text.split("\n")
     del text
-    pos = 0
+    # the tokens are split off the lines as they are needed: toks holds those
+    # of lines[:row] not yet taken, from toks[pos] on
+    row, toks, pos = 0, [], 0
+
+    def more():
+        """Whether any token is left."""
+        nonlocal row, toks, pos
+        while pos == len(toks) and row < len(lines):
+            toks, pos, row = lines[row].split(), 0, row + 1
+        return pos < len(toks)
 
     def take(n=1):
         """The next n tokens."""
-        nonlocal pos
+        nonlocal row, toks, pos
         if n < 0:
             raise FileFormatError(f"{path}: negative count")
-        if pos + n > len(toks):
+        while len(toks) - pos < n and row < len(lines):
+            # a line that is not blank holds a token, so no more lines than
+            # tokens missing are split
+            ahead = lines[row : row + n - (len(toks) - pos)]
+            toks, pos, row = toks[pos:] + "\n".join(ahead).split(), 0, row + len(ahead)
+        if len(toks) - pos < n:
             raise FileFormatError(f"{path}: truncated file")
         pos += n
         return toks[pos - n : pos]
@@ -215,16 +252,28 @@ def read_medit(path):
         except ValueError as exc:
             raise FileFormatError(f"{path}: {exc}") from None
 
-    def block(n, dtype):
-        tokens = take(n)
+    def block(n, width, dtype):
+        """The next n rows of width numbers: one loadtxt when they are the
+        next n whole lines, else converted token by token."""
+        nonlocal row
+        # a first line of one row also keeps loadtxt from warning of no data
+        if pos == len(toks) and 0 < n <= len(lines) - row and len(lines[row].split()) == width:
+            try:
+                out = np.loadtxt(lines[row : row + n], dtype=dtype, comments=None, ndmin=2)
+            except (ValueError, OverflowError):
+                out = None
+            if out is not None and out.shape == (n, width):  # one row per line
+                row += n
+                return out
+        tokens = take(n * width)
         try:
-            return _numbers(tokens, dtype)
+            return _numbers(tokens, dtype).reshape(n, width)
         except (ValueError, OverflowError) as exc:
             raise FileFormatError(f"{path}: {exc}") from None
 
     verts = tris = None
     dim = 3
-    while pos < len(toks):
+    while more():
         key = take()[0].lower()
         if key == "meshversionformatted":
             take()
@@ -234,10 +283,10 @@ def read_medit(path):
                 raise FileFormatError(f"{path}: dimension {dim} not supported")
         elif key == "vertices":
             n = integer()
-            verts = block(n * (dim + 1), np.float64).reshape(n, dim + 1)[:, :dim]
+            verts = block(n, dim + 1, np.float64)[:, :dim]
         elif key == "triangles":
             n = integer()
-            tris = block(n * 4, np.int64).reshape(n, 4)[:, :3] - 1  # 1-based
+            tris = block(n, 4, np.int64)[:, :3] - 1  # 1-based
         elif key in ("quadrilaterals", "tetrahedra", "hexahedra"):
             raise NonTriangleFaceError(f"{path}: contains {key}; only triangle surfaces are supported")
         elif key in _MEDIT_SKIP:
@@ -273,14 +322,24 @@ def write_medit(path, verts, tris):
 # -- labelings and feature edges ---------------------------------------------
 
 
-def read_labeling(path, n_triangles=None):
-    lines = _read_text(path).split("\n")
+def _written_labels(text):
+    """The labels of a text laid out as ``write_labeling`` writes it, one
+    digit 0-5 and "\n" per line, or None for any other text."""
+    b = np.frombuffer(text.encode(), dtype=np.uint8)
+    if len(b) % 2 or not (b[1::2] == ord("\n")).all():
+        return None
+    digits = b[0::2] - np.uint8(ord("0"))  # a byte below "0" wraps past 5
+    return digits.astype(np.int64) if (digits <= 5).all() else None
+
+
+def _labels_of_lines(path, lines):
+    """The labels on the non-blank lines; raises naming the first bad line."""
     try:
         labels = _numbers(list(filter(None, map(str.strip, lines))), np.int64)
     except (ValueError, OverflowError):
         labels = None
     if labels is None or not ((labels >= 0) & (labels <= 5)).all():
-        for lineno, line in enumerate(lines, 1):  # name the first bad line
+        for lineno, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
                 continue
@@ -290,6 +349,14 @@ def read_labeling(path, n_triangles=None):
                 raise FileFormatError(f"{path}:{lineno}: not an integer: {line!r}") from None
             if not 0 <= v <= 5:
                 raise FileFormatError(f"{path}:{lineno}: label {v} outside 0..5")
+    return labels
+
+
+def read_labeling(path, n_triangles=None):
+    text = _read_text(path)
+    labels = _written_labels(text)
+    if labels is None:
+        labels = _labels_of_lines(path, text.split("\n"))
     if n_triangles is not None and len(labels) != n_triangles:
         raise FileFormatError(
             f"{path}: {len(labels)} labels for {n_triangles} triangles"

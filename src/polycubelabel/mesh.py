@@ -1,10 +1,13 @@
 """Closed triangle surface mesh with the connectivity needed for labeling.
 
-The mesh is immutable after construction: the derived quantities (normals,
-areas, edge table, triangle adjacency, interior dihedral angles, feature
-edges) are computed once, in the constructor, and the underlying arrays are
-marked read-only. The one exception is the vertex stars, which only the
-repair operators walk: they are built on first use, read-only as well.
+The mesh is immutable after construction, and the arrays it exposes are
+read-only. The constructor computes what every command reads and what can
+refuse the input: normals, areas, the edge table and triangle adjacency,
+and the check of supplied feature edges. The rest is computed once, on
+first use: the interior dihedral angles and the feature edges derived from
+them (read by labeling, validation and the metrics report, not by a graph
+build or a PLY export), and the vertex stars, which only the repair
+operators walk.
 """
 
 from __future__ import annotations
@@ -97,6 +100,11 @@ def _norm(x):
     return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 def component_roots(n, a, b) -> np.ndarray:
     """The smallest node of each node's connected component, for nodes
     0..n-1 joined by the edges (a[i], b[i]). Min-label hooking: hook the
@@ -163,9 +171,13 @@ class SurfaceMesh:
     ignored_feature_edges : frozenset of (int, int)
         Supplied CAD edges whose dihedral deviation is below the threshold.
 
-    ``vertex_triangles(v)`` lists the star of ``v`` in triangle-index order.
-    The stars are built on its first call, or ``vertex_ring``'s; the rest
-    is computed in the constructor.
+    The arrays from ``vertices`` to ``triangle_adjacency`` are computed in
+    the constructor. ``dihedral_angles`` and the four feature attributes
+    derived from it are each computed on first read; a bad
+    ``feature_angle`` and a supplied pair that is not a mesh edge are
+    still refused by the constructor. ``vertex_triangles(v)`` lists the star
+    of ``v`` in triangle-index order; the stars are built on its first
+    call, or ``vertex_ring``'s.
     """
 
     def __init__(self, vertices, triangles, feature_edges=None, feature_angle=math.pi / 4):
@@ -191,14 +203,12 @@ class SurfaceMesh:
 
         self._compute_geometry()
         self._build_connectivity()
-        self._compute_dihedrals()
-        self._assign_feature_edges(feature_edges)
+        self._supplied = self._supplied_feature_mask(feature_edges)
         self._check_one_surface()
 
         for arr in (self.vertices, self.triangles, self.normals, self.areas,
                     self.edges, self.triangle_edges, self.edge_tris,
-                    self.triangle_adjacency, self.dihedral_angles,
-                    self.feature_edge_mask, self.feature_vertex_mask):
+                    self.triangle_adjacency):
             arr.flags.writeable = False
 
     # -- construction helpers -------------------------------------------------
@@ -288,26 +298,22 @@ class SurfaceMesh:
         cross = _cross(n1, n2)
         alpha = np.arctan2(_norm(cross), np.einsum("ij,ij->i", n1, n2))
         sign = np.where(np.einsum("ij,ij->i", cross, e) >= 0.0, 1.0, -1.0)
-        self.dihedral_angles = np.pi - sign * alpha
+        return np.pi - sign * alpha
 
-    def _assign_feature_edges(self, supplied):
-        sharp = np.abs(self.dihedral_angles - np.pi) >= self.feature_angle
+    def _supplied_feature_mask(self, supplied):
+        """The supplied CAD edges by edge id, or None when none are given;
+        refuses a pair that is not a mesh edge."""
         if supplied is None:
-            given = sharp
-        else:
-            given = np.zeros_like(sharp)
-            for pair in supplied:
-                a, b = int(pair[0]), int(pair[1])
-                try:
-                    given[self.edge_id(a, b)] = True
-                except MeshError:
-                    key = (a, b) if a < b else (b, a)
-                    raise MeshError(f"feature edge {key} is not a mesh edge") from None
-        self.feature_edge_mask = given & sharp
-        self.feature_vertex_mask = np.zeros(self.n_vertices, dtype=bool)
-        self.feature_vertex_mask[self.edges[self.feature_edge_mask].ravel()] = True
-        self.feature_edges = frozenset(map(tuple, self.edges[self.feature_edge_mask].tolist()))
-        self.ignored_feature_edges = frozenset(map(tuple, self.edges[given & ~sharp].tolist()))
+            return None
+        given = np.zeros(self.n_edges, dtype=bool)
+        for pair in supplied:
+            a, b = int(pair[0]), int(pair[1])
+            try:
+                given[self.edge_id(a, b)] = True
+            except MeshError:
+                key = (a, b) if a < b else (b, a)
+                raise MeshError(f"feature edge {key} is not a mesh edge") from None
+        return _read_only(given)
 
     def _check_one_surface(self):
         # The genus formula holds for one closed surface with no stray vertices.
@@ -362,13 +368,37 @@ class SurfaceMesh:
         return bool(self.feature_vertex_mask[v])
 
     @functools.cached_property
+    def dihedral_angles(self):
+        return _read_only(self._compute_dihedrals())
+
+    @functools.cached_property
+    def feature_edge_mask(self):
+        sharp = np.abs(self.dihedral_angles - np.pi) >= self.feature_angle
+        return _read_only(sharp if self._supplied is None else self._supplied & sharp)
+
+    @functools.cached_property
+    def feature_vertex_mask(self):
+        mask = np.zeros(self.n_vertices, dtype=bool)
+        mask[self.edges[self.feature_edge_mask].ravel()] = True
+        return _read_only(mask)
+
+    @functools.cached_property
+    def feature_edges(self):
+        return frozenset(map(tuple, self.edges[self.feature_edge_mask].tolist()))
+
+    @functools.cached_property
+    def ignored_feature_edges(self):
+        if self._supplied is None:
+            return frozenset()
+        return frozenset(map(tuple, self.edges[self._supplied & ~self.feature_edge_mask].tolist()))
+
+    @functools.cached_property
     def _stars(self):
         """(triangles, starts): the corners grouped by vertex, in triangle
         order, as triangle ids; vertex v's star is triangles[starts[v]:starts[v + 1]]."""
         tris = np.argsort(self.triangles.ravel(), kind="stable") // 3
         starts = np.concatenate(([0], np.cumsum(self._degree)))
-        tris.flags.writeable = starts.flags.writeable = False
-        return tris, starts
+        return _read_only(tris), _read_only(starts)
 
     def vertex_triangles(self, v) -> tuple:
         """Triangles incident to vertex ``v``, in triangle-index order."""

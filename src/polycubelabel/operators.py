@@ -55,6 +55,15 @@ class TracedPath:
     reason: str  # hit-boundary | hit-turning-point | max-steps
 
 
+def _target(items, i, kind):
+    """``items[i]``, refusing an id outside 0..len(items) - 1; a negative
+    id would otherwise count back from the end."""
+    if not 0 <= i < len(items):
+        raise ValueError(f"{kind} id {i} outside 0..{len(items) - 1}" if items
+                         else f"{kind} id {i}: the labeling has none")
+    return items[i]
+
+
 def _skip(labels) -> OperatorOutcome:
     return OperatorOutcome(np.array(labels, dtype=np.int64), frozenset())
 
@@ -217,7 +226,7 @@ def remove_chart(graph: LabelingGraph, chart_id: int,
                  energy: CutEnergy = CutEnergy()) -> OperatorOutcome:
     """Dissolve a chart by re-solving its triangles over the neighbors' labels."""
     labels = graph.labels
-    chart = graph.charts[chart_id]
+    chart = _target(graph.charts, chart_id, "chart")
     if not chart.neighbors:  # constant labeling: nothing to absorb into
         return _skip(labels)
     allowed_labels = sorted({graph.charts[n].label for n in chart.neighbors})
@@ -232,7 +241,7 @@ def fix_invalid_boundary(
 ) -> OperatorOutcome:
     """Insert a strip chart along a same-axis boundary, separating its charts."""
     mesh, labels = graph.mesh, graph.labels
-    b = graph.boundaries[boundary_id]
+    b = _target(graph.boundaries, boundary_id, "boundary")
     if b.axis is not None:  # orthogonal boundary: nothing to fix
         return _skip(labels)
     allowed = np.isin(graph.chart_of, (b.left_chart, b.right_chart))
@@ -249,7 +258,7 @@ def fix_invalid_corner(graph: LabelingGraph, corner_id: int, radius: int = DISK_
     corner that stays inside the charts incident to it.
     """
     mesh, labels = graph.mesh, graph.labels
-    corner = graph.corners[corner_id]
+    corner = _target(graph.corners, corner_id, "corner")
     if corner_is_valid(corner, rules)[0]:
         return _skip(labels)
     v = corner.vertex
@@ -279,7 +288,7 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
     paths to a fresh-axis label, creating a new chart adjacent to the target.
     """
     mesh, labels = graph.mesh, graph.labels
-    chart = graph.charts[chart_id]
+    chart = _target(graph.charts, chart_id, "chart")
     loops = _chart_contour_loops(graph, chart_id)
     pts = mesh.vertices
 
@@ -566,7 +575,7 @@ def straighten_boundary(graph: LabelingGraph, boundary_id: int) -> OperatorOutco
     """Re-draw a boundary as a greedy shortest walk between its two corners,
     re-splitting the two adjacent charts along the new path."""
     mesh, labels = graph.mesh, graph.labels
-    b = graph.boundaries[boundary_id]
+    b = _target(graph.boundaries, boundary_id, "boundary")
     if b.cyclic:
         return _skip(labels)
     if mesh.feature_edge_mask[list(b.edge_ids)].any():

@@ -269,6 +269,18 @@ def test_viz_command(tmp_path, cube_files):
     assert "element face 12" in header
 
 
+@pytest.mark.parametrize("command", ["viz", "graph"])
+def test_viz_and_graph_never_compute_dihedrals(tmp_path, cube_files, monkeypatch, command):
+    def no_dihedrals(self):
+        raise AssertionError("dihedral angles computed")
+
+    monkeypatch.setattr(SurfaceMesh, "_compute_dihedrals", no_dihedrals)
+    mesh, flags = cube_files
+    assert main([command, str(mesh), str(flags), "-o", str(tmp_path / "out")]) == 0
+    with pytest.raises(AssertionError, match="dihedral angles computed"):
+        main(["report", str(mesh), str(flags), "-o", str(tmp_path / "report.json")])
+
+
 def _fix_cases():
     """Per operator: (mesh, labels, targets) where the operator applies."""
     from test_operators import (cone_quadrants, l_hook_box, rotated_torus, s_curve_box,
@@ -343,6 +355,23 @@ def test_fix_rejects_wrong_target_arity(cube_files, capsys):
                "--op", "join_turning_points_pair", "--target", "5"])
     assert rc == 2
     assert "expects 2 target id(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["999", "-1"])
+@pytest.mark.parametrize("op, kind, last", [
+    ("remove_chart", "chart", 5), ("fix_invalid_boundary", "boundary", 11),
+    ("fix_invalid_corner", "corner", 7), ("increase_chart_valence", "chart", 5),
+    ("straighten_boundary", "boundary", 11),
+])
+def test_fix_target_outside_the_graph_exits_2(tmp_path, cube_files, capsys, op, kind, last, target):
+    # the cube's naive labeling has 6 charts, 12 boundaries and 8 corners;
+    # -1 must not count back to the last one
+    mesh, flags = cube_files
+    out = tmp_path / "out.flags"
+    rc = main(["fix", str(mesh), str(flags), "--op", op, "--target", target, "-o", str(out)])
+    assert rc == 2
+    assert f"error: {kind} id {target} outside 0..{last}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_operator_is_a_usage_error(cube_files, capsys):

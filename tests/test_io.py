@@ -1,4 +1,5 @@
 import re
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,6 +81,40 @@ def test_obj_common_syntax_takes_the_bulk_path(tmp_path, monkeypatch):
     assert np.array_equal(f, [[0, 1, 2], [0, 1, 2]])
 
 
+def _spy(monkeypatch, name):
+    """The calls of ``io.<name>``, a reader's fallback pass, as they happen."""
+    calls, orig = [], getattr(io, name)
+    monkeypatch.setattr(io, name, lambda *args: calls.append(args) or orig(*args))
+    return calls
+
+
+def _takes_fallback(path, text, read, reference, fallback):
+    """Whether reading ``text`` goes through ``fallback``; the outcome must
+    match the reference reader's either way."""
+    with open(path, "w", newline="") as fh:  # keep a "\r\n" as written
+        fh.write(text)
+    fallback.clear()
+    assert _outcome(read, path) == _outcome(reference, path)
+    return bool(fallback)
+
+
+def test_obj_written_layout_takes_the_line_pass(tmp_path, monkeypatch):
+    fallback = _spy(monkeypatch, "_obj_line_by_line")
+    p = tmp_path / "m.obj"
+    io.write_obj(p, *_ugly_mesh())
+    written = p.read_text()
+    faces = re.compile(r"^f (\d+) (\d+) (\d+)$", re.M)
+    read = lambda text: _takes_fallback(p, text, io.read_obj, reference_read_obj, fallback)
+    assert not read(written)
+    assert not read(written.replace("f ", "f\t").replace("v ", "v\t"))
+    assert not read(faces.sub(r"f +\1 \2 +\3", written))
+    assert not read(faces.sub(r"f \1/1 \2//7 \3/2/3", written))
+    assert not read("# exported\r\n" + written.replace("\n", "\r\n"))
+    assert read(faces.sub(r"f \1 \2 \3 # note", written))  # a quad to the reference
+    assert read(faces.sub(r"f \1 \2 1_\3", written))
+    assert read(written + "f 1 2\n")
+
+
 def test_obj_malformed_vertex_reports_line(tmp_path):
     p = tmp_path / "bad.obj"
     p.write_text("v 0 0 0\nv 1 0\nf 1 1 1\n")
@@ -146,6 +181,24 @@ def test_medit_skips_comments_and_extra_sections(tmp_path):
     assert np.array_equal(f, [[0, 1, 2]])
 
 
+def test_medit_written_layout_takes_the_line_pass(tmp_path, monkeypatch):
+    fallback = _spy(monkeypatch, "_numbers")
+    p = tmp_path / "m.mesh"
+    io.write_medit(p, *_ugly_mesh())
+    written = p.read_text()
+    rows = re.compile(r"^(\S+) (\S+) (\S+) 0$", re.M)
+    read = lambda text: _takes_fallback(p, text, io.read_medit, reference_read_medit, fallback)
+    assert not read(written)
+    assert not read(written.replace(" ", "\t").replace("\n", "\r\n"))
+    assert not read(written.replace("\n", " # note\n"))
+    head, tris = written.split("Triangles")
+    assert not read(head + "Triangles" + rows.sub(r"+\1 \2 +\3 0", tris))
+    assert read(written.replace(" 0\n", " 0 ", 1))  # two rows on one line
+    assert read(rows.sub(r"\1 \2\n\3 0", written))  # a row over two lines
+    assert read(rows.sub(r"\1 \2 1_0 0", written))
+    assert read(rows.sub(r"\1 \2 x 0", written, count=1))
+
+
 def test_medit_truncated(tmp_path):
     p = tmp_path / "t.mesh"
     p.write_text("MeshVersionFormatted 2\nDimension 3\nVertices 5\n0 0 0 1\n")
@@ -194,6 +247,24 @@ def test_labeling_roundtrip(tmp_path):
     io.write_labeling(p, labels)
     assert np.array_equal(io.read_labeling(p), labels)
     assert np.array_equal(io.read_labeling(p, n_triangles=8), labels)
+
+
+def test_labeling_written_layout_takes_the_byte_pass(tmp_path, monkeypatch):
+    fallback = _spy(monkeypatch, "_labels_of_lines")
+    p = tmp_path / "l.flags"
+    io.write_labeling(p, np.array([0, 5, 3, 3, 1, 2, 4, 0]))
+    written = p.read_text()
+    read = lambda text: _takes_fallback(p, text, io.read_labeling, reference_read_labeling, fallback)
+    assert not read(written)
+    assert not read(written.replace("\n", "\r\n"))  # read as "\n"
+    assert not read("")
+    assert read(written.replace("3", "\t3"))
+    assert read(written.replace("3", "+3"))
+    assert read(written.replace("3", "03"))
+    assert read(written.replace("\n", "\n\n", 1))
+    assert read(written[:-1])
+    assert read(written.replace("4", "6"))
+    assert read(written.replace("4", "/"))  # the byte below "0"
 
 
 def test_labeling_blank_lines_ignored(tmp_path):
@@ -365,22 +436,26 @@ def _index(n):
 
 @st.composite
 def _obj_texts(draw):
+    # written: laid out as write_obj writes, single spaces and v / f lines only
+    written = draw(st.booleans())
     lines, n_verts = [], 0
-    kinds = "v" * draw(st.integers(0, 4)) + draw(st.text("vvff-", max_size=10))
+    kinds = "v" * draw(st.integers(0, 4)) + draw(st.text("vf" if written else "vvff-", max_size=10))
     for kind in kinds:
-        pre, sep = draw(_PRE), draw(_SEP)
+        pre, sep = ("", " ") if written else (draw(_PRE), draw(_SEP))
         if kind == "v":
-            coords = draw(st.lists(_COORD, min_size=3, max_size=4))  # the 4th is w
+            coords = draw(st.lists(_COORD, min_size=3, max_size=3 if written else 4))  # the 4th is w
             lines.append(pre + "v" + sep + sep.join(coords))
             n_verts += 1
         elif kind == "f":
-            refs = [str(draw(_index(n_verts)))
-                    + draw(st.sampled_from(["", "", "/1", "//2", "/1/1", "/"])) for _ in range(3)]
+            tails = [""] if written else ["", "", "/1", "//2", "/1/1", "/"]
+            refs = [str(draw(_index(n_verts))) + draw(st.sampled_from(tails)) for _ in range(3)]
             lines.append(pre + "f" + sep + sep.join(refs))
         else:
             lines.append(draw(_OTHER_LINES))
     if lines and draw(st.integers(0, 2)) == 0:
         lines[draw(st.integers(0, len(lines) - 1))] = draw(_BAD_LINES)
+    if written:
+        return "".join(line + "\n" for line in lines)
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
@@ -388,41 +463,54 @@ def _obj_texts(draw):
 @st.composite
 def _medit_texts(draw):
     n = draw(st.integers(0, 5))
-    toks = ["MeshVersionFormatted", "2", draw(st.sampled_from(["Dimension", "DIMENSION"])), "3",
-            draw(st.sampled_from(["Vertices", "vertices"])), str(n)]
-    for _ in range(n):
-        toks += draw(st.lists(_COORD, min_size=3, max_size=3)) + ["0"]
+    rows = [["MeshVersionFormatted", "2"], [draw(st.sampled_from(["Dimension", "DIMENSION"])), "3"],
+            [draw(st.sampled_from(["Vertices", "vertices"]))], [str(n)]]
+    rows += [draw(st.lists(_COORD, min_size=3, max_size=3)) + ["0"] for _ in range(n)]
     if draw(st.booleans()):
         k = draw(st.integers(0, 2))
-        toks += ["Edges", str(k)] + [str(draw(st.integers(1, 3))) for _ in range(3 * k)]
+        rows += [["Edges"], [str(k)]] + [[str(draw(st.integers(1, 3))) for _ in range(3)]
+                                         for _ in range(k)]
     if draw(st.booleans()):
-        toks += ["Corners", "1", "1"]
+        rows += [["Corners"], ["1"], ["1"]]
     m = draw(st.integers(0, 4))
-    toks += ["Triangles", str(m)]
-    for _ in range(m):
-        toks += [str(draw(st.one_of(st.integers(1, max(n, 1)), st.integers(0, n + 1))))
-                 for _ in range(3)] + ["0"]
+    rows += [["Triangles"], [str(m)]]
+    rows += [[str(draw(st.one_of(st.integers(1, max(n, 1)), st.integers(0, n + 1))))
+              for _ in range(3)] + ["0"] for _ in range(m)]
     if draw(st.booleans()):
-        toks.append("End")
+        rows.append(["End"])
+    toks = [tok for row in rows for tok in row]
+    ends = {k - 1 for k in accumulate(map(len, rows))}  # the last token of each row
     if draw(st.integers(0, 2)) == 0:  # one broken token, or a truncated file
         at = draw(st.integers(0, len(toks) - 1))
         bad = draw(st.sampled_from(["x", "3#c", "1.5", "-1", "Frobnicate", "Tetrahedra", "1_0", None]))
         toks = toks[:at] if bad is None else toks[:at] + [bad] + toks[at + 1:]
+    # written: one row per line with single spaces, as write_medit writes
+    written = draw(st.booleans())
     out = []
-    for tok in toks:
+    for i, tok in enumerate(toks):
         out.append(tok)
-        gap = draw(st.sampled_from([" ", "\t", "\n", "\n", "  ", " # note\n", "#\r\n", "\r\n"]))
-        out.append(gap)
+        if written:
+            out.append("\n" if i in ends else " ")
+        else:
+            out.append(draw(st.sampled_from([" ", "\t", "\n", "\n", "  ", " # note\n", "#\r\n", "\r\n"])))
     return "".join(out)
+
+
+_ODD_LABELS = st.sampled_from(["", " ", "-1", "6", "x", "1 2", "1.0", "+3", "03", "1_0", "٣",
+                               "99999999999999999999"])
 
 
 @st.composite
 def _labeling_texts(draw):
+    if draw(st.booleans()):  # one digit and "\n" per line, as write_labeling writes
+        lines = draw(st.lists(st.integers(0, 5).map(str), max_size=12))
+        if lines and draw(st.integers(0, 2)) == 0:
+            lines[draw(st.integers(0, len(lines) - 1))] = draw(_ODD_LABELS)
+        return "".join(line + "\n" for line in lines)
     lines = draw(st.lists(st.one_of(
         st.integers(0, 5).map(str),
         st.integers(0, 5).map(lambda v: f"  {v}\t"),
-        st.sampled_from(["", " ", "-1", "6", "x", "1 2", "1.0", "+3", "03", "1_0", "٣",
-                         "99999999999999999999"]),
+        _ODD_LABELS,
     ), max_size=12))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
@@ -447,18 +535,21 @@ def _same_as_reference(tmp_path_factory, text, read, reference, name, *args):
         assert issubclass(got[0], MeshError), got
 
 
+@pytest.mark.filterwarnings("error")  # a warning is an outcome the reference never has
 @settings(max_examples=200, deadline=None)
 @given(text=_obj_texts())
 def test_read_obj_matches_the_per_line_reader(tmp_path_factory, text):
     _same_as_reference(tmp_path_factory, text, io.read_obj, reference_read_obj, "fuzz.obj")
 
 
+@pytest.mark.filterwarnings("error")  # a warning is an outcome the reference never has
 @settings(max_examples=200, deadline=None)
 @given(text=_medit_texts())
 def test_read_medit_matches_the_per_token_reader(tmp_path_factory, text):
     _same_as_reference(tmp_path_factory, text, io.read_medit, reference_read_medit, "fuzz.mesh")
 
 
+@pytest.mark.filterwarnings("error")  # a warning is an outcome the reference never has
 @settings(max_examples=200, deadline=None)
 @given(text=_labeling_texts(), extra=st.sampled_from([None, 0, 1]))
 def test_read_labeling_matches_the_per_line_reader(tmp_path_factory, text, extra):

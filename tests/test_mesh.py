@@ -243,6 +243,51 @@ def test_vertex_stars_are_built_on_first_use_and_read_only():
             arr[0] = 1
 
 
+_LAZY = ("dihedral_angles", "feature_edge_mask", "feature_vertex_mask", "feature_edges",
+         "ignored_feature_edges")
+
+
+@pytest.mark.parametrize("supplied", [False, True])
+def test_dihedrals_and_features_are_built_on_first_use_and_read_only(supplied):
+    v, f = shapes.subdivide(*shapes.l_prism(), 1)
+    ref = DictMesh(v, f)
+    features = None
+    if supplied:  # every other edge, so some are flat and kept aside
+        features = [tuple(p) for p in ref.edges[::2].tolist()]
+        ref = DictMesh(v, f, feature_edges=features)
+    m = SurfaceMesh(v, f, feature_edges=features)
+    assert not set(_LAZY) & set(vars(m))
+    assert np.array_equal(_bits(m.dihedral_angles), _bits(ref.dihedral_angles))
+    assert m.feature_edges == ref.feature_edges
+    assert m.ignored_feature_edges == ref.ignored_feature_edges
+    assert bool(ref.ignored_feature_edges) == supplied
+    assert [tuple(m.edges[e]) for e in np.flatnonzero(m.feature_edge_mask)] == sorted(ref.feature_edges)
+    ends = {vid for edge in ref.feature_edges for vid in edge}
+    assert np.flatnonzero(m.feature_vertex_mask).tolist() == sorted(ends)
+    for name in ("dihedral_angles", "feature_edge_mask", "feature_vertex_mask"):
+        arr = getattr(m, name)
+        assert arr is getattr(m, name)  # computed once
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_constructor_refuses_bad_features_without_the_dihedrals(monkeypatch):
+    def no_dihedrals(self):
+        raise AssertionError("dihedral angles computed")
+
+    monkeypatch.setattr(SurfaceMesh, "_compute_dihedrals", no_dihedrals)
+    v, f = shapes.cube()
+    m = SurfaceMesh(v, f, feature_edges=[(0, 1)])
+    assert m.n_edges == 18
+    with pytest.raises(MeshError, match=r"feature edge \(0, 6\) is not a mesh edge"):
+        SurfaceMesh(v, f, feature_edges=[(6, 0)])  # the body diagonal
+    with pytest.raises(MeshError, match="feature angle must be 0 or more"):
+        SurfaceMesh(v, f, feature_angle=math.nan)
+    with pytest.raises(AssertionError, match="dihedral angles computed"):
+        m.feature_edges
+
+
 def test_vertex_fan_cycles(lprism_mesh):
     m = lprism_mesh
     for v in range(m.n_vertices):

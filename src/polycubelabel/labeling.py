@@ -171,23 +171,38 @@ def restricted_relabel(
 
     Fixed neighbors act through their boundary edges: crossing such an edge
     into a different label costs that edge's smoothness weight, folded into
-    the data term of the free triangle. `allowed` optionally masks permitted
-    labels, either one (6,) row for all free triangles or one row each;
-    raises ValueError naming the first free triangle it leaves no label.
+    the data term of the free triangle. `region` is a bool mask over the
+    triangles or triangle ids in 0..F-1. `allowed` optionally masks permitted
+    labels, either one (6,) row for all free triangles or one row each.
+    Raises ValueError for labels that `checked_labels` refuses or whose
+    count is not F, a mask whose length is not F, a region id that is not a
+    triangle id, and, naming it, the first free triangle that `allowed`
+    leaves no label.
     """
     from .graphcut import BIG, alpha_expansion
 
-    labels = np.asarray(labels, dtype=np.int64)
+    n = mesh.n_triangles
+    labels = checked_labels(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"{labels.size} labels for {n} triangles")
     region = np.asarray(sorted(region) if isinstance(region, (set, frozenset)) else region)
     if region.dtype == bool:
+        if region.shape != (n,):
+            raise ValueError(f"region mask of length {region.size} for {n} triangles")
         mask = region.copy()
     else:
-        mask = np.zeros(mesh.n_triangles, dtype=bool)
-        mask[region.astype(np.int64)] = True
+        ids = region.ravel()
+        if ids.size and ids.dtype.kind not in "iu":
+            raise ValueError(f"region id {ids[0]} is not a triangle id")
+        bad = np.flatnonzero((ids < 0) | (ids >= n))
+        if bad.size:
+            raise ValueError(f"region id {ids[bad[0]]} outside 0..{n - 1}")
+        mask = np.zeros(n, dtype=bool)
+        mask[ids.astype(np.int64)] = True
     idx = np.nonzero(mask)[0]
     if idx.size == 0:
-        return labels.copy()
-    pos = np.full(mesh.n_triangles, -1, dtype=np.int64)
+        return labels
+    pos = np.full(n, -1, dtype=np.int64)
     pos[idx] = np.arange(idx.size)
 
     costs = data_costs(mesh.normals[idx], energy)
@@ -212,10 +227,8 @@ def restricted_relabel(
     init = labels[idx].copy()
     stuck = costs[np.arange(idx.size), init] >= BIG
     init[stuck] = np.argmin(costs[stuck], axis=1)
-    sub, _ = alpha_expansion(costs, pairs, weights, init=init)
-    out = labels.copy()
-    out[idx] = sub
-    return out
+    labels[idx], _ = alpha_expansion(costs, pairs, weights, init=init)
+    return labels
 
 
 class FidelityReport(NamedTuple):

@@ -581,17 +581,21 @@ def straighten_boundary(graph: LabelingGraph, boundary_id: int) -> OperatorOutco
     if mesh.feature_edge_mask[list(b.edge_ids)].any():
         return _skip(labels)  # feature boundaries keep their path
     c_start, c_end = b.vertices[0], b.vertices[-1]
-    union = np.isin(graph.chart_of, (b.left_chart, b.right_chart))
-    goal = mesh.vertices[c_end]
+    union = (graph.chart_of == b.left_chart) | (graph.chart_of == b.right_chart)
+    t1, t2 = mesh.edge_tris.T
+    inside = union[t1] & union[t2]  # the edges with both triangles in the union
+    gx, gy, gz = mesh.vertices[c_end].tolist()
     verts, eids = [c_start], []
     cur, seen = c_start, {c_start}
     ok = False
     for _ in range(mesh.n_edges):
         best = None
         for nbr, eid in mesh.vertex_ring(cur):
-            if nbr in seen or not union[mesh.edge_tris[eid]].all():
+            if nbr in seen or not inside[eid]:
                 continue
-            d = float(np.linalg.norm(mesh.vertices[nbr] - goal))
+            x, y, z = mesh.vertices[nbr].tolist()
+            dx, dy, dz = x - gx, y - gy, z - gz
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
             if best is None or d < best[0] - 1e-12 or (abs(d - best[0]) <= 1e-12 and nbr < best[1]):
                 best = (d, nbr, eid)
         if best is None:

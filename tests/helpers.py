@@ -1,10 +1,10 @@
-"""Shared mesh builders for the tests."""
+"""Shared mesh builders for the tests, and a spy on the expansion moves."""
 
 import math
 
 import numpy as np
 
-from polycubelabel import shapes
+from polycubelabel import graphcut, shapes
 from polycubelabel.mesh import SurfaceMesh, detect_feature_edges
 
 
@@ -100,3 +100,15 @@ def cube_with_a_stray_vertex():
     (vertices, triangles)."""
     v, f = shapes.cube()
     return np.vstack([v, [[5.0, 5.0, 5.0]]]), np.asarray(f)
+
+
+def spy_moves(monkeypatch):
+    """Record the label of every expansion move run from here on."""
+    alphas, move = [], graphcut._expansion_move
+
+    def spy(costs, pairs, weights, cur, alpha):
+        alphas.append(alpha)
+        return move(costs, pairs, weights, cur, alpha)
+
+    monkeypatch.setattr(graphcut, "_expansion_move", spy)
+    return alphas

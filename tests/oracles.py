@@ -13,11 +13,14 @@ import numpy as np
 
 from polycubelabel.graph import (_SIGN_TOL, Boundary, Chart, Corner, _flip_positions,
                                  discontinuity_edges, optimal_edge_directions)
-from polycubelabel.graphcut import _EPS, _dinic, _paired_arcs
+from polycubelabel import graphcut
+from polycubelabel.graphcut import (_EPS, _MAX_SWEEPS, BIG, _dinic, _paired_arcs,
+                                    _potts_energy)
 from polycubelabel.io import FileFormatError
 from polycubelabel.labeling import LABEL_COLORS
 from polycubelabel.mesh import (MeshError, NonManifoldEdgeError, NonTriangleFaceError,
                                OpenSurfaceError, SurfaceMesh)
+from polycubelabel.operators import _grow, _outcome, _skip, _target
 
 
 def random_cut_instance(rng, max_nodes=10):
@@ -715,6 +718,75 @@ def net_arc_expansion_move(costs, pairs, weights, cur, alpha):
         np.concatenate((s_cap[from_s], t_cap[into_t], across[pos])),
     ), s, t)
     return ~side[:n]
+
+
+def reference_alpha_expansion(costs, pairs, weights, init=None):
+    """alpha_expansion's loop with no move skipped: every label's move in
+    every sweep, through `graphcut._expansion_move` (looked up at each call,
+    so a spy sees these moves too). Takes checked input only."""
+    costs = np.minimum(np.asarray(costs, dtype=np.float64), BIG)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=np.float64)
+    cur = (np.argmin(costs, axis=1) if init is None else np.asarray(init)).astype(np.int64)
+    energy = _potts_energy(costs, pairs, weights, cur)
+    for _ in range(_MAX_SWEEPS):
+        improved = False
+        for alpha in range(costs.shape[1]):
+            switch = graphcut._expansion_move(costs, pairs, weights, cur, alpha)
+            if not np.any(switch & (cur != alpha)):
+                continue
+            cand = np.where(switch, alpha, cur)
+            cand_energy = _potts_energy(costs, pairs, weights, cand)
+            if cand_energy < energy - 1e-9:
+                cur, energy = cand, cand_energy
+                improved = True
+        if not improved:
+            break
+    return cur, energy
+
+
+def reference_straighten_boundary(graph, boundary_id):
+    """straighten_boundary with its first greedy walk: the union test per
+    candidate edge and the distance to the goal by `np.linalg.norm`."""
+    mesh, labels = graph.mesh, graph.labels
+    b = _target(graph.boundaries, boundary_id, "boundary")
+    if b.cyclic:
+        return _skip(labels)
+    if mesh.feature_edge_mask[list(b.edge_ids)].any():
+        return _skip(labels)
+    c_start, c_end = b.vertices[0], b.vertices[-1]
+    union = np.isin(graph.chart_of, (b.left_chart, b.right_chart))
+    goal = mesh.vertices[c_end]
+    verts, eids = [c_start], []
+    cur, seen = c_start, {c_start}
+    ok = False
+    for _ in range(mesh.n_edges):
+        best = None
+        for nbr, eid in mesh.vertex_ring(cur):
+            if nbr in seen or not union[mesh.edge_tris[eid]].all():
+                continue
+            d = float(np.linalg.norm(mesh.vertices[nbr] - goal))
+            if best is None or d < best[0] - 1e-12 or (abs(d - best[0]) <= 1e-12 and nbr < best[1]):
+                best = (d, nbr, eid)
+        if best is None:
+            break
+        _, cur, eid = best
+        eids.append(eid)
+        verts.append(cur)
+        seen.add(cur)
+        if cur == c_end:
+            ok = True
+            break
+    if not ok or len(eids) > b.n_edges or tuple(eids) == b.edge_ids:
+        return _skip(labels)
+    left_seeds = {mesh.edge_sides(a, w)[0] for a, w in zip(verts, verts[1:])}
+    region_left = _grow(mesh, left_seeds, union, eids)
+    if len(region_left) == int(union.sum()):
+        return _skip(labels)
+    out = labels.copy()
+    out[union] = graph.charts[b.right_chart].label
+    out[region_left] = graph.charts[b.left_chart].label
+    return _outcome(labels, out)
 
 
 # -- the labeling graph, built by walking each boundary edge by edge ----------------

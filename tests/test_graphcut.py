@@ -23,6 +23,7 @@ from polycubelabel.labeling import CutEnergy
 from polycubelabel.mesh import SurfaceMesh
 
 import oracles
+from helpers import spy_moves
 from oracles import (
     brute_force_min_cut,
     brute_force_potts,
@@ -30,6 +31,7 @@ from oracles import (
     push_arcs_one_by_one,
     random_cut_instance,
     random_potts_instance,
+    reference_alpha_expansion,
     reference_dinic,
     reference_expansion_move,
     smallest_min_cut_source_side,
@@ -322,6 +324,110 @@ def test_reduced_move_equals_the_net_arc_and_per_pair_moves(kind, seed):
         got = _expansion_move(costs, pairs, weights, cur, alpha)
         assert got.tolist() == net_arc_expansion_move(costs, pairs, weights, cur, alpha).tolist()
         assert got.tolist() == reference_expansion_move(costs, pairs, weights, cur, alpha).tolist()
+
+
+def _potts_case(rng, init_kind, large_weights):
+    """A random Potts instance with whole BIG or inf columns and scattered
+    BIG cells, and an init: None, on finite costs, or with one node on a
+    forbidden label. Large weights sum past what the forbidden-label skip
+    allows, so it falls back to running the move."""
+    costs, pairs, weights = random_potts_instance(rng, max_nodes=10)
+    n, n_labels = costs.shape
+    columns = np.flatnonzero(rng.random(n_labels) < 0.4)
+    costs[:, columns] = np.where(rng.random(len(columns)) < 0.5, BIG, np.inf)
+    costs[rng.random(costs.shape) < 0.15] = BIG
+    if large_weights:
+        weights = weights * 10.0 ** rng.uniform(14.0, 20.0)
+    if init_kind == "none":
+        return costs, pairs, weights, None
+    finite = costs < BIG
+    init = np.array([rng.choice(np.flatnonzero(row)) if row.any() else 0 for row in finite])
+    if init_kind == "forbidden" and not finite.all():
+        i, label = np.argwhere(~finite)[rng.integers(np.count_nonzero(~finite))]
+        init[i] = label
+    return costs, pairs, weights, init
+
+
+INIT_KINDS = ["none", "finite", "forbidden"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(INIT_KINDS), st.booleans(), st.integers(0, 2**32 - 1))
+def test_alpha_expansion_equals_the_loop_that_runs_every_move(init_kind, large_weights, seed):
+    costs, pairs, weights, init = _potts_case(np.random.default_rng(seed), init_kind,
+                                              large_weights)
+    labels, energy = alpha_expansion(costs, pairs, weights, init=init)
+    want_labels, want_energy = reference_alpha_expansion(costs, pairs, weights, init=init)
+    assert labels.tolist() == want_labels.tolist()
+    assert np.float64(energy).tobytes() == np.float64(want_energy).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(INIT_KINDS), st.booleans(), st.integers(0, 2**32 - 1))
+def test_forbidden_label_move_switches_nothing_under_the_skip_condition(init_kind, large, seed):
+    # the condition of alpha_expansion's docstring: a label forbidden at
+    # every node, every current cost plus 3 times the weight total below
+    # BIG / 4; then the move keeps every node
+    costs, pairs, weights, init = _potts_case(np.random.default_rng(seed), init_kind, large)
+    costs = np.minimum(costs, BIG)
+    cur = np.argmin(costs, axis=1) if init is None else init
+    if costs[np.arange(len(cur)), cur].max() + 3.0 * weights.sum() >= BIG / 4:
+        return
+    for alpha in np.flatnonzero(np.all(costs >= BIG, axis=0)):
+        assert not _expansion_move(costs, pairs, weights, cur, alpha).any()
+
+
+def test_forbidden_label_move_switches_when_the_weights_outweigh_big():
+    # labels 1 and 2 cut a pair of weight 10 BIG; taking the forbidden label
+    # 0 at both nodes costs 2 BIG and saves the pair, so the move must run
+    costs = np.array([[BIG, 0.0, BIG], [BIG, BIG, 0.0]])
+    switch = _expansion_move(costs, np.array([[0, 1]]), np.array([10 * BIG]), np.array([1, 2]), 0)
+    assert switch.tolist() == [True, True]
+
+
+def test_alpha_expansion_skips_the_moves_that_cannot_switch(monkeypatch):
+    # over seeded cases: never a label forbidden at every node while the
+    # start is on finite costs and the weights are small, and never more
+    # moves than the loop that runs them all
+    alphas = spy_moves(monkeypatch)
+    rng = np.random.default_rng(29)
+    ran = everything = 0
+    for k in range(300):
+        init_kind, large = INIT_KINDS[k % 3], k % 7 == 0
+        costs, pairs, weights, init = _potts_case(rng, init_kind, large)
+        alphas.clear()
+        got = alpha_expansion(costs, pairs, weights, init=init)
+        skipping = alphas[:]
+        alphas.clear()
+        want = reference_alpha_expansion(costs, pairs, weights, init=init)
+        assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+        assert len(skipping) <= len(alphas)
+        if init_kind != "forbidden" and not large and np.any(costs < BIG, axis=1).all():
+            assert not set(skipping) & set(np.flatnonzero(np.all(costs >= BIG, axis=0)).tolist())
+        ran, everything = ran + len(skipping), everything + len(alphas)
+    assert ran < 0.7 * everything
+
+
+def test_alpha_expansion_skips_a_label_that_saw_the_same_labeling(monkeypatch):
+    # one node: label 1 wins the first sweep; the second sweep runs labels
+    # 0 and 1 again, whose last moves saw the old labeling, but not label 2
+    alphas = spy_moves(monkeypatch)
+    costs, pairs, weights = np.array([[1.0, 0.0, 2.0]]), np.empty((0, 2), dtype=np.int64), np.empty(0)
+    assert alpha_expansion(costs, pairs, weights, init=[0])[0].tolist() == [1]
+    assert alphas == [0, 1, 2, 0, 1]
+    alphas.clear()
+    assert reference_alpha_expansion(costs, pairs, weights, init=[0])[0].tolist() == [1]
+    assert alphas == [0, 1, 2, 0, 1, 2]
+
+
+def test_alpha_expansion_runs_forbidden_labels_from_a_forbidden_init(monkeypatch):
+    # every cost is BIG and the init sits on forbidden labels: label 0's move
+    # joins the two nodes, which saves the pair weight, so it must run
+    alphas = spy_moves(monkeypatch)
+    costs, pairs, weights = np.full((2, 2), BIG), np.array([[0, 1]]), np.array([1e15])
+    labels, energy = alpha_expansion(costs, pairs, weights, init=[1, 0])
+    assert labels.tolist() == [0, 0] and energy == 2 * BIG
+    assert alphas == [0, 1, 0]
 
 
 def _rotated_l_prism():

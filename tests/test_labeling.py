@@ -250,6 +250,47 @@ def test_restricted_relabel_refuses_a_free_triangle_with_no_allowed_label(cube_m
         restricted_relabel(cube_mesh, base, [3, 7], allowed=rows)
 
 
+def _cuboid_mesh():
+    return SurfaceMesh(*shapes.subdivide(*shapes.cuboid(2, 1, 1), 1))  # 48 triangles
+
+
+def _with(labels, at, value):
+    out = np.array(labels)
+    out[at] = value
+    return out
+
+
+@pytest.mark.parametrize("make_labels, region, match", [
+    (lambda base: base, [-1], "region id -1 outside 0..47"),
+    (lambda base: base, [3, 48], "region id 48 outside 0..47"),
+    (lambda base: base, np.ones(53, dtype=bool), "region mask of length 53 for 48 triangles"),
+    (lambda base: base, np.ones(47, dtype=bool), "region mask of length 47 for 48 triangles"),
+    (lambda base: base, [0.5, 2.0], "region id 0.5 is not a triangle id"),
+    (lambda base: base[:47], [0], "47 labels for 48 triangles"),
+    (lambda base: np.append(base, 0), [0], "49 labels for 48 triangles"),
+    (lambda base: _with(base, 3, 7), [0], "label 7 of triangle 3 outside 0..5"),
+    (lambda base: _with(base, 5, -1), [0], r"label -1 of triangle 5 outside 0\.\.5"),
+    (lambda base: _with(base.astype(float), 2, 1.5), [0], "label 1.5 of triangle 2 is not an integer"),
+], ids=["id-negative", "id-past-F", "mask-too-long", "mask-too-short", "id-not-integer",
+        "labels-too-few", "labels-too-many", "label-past-5", "label-negative", "label-not-integer"])
+def test_restricted_relabel_refuses_input_outside_its_contract(make_labels, region, match):
+    m = _cuboid_mesh()
+    base = naive_labeling(m)
+    with pytest.raises(ValueError, match=match):
+        restricted_relabel(m, make_labels(base), region)
+
+
+def test_restricted_relabel_takes_every_triangle_id_and_whole_masks():
+    m = _cuboid_mesh()
+    base = naive_labeling(m)
+    ids = np.arange(m.n_triangles)
+    assert np.array_equal(restricted_relabel(m, base, ids), base)
+    assert np.array_equal(restricted_relabel(m, base.tolist(), [0, 47]), base)
+    assert np.array_equal(restricted_relabel(m, base, ids == 47), base)
+    assert np.array_equal(restricted_relabel(m, base, np.array([], dtype=np.int64)), base)
+    assert np.array_equal(restricted_relabel(m, base, []), base)
+
+
 # -- full initial labeling -------------------------------------------------------
 
 

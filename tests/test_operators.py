@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycubelabel import shapes
+from polycubelabel import graphcut, shapes
 from polycubelabel.graph import LabelingGraph
 from polycubelabel.labeling import naive_labeling
 from polycubelabel.mesh import SurfaceMesh, detect_feature_edges
@@ -36,7 +36,8 @@ from polycubelabel.operators import (
 )
 from polycubelabel.validity import corner_is_valid, validate
 
-from helpers import build, grid_box
+from helpers import build, grid_box, spy_moves
+from oracles import reference_alpha_expansion, reference_straighten_boundary
 
 # grid_box(8, 8, 4): cell (a, b) of a face covers triangles 2k and 2k+1,
 # faces emitted +X -X +Y -Y +Z -Z, sides 8x4 cells each
@@ -121,6 +122,27 @@ def test_remove_chart_absorbs_into_neighbors(lprism_mesh):
     nbr_labels = {g.charts[n].label for n in g.charts[0].neighbors}
     assert set(out.labels[tris].tolist()) <= nbr_labels
     assert LabelingGraph(lprism_mesh, out.labels).n_charts < g.n_charts
+
+
+def test_remove_chart_into_one_label_runs_one_expansion_move(monkeypatch):
+    # a two-cell patch in the +Z face: its one neighbour carries +Z, so the
+    # other five labels are forbidden at every free triangle and their
+    # moves, which could switch none, are skipped
+    m = box_mesh()
+    labels = naive_labeling(m)
+    labels[top_cell(3, 3) + top_cell(3, 4)] = 0
+    g = LabelingGraph(m, labels)
+    patch = int(g.chart_of[top_cell(3, 3)[0]])
+    assert [g.charts[n].label for n in g.charts[patch].neighbors] == [4]
+    alphas = spy_moves(monkeypatch)
+    out = run(remove_chart, g, patch)
+    assert out.changed == frozenset(top_cell(3, 3) + top_cell(3, 4))
+    assert set(out.labels[sorted(out.changed)].tolist()) == {4}
+    assert alphas == [4, 4]  # `run` calls the operator twice
+    alphas.clear()
+    monkeypatch.setattr(graphcut, "alpha_expansion", reference_alpha_expansion)
+    assert np.array_equal(remove_chart(g, patch).labels, out.labels)
+    assert alphas == [0, 1, 2, 3, 4, 5]
 
 
 def test_remove_chart_skips_constant_labeling(cube_mesh):
@@ -402,6 +424,22 @@ def test_straighten_skips_cyclic_boundary():
     assert not out.applied
 
 
+def _assert_straightens_as_the_reference(graph):
+    """straighten_boundary's outcome equals the reference walk's on every
+    boundary of the graph; returns how many applied."""
+    applied = 0
+    for b in range(graph.n_boundaries):
+        got, want = straighten_boundary(graph, b), reference_straighten_boundary(graph, b)
+        assert got.changed == want.changed
+        assert np.array_equal(got.labels, want.labels)
+        applied += got.applied
+    return applied
+
+
+def test_straighten_boundary_walks_as_the_reference_on_the_pinned_labelings():
+    assert sum(_assert_straightens_as_the_reference(g) for g in pinned_graphs()) >= 10
+
+
 # ---------------------------------------------------------------- odds and ends
 
 
@@ -533,3 +571,16 @@ def test_contour_loops_close_on_label_noise(shape, n_blobs, seed):
         increase_chart_valence(g, chart.index)
     for tp in g.turning_point_vertices():
         pull_closest_corner(g, tp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(NOISE_SHAPES)), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_straighten_boundary_walks_as_the_reference_on_label_noise(shape, n_blobs, seed):
+    """The walk on plain floats takes the steps of the walk by np.linalg.norm:
+    their distances differ by a few ulps at most, far inside the 1e-12 tie
+    margin, on the labelings of the contour test."""
+    if shape not in _noise_meshes:
+        _noise_meshes[shape] = NOISE_SHAPES[shape]()
+    m = _noise_meshes[shape]
+    _assert_straightens_as_the_reference(
+        LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs)))

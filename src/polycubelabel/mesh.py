@@ -6,8 +6,9 @@ refuse the input: normals, areas, the edge table and triangle adjacency,
 and the check of supplied feature edges. The rest is computed once, on
 first use: the interior dihedral angles and the feature edges derived from
 them (read by labeling, validation and the metrics report, not by a graph
-build or a PLY export), and the vertex stars, which only the repair
-operators walk.
+build or a PLY export), and the fan table of each vertex's corners, from
+the one in its lowest triangle, which the repair operators read as rings in
+fan order and as stars in triangle-index order.
 """
 
 from __future__ import annotations
@@ -175,9 +176,9 @@ class SurfaceMesh:
     the constructor. ``dihedral_angles`` and the four feature attributes
     derived from it are each computed on first read; a bad
     ``feature_angle`` and a supplied pair that is not a mesh edge are
-    still refused by the constructor. ``vertex_triangles(v)`` lists the star
-    of ``v`` in triangle-index order; the stars are built on its first
-    call, or ``vertex_ring``'s.
+    still refused by the constructor. The fan table is built on first use:
+    ``vertex_ring(v)`` reads v's corners in fan order from the corner in v's
+    lowest triangle, and ``vertex_triangles(v)`` in triangle-index order.
     """
 
     def __init__(self, vertices, triangles, feature_edges=None, feature_angle=math.pi / 4):
@@ -354,6 +355,11 @@ class SurfaceMesh:
                 return eid
         raise MeshError(f"no edge {(lo, hi)} in mesh")
 
+    def _vertex(self, v) -> int:
+        if not 0 <= (v := int(v)) < self.n_vertices:
+            raise MeshError(f"no vertex {v} in mesh")
+        return v
+
     def edge_sides(self, a, b) -> tuple:
         """Triangles (left, right) of the directed edge a -> b, seen from
         outside."""
@@ -365,7 +371,7 @@ class SurfaceMesh:
 
     def is_feature_vertex(self, v) -> bool:
         """True when a sharp feature edge ends at vertex ``v``."""
-        return bool(self.feature_vertex_mask[v])
+        return bool(self.feature_vertex_mask[self._vertex(v)])
 
     @functools.cached_property
     def dihedral_angles(self):
@@ -393,31 +399,40 @@ class SurfaceMesh:
         return frozenset(map(tuple, self.edges[self._supplied & ~self.feature_edge_mask].tolist()))
 
     @functools.cached_property
-    def _stars(self):
-        """(triangles, starts): the corners grouped by vertex, in triangle
-        order, as triangle ids; vertex v's star is triangles[starts[v]:starts[v + 1]]."""
-        tris = np.argsort(self.triangles.ravel(), kind="stable") // 3
-        starts = np.concatenate(([0], np.cumsum(self._degree)))
-        return _read_only(tris), _read_only(starts)
+    def _fans(self):
+        """(starts, triangles, neighbors, edge ids), v's corners at starts[v]:starts[v + 1]."""
+        n, degree = 3 * self.n_triangles, self._degree
+        at, corner = self.triangles.ravel(), np.arange(n)
+        lowest = np.full(self.n_vertices, n)
+        np.minimum.at(lowest, at, corner)
+        # List ranking by pointer doubling: a corner's rank is its number of
+        # steps along _corner_next from the lowest corner of its vertex.
+        back = np.empty(n, dtype=np.int64)
+        back[self._corner_next] = corner
+        back[lowest] = lowest
+        rank = (back != corner).astype(np.int64)
+        for _ in range(int(degree.max() - 2).bit_length()):  # reach degree - 1 steps
+            rank += rank[back]
+            back = back[back]
+        starts = np.concatenate(([0], np.cumsum(degree)))
+        corners = np.empty(n, dtype=np.int64)
+        corners[starts[at] + rank] = corner
+        neighbors = np.roll(self.triangles, -1, axis=1).ravel()[corners]
+        edge_ids = self.triangle_edges.ravel()[corners]
+        return tuple(_read_only(arr) for arr in (starts, corners // 3, neighbors, edge_ids))
 
     def vertex_triangles(self, v) -> tuple:
         """Triangles incident to vertex ``v``, in triangle-index order."""
-        tris, starts = self._stars
-        return tuple(tris[starts[v]:starts[v + 1]].tolist())
-
-    def _fan_corners(self, v) -> list:
-        tris, starts = self._stars
-        start = int(tris[starts[v]])
-        c = first = 3 * start + int(np.nonzero(self.triangles[start] == v)[0][0])
-        out = [c]
-        while (c := int(self._corner_next[c])) != first:
-            out.append(c)
-        return out
+        v = self._vertex(v)
+        starts, tris, _, _ = self._fans
+        return tuple(sorted(tris[starts[v]:starts[v + 1]].tolist()))
 
     def vertex_ring(self, v) -> list:
-        """(neighbor vertex, edge id) of each edge at ``v``, in fan cyclic order."""
-        flat, edge_of = self.triangles.ravel(), self.triangle_edges.ravel()
-        return [(int(flat[c - c % 3 + (c + 1) % 3]), int(edge_of[c])) for c in self._fan_corners(v)]
+        """(neighbor vertex, edge id) of each edge at ``v``, in fan order."""
+        v = self._vertex(v)
+        starts, _, neighbors, edge_ids = self._fans
+        lo, hi = starts[v], starts[v + 1]
+        return list(zip(neighbors[lo:hi].tolist(), edge_ids[lo:hi].tolist()))
 
     def signed_volume(self) -> float:
         """Signed enclosed volume; positive for outward orientation."""

@@ -261,8 +261,7 @@ def fix_invalid_corner(graph: LabelingGraph, corner_id: int, radius: int = DISK_
     corner = _target(graph.corners, corner_id, "corner")
     if corner_is_valid(corner, rules)[0]:
         return _skip(labels)
-    v = corner.vertex
-    star = mesh.vertex_triangles(v)
+    star = mesh.vertex_triangles(corner.vertex)
     incident_charts = sorted({int(graph.chart_of[t]) for t in star})
     allowed = np.isin(graph.chart_of, incident_charts)
     for r in range(max(radius, 1), 0, -1):
@@ -411,23 +410,16 @@ def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> Operator
     if t1 == t2 or t1 not in graph.turning_point_at or t2 not in graph.turning_point_at:
         return _skip(labels)
 
-    # lost feature edges: sharp but with equal labels on both sides
-    feature = np.nonzero(mesh.feature_edge_mask)[0]
-    ta, tb = mesh.edge_tris[feature].T
-    lost_at = {}
-    for eid in feature[labels[ta] == labels[tb]].tolist():
-        a, b = mesh.edges[eid].tolist()
-        lost_at.setdefault(a, []).append((b, eid))
-        lost_at.setdefault(b, []).append((a, eid))
-
-    # shortest lost-feature path t1 -> t2 (BFS, deterministic neighbor order)
+    # shortest path t1 -> t2 over lost feature edges, sharp but with equal
+    # labels on both sides (BFS, deterministic neighbor order)
+    lost = mesh.feature_edge_mask & ~graph.boundary_edge_mask
     prev = {t1: None}
     queue = [t1]
     while queue:
         nxt = []
         for u in queue:
-            for (w, eid) in sorted(lost_at.get(u, ())):
-                if w not in prev:
+            for w, eid in sorted(mesh.vertex_ring(u)):
+                if lost[eid] and w not in prev:
                     prev[w] = (u, eid)
                     nxt.append(w)
         if t2 in prev:
@@ -435,24 +427,16 @@ def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> Operator
         queue = sorted(nxt)
     if t2 not in prev:
         return _skip(labels)
-    path_vertices, path_edges = [t2], []
-    u = t2
-    while prev[u] is not None:
-        u, eid = prev[u]
-        path_vertices.append(u)
+    # facets left/right of the path, each edge directed from t1 toward t2
+    sides, path_edges, w = [], [], t2
+    while prev[w] is not None:
+        u, eid = prev[w]
+        sides.append(mesh.edge_sides(u, w))
         path_edges.append(eid)
-    path_vertices.reverse()
-    path_edges.reverse()
+        w = u
+    left, right = map(set, zip(*sides))
 
-    # facets left/right of the directed path t1 -> t2
-    left, right = set(), set()
-    for a, b in zip(path_vertices, path_vertices[1:]):
-        tl, tr = mesh.edge_sides(a, b)
-        left.add(tl)
-        right.add(tr)
-
-    around = {int(labels[t]) for t in mesh.vertex_triangles(t1)}
-    around |= {int(labels[t]) for t in mesh.vertex_triangles(t2)}
+    around = {int(labels[t]) for v in (t1, t2) for t in mesh.vertex_triangles(v)}
     label = _closest_label(mesh, sorted(left | right), [l for l in range(6) if l not in around])
     if label is None:
         return _skip(labels)

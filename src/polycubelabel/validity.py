@@ -105,14 +105,6 @@ class ValidityReport:
     def is_valid(self) -> bool:
         return not (self.invalid_charts or self.invalid_boundaries or self.invalid_corners)
 
-    @property
-    def n_invalid(self) -> int:
-        return (
-            len(self.invalid_charts)
-            + len(self.invalid_boundaries)
-            + len(self.invalid_corners)
-        )
-
     def summary(self) -> str:
         if self.is_valid:
             return "valid"

@@ -17,10 +17,10 @@ from polycubelabel import graphcut
 from polycubelabel.graphcut import (_EPS, _MAX_SWEEPS, BIG, _dinic, _paired_arcs,
                                     _potts_energy)
 from polycubelabel.io import FileFormatError
-from polycubelabel.labeling import LABEL_COLORS
+from polycubelabel.labeling import LABEL_COLORS, LABEL_DIRECTIONS
 from polycubelabel.mesh import (MeshError, NonManifoldEdgeError, NonTriangleFaceError,
                                OpenSurfaceError, SurfaceMesh)
-from polycubelabel.operators import _grow, _outcome, _skip, _target
+from polycubelabel.operators import _closest_label, _grow, _outcome, _paint, _skip, _target
 
 
 def random_cut_instance(rng, max_nodes=10):
@@ -402,6 +402,21 @@ def flood(mesh, seeds, allowed, barrier_edges) -> set:
             if allowed[nb] and nb not in region:
                 stack.append(nb)
     return region
+
+
+def reference_vertex_ring(mesh, v) -> list:
+    """(neighbor, edge id) around vertex `v` of a DictMesh, in fan order from
+    v's lowest triangle: the edge v -> w of each triangle leads into the
+    triangle that holds w -> v."""
+    star = [[int(x) for x in mesh.triangles[t]] for t in mesh.vertex_triangles(v)]
+    after = {tri[(tri.index(v) + 2) % 3]: tri for tri in star}  # w -> the triangle holding w -> v
+    ring, tri = [], star[0]
+    for _ in star:
+        w = tri[(tri.index(v) + 1) % 3]
+        ring.append((w, mesh.edge_id(v, w)))
+        tri = after[w]
+    assert tri == star[0], "the fan does not close"
+    return ring
 
 
 # -- file I/O: the per-line readers and writers the package first used ------------
@@ -787,6 +802,73 @@ def reference_straighten_boundary(graph, boundary_id):
     out[union] = graph.charts[b.right_chart].label
     out[region_left] = graph.charts[b.left_chart].label
     return _outcome(labels, out)
+
+
+def reference_join_turning_points_pair(graph, t1, t2):
+    """join_turning_points_pair with its first neighbor lookup, a dict of
+    every lost feature edge of the mesh built on each call, and its first
+    path read-back, the path's vertices in order."""
+    mesh, labels = graph.mesh, graph.labels
+    if t1 == t2 or t1 not in graph.turning_point_at or t2 not in graph.turning_point_at:
+        return _skip(labels)
+
+    # lost feature edges: sharp but with equal labels on both sides
+    feature = np.nonzero(mesh.feature_edge_mask)[0]
+    ta, tb = mesh.edge_tris[feature].T
+    lost_at = {}
+    for eid in feature[labels[ta] == labels[tb]].tolist():
+        a, b = mesh.edges[eid].tolist()
+        lost_at.setdefault(a, []).append((b, eid))
+        lost_at.setdefault(b, []).append((a, eid))
+
+    # shortest lost-feature path t1 -> t2 (BFS, deterministic neighbor order)
+    prev = {t1: None}
+    queue = [t1]
+    while queue:
+        nxt = []
+        for u in queue:
+            for (w, eid) in sorted(lost_at.get(u, ())):
+                if w not in prev:
+                    prev[w] = (u, eid)
+                    nxt.append(w)
+        if t2 in prev:
+            break
+        queue = sorted(nxt)
+    if t2 not in prev:
+        return _skip(labels)
+    path_vertices, path_edges = [t2], []
+    u = t2
+    while prev[u] is not None:
+        u, eid = prev[u]
+        path_vertices.append(u)
+        path_edges.append(eid)
+    path_vertices.reverse()
+    path_edges.reverse()
+
+    # facets left/right of the directed path t1 -> t2
+    left, right = set(), set()
+    for a, b in zip(path_vertices, path_vertices[1:]):
+        tl, tr = mesh.edge_sides(a, b)
+        left.add(tl)
+        right.add(tr)
+
+    around = {int(labels[t]) for t in mesh.vertex_triangles(t1)}
+    around |= {int(labels[t]) for t in mesh.vertex_triangles(t2)}
+    label = _closest_label(mesh, sorted(left | right), [l for l in range(6) if l not in around])
+    if label is None:
+        return _skip(labels)
+
+    def side_fidelity(side):
+        n = mesh.normals[sorted(side)]
+        return float(np.mean(n @ LABEL_DIRECTIONS[label]))
+
+    side = left if side_fidelity(left) >= side_fidelity(right) - 1e-12 else right
+    # extend to the adjacent facets on the same side of the crease
+    allowed = np.isin(graph.chart_of, graph.chart_of[sorted(side)])
+    region = _grow(mesh, side, allowed, path_edges)
+    if len(region) == int(allowed.sum()):
+        region = sorted(side)  # flood leaked around the path; keep the thin strip
+    return _paint(labels, region, label)
 
 
 # -- the labeling graph, built by walking each boundary edge by edge ----------------

@@ -281,6 +281,19 @@ def test_viz_and_graph_never_compute_dihedrals(tmp_path, cube_files, monkeypatch
         main(["report", str(mesh), str(flags), "-o", str(tmp_path / "report.json")])
 
 
+@pytest.mark.parametrize("command", ["report", "viz", "validate", "graph"])
+def test_read_only_commands_never_build_the_fan_table(tmp_path, cube_files, monkeypatch, command):
+    def no_fans(self):
+        raise AssertionError("fan table built")
+
+    monkeypatch.setattr(SurfaceMesh, "_fans", property(no_fans))
+    mesh, flags = cube_files
+    out = [] if command == "validate" else ["-o", str(tmp_path / "out")]
+    assert main([command, str(mesh), str(flags), *out]) == 0
+    with pytest.raises(AssertionError, match="fan table built"):
+        SurfaceMesh(*shapes.cube()).vertex_ring(0)
+
+
 def _fix_cases():
     """Per operator: (mesh, labels, targets) where the operator applies."""
     from test_operators import (cone_quadrants, l_hook_box, rotated_torus, s_curve_box,

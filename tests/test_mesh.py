@@ -28,7 +28,7 @@ from helpers import (
     two_cubes_sharing_a_vertex,
     two_disjoint_cubes,
 )
-from oracles import DictMesh, flood, ring_grow
+from oracles import DictMesh, flood, reference_vertex_ring, ring_grow
 
 
 def test_cube_combinatorics(cube_mesh):
@@ -231,16 +231,27 @@ def test_arrays_of_the_wrong_shape_or_range_rejected(damage, match):
         SurfaceMesh(*damage(*(np.asarray(a) for a in shapes.cube())))
 
 
-def test_vertex_stars_are_built_on_first_use_and_read_only():
+def test_vertex_fans_are_built_on_first_use_and_read_only():
     m = SurfaceMesh(*shapes.l_prism())
-    assert "_stars" not in vars(m)
-    star = m.vertex_triangles(3)
-    tris, starts = m._stars
-    assert star == tuple(tris[starts[3]:starts[4]].tolist())
-    for arr in (tris, starts):
+    assert "_fans" not in vars(m)
+    star, ring = m.vertex_triangles(3), m.vertex_ring(3)
+    starts, tris, neighbors, edge_ids = fans = m._fans
+    assert star == tuple(sorted(tris[starts[3]:starts[4]].tolist()))
+    assert ring == list(zip(neighbors[starts[3]:starts[4]].tolist(),
+                            edge_ids[starts[3]:starts[4]].tolist()))
+    assert m._fans is fans  # built once
+    for arr in fans:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1
+
+
+@pytest.mark.parametrize("vid", [-1, 8])
+@pytest.mark.parametrize("query", ["vertex_triangles", "vertex_ring", "is_feature_vertex"])
+def test_vertex_queries_refuse_ids_outside_the_mesh(query, vid):
+    m = SurfaceMesh(*shapes.cube())
+    with pytest.raises(MeshError, match=rf"^no vertex {vid} in mesh$"):
+        getattr(m, query)(vid)
 
 
 _LAZY = ("dihedral_angles", "feature_edge_mask", "feature_vertex_mask", "feature_edges",
@@ -424,6 +435,25 @@ def test_grow_matches_ring_and_flood_references(case):
         assert _grow(m, seeds, rings=rings).tolist() == sorted(ring_grow(ref, seeds, rings))
         assert (_grow(m, inside, allowed, rings=rings).tolist()
                 == sorted(ring_grow(ref, inside, rings, allowed)))
+
+
+def _assert_fans_match_the_reference(v, f):
+    m, ref = SurfaceMesh(v, f), DictMesh(v, f)
+    for vid in range(m.n_vertices):
+        assert m.vertex_ring(vid) == reference_vertex_ring(ref, vid)
+        assert m.vertex_triangles(vid) == ref.vertex_triangles(vid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus_cases)
+def test_vertex_fans_match_the_fan_walk_reference(case):
+    v, f, _ = scrambled(*case)
+    _assert_fans_match_the_reference(v, f)
+
+
+def test_vertex_fans_match_the_fan_walk_reference_around_a_wide_apex():
+    # degree 512 at the apex and the base centre: nine doubling passes
+    _assert_fans_match_the_reference(*shapes.cone(512))
 
 
 def test_non_manifold_edge_named_before_open_edges():

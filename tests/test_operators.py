@@ -37,7 +37,8 @@ from polycubelabel.operators import (
 from polycubelabel.validity import corner_is_valid, validate
 
 from helpers import build, grid_box, spy_moves
-from oracles import reference_alpha_expansion, reference_straighten_boundary
+from oracles import (reference_alpha_expansion, reference_join_turning_points_pair,
+                     reference_straighten_boundary)
 
 # grid_box(8, 8, 4): cell (a, b) of a face covers triangles 2k and 2k+1,
 # faces emitted +X -X +Y -Y +Z -Z, sides 8x4 cells each
@@ -440,6 +441,33 @@ def test_straighten_boundary_walks_as_the_reference_on_the_pinned_labelings():
     assert sum(_assert_straightens_as_the_reference(g) for g in pinned_graphs()) >= 10
 
 
+def _assert_joins_as_the_reference(graph):
+    """join_turning_points_pair's outcome equals the reference's on every
+    ordered pair of turning points of the graph; returns how many applied."""
+    applied = 0
+    tps = graph.turning_point_vertices()
+    for t1, t2 in ((a, b) for a in tps for b in tps if a != b):
+        got, want = join_turning_points_pair(graph, t1, t2), reference_join_turning_points_pair(graph, t1, t2)
+        assert got.changed == want.changed
+        assert np.array_equal(got.labels, want.labels)
+        applied += got.applied
+    return applied
+
+
+def test_join_turning_points_pair_as_the_reference_on_the_pinned_labelings():
+    assert sum(_assert_joins_as_the_reference(g) for g in pinned_graphs()) >= 1
+
+
+def test_join_turning_points_pair_as_the_reference_on_a_creased_torus():
+    """Label noise on a coarse tilted torus, whose edges around the tube
+    bend by 60 degrees and so are feature edges: many turning-point pairs
+    that a lost feature path joins."""
+    m = tilted_torus(12, 6)
+    graphs = (LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs))
+              for seed in range(10) for n_blobs in range(5))
+    assert sum(map(_assert_joins_as_the_reference, graphs)) >= 30
+
+
 # ---------------------------------------------------------------- odds and ends
 
 
@@ -583,4 +611,17 @@ def test_straighten_boundary_walks_as_the_reference_on_label_noise(shape, n_blob
         _noise_meshes[shape] = NOISE_SHAPES[shape]()
     m = _noise_meshes[shape]
     _assert_straightens_as_the_reference(
+        LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(NOISE_SHAPES)), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_join_turning_points_pair_as_the_reference_on_label_noise(shape, n_blobs, seed):
+    """Lost-feature neighbours read from the vertex rings give the paths of
+    the mesh-wide dict of lost feature edges, on the labelings of the
+    contour test."""
+    if shape not in _noise_meshes:
+        _noise_meshes[shape] = NOISE_SHAPES[shape]()
+    m = _noise_meshes[shape]
+    _assert_joins_as_the_reference(
         LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs)))

@@ -3,9 +3,8 @@ multi-label energy minimization by alpha-expansion.
 
 Graph construction, energies and the breadth-first levels of each Dinic
 phase are numpy; the augmenting search is plain Python over the arcs that are
-admissible when its phase starts and do not lead into a dead end.
-Capacities are float64; disallowed assignments are encoded as BIG rather
-than inf so residual arithmetic never produces NaN.
+admissible when its phase starts. Capacities are float64; disallowed
+assignments are BIG rather than inf so residual arithmetic never gives NaN.
 
 An expansion move gives each node one net terminal arc (Kolmogorov & Zabih,
 PAMI 2004): the common part of its source and sink capacities is pushed at
@@ -24,12 +23,14 @@ label forbidden at every node, nor that of a label whose last move saw the
 same labeling (its docstring gives the conditions). Each skipped move would
 have returned a switch the loop refuses, so the labels are unchanged.
 
-The filtered search is exact. Within a phase an arc gains capacity only when
-its partner carries flow, so it points one level down and never becomes
-admissible, and admissible arcs only lose capacity: a node that cannot reach
-t when the phase starts never can, and entering it would only lead back. The
-search takes the paths a full scan would, in the same order, with the same
-float arithmetic.
+Each Dinic phase takes its levels as distances to t, from one breadth-first
+search from t over the residual arcs reversed (Dinitz 1970; Goldberg &
+Tarjan, JACM 1988). An admissible arc leads one step nearer t, so each leads
+on to t when the phase starts; at a node the search reaches from s they are
+the arcs of the shortest s-t paths, in list order. In a phase an arc gains
+capacity only as its partner carries flow, so it leads away from t, and
+admissible arcs only lose it: a dead end stays one. The search takes the
+paths a full scan would, in the same order, with the same float arithmetic.
 """
 
 from __future__ import annotations
@@ -43,11 +44,13 @@ _EPS = 1e-12
 _MAX_SWEEPS = 100  # label sweeps of alpha_expansion at most
 
 
-def _levels(starts, head, s, t):
-    """Breadth-first levels from s, node u's arcs leading to
-    head[starts[u]:starts[u + 1]]; -1 where unreached. Expands one frontier
-    at a time and stops after the level that reaches t: no arc beyond it
-    can be admissible."""
+def _levels(offsets, head, live, s, t):
+    """Breadth-first levels from s over the arcs where live holds, node u's
+    arcs leading to head[offsets[u]:offsets[u + 1]]; -1 where unreached.
+    Expands one frontier at a time and stops after the level that reaches t:
+    no arc beyond it can be admissible."""
+    pos = np.flatnonzero(live)
+    starts, head = np.searchsorted(pos, offsets), head[pos]
     level = np.full(len(starts) - 1, -1, dtype=np.int64)
     slot = np.empty_like(level)
     level[s] = 0
@@ -68,58 +71,31 @@ def _levels(starts, head, s, t):
     return level
 
 
-def _admissible(starts, head, level, t):
-    """Positions in head of the arcs admissible at the start of a phase that
-    do not lead into a dead end: one level up, below t's level unless into
-    t, and into a node that reaches t through such arcs. Returns them with
-    each node's first and end index among them."""
-    n = len(starts) - 1
-    tail = np.repeat(np.arange(n), np.diff(starts))
-    lt, lh = level[tail], level[head]
-    ok = np.flatnonzero((lt >= 0) & (lh == lt + 1) & ((lh < level[t]) | (head == t)))
-    # one backward pass over the levels, the arcs grouped by their tail's
-    # level once: an arc is kept when its head reaches t, and then so does
-    # its tail
-    by_level = ok[np.argsort(lt[ok], kind="stable")]
-    bounds = np.searchsorted(lt[by_level], np.arange(level[t] + 1)).tolist()
-    reach = np.zeros(n, dtype=bool)
-    reach[t] = True
-    kept = []
-    for k in range(level[t] - 1, -1, -1):
-        group = by_level[bounds[k]:bounds[k + 1]]
-        group = group[reach[head[group]]]
-        reach[tail[group]] = True
-        kept.append(group)
-    ok = np.sort(np.concatenate(kept))
-    counts = np.bincount(tail[ok], minlength=n)
-    stop = np.cumsum(counts)
-    return ok, stop - counts, stop
-
-
 def _dinic(offsets, arcs, to, cap, s, t):
     """Max flow on a paired-arc graph; mutates cap to the residual.
 
     Node u's arcs, in search order, are ``arcs[offsets[u]:offsets[u + 1]]``.
-    Returns the source side of the minimum cut: the nodes the final
-    breadth-first search reaches from s through arcs with residual capacity.
+    Returns the source side of the minimum cut: the nodes a breadth-first
+    search reaches from s through arcs with residual capacity once t is out
+    of reach.
     """
+    tail, head = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), to[arcs]
     while True:
-        # the arcs with residual capacity, still grouped by origin
-        pos = np.flatnonzero(cap[arcs] > _EPS)
-        live = arcs[pos]
-        head = to[live]
-        starts = np.searchsorted(pos, offsets)
-        level = _levels(starts, head, s, t)
-        if level[t] < 0:
-            return level >= 0
-        ok, first, stop = _admissible(starts, head, level, t)
-        ids = live[ok]
+        live = cap[arcs] > _EPS
+        # distances to t over the residual arcs reversed: arc f runs from
+        # tail to head, its partner f ^ 1 back
+        dist = _levels(offsets, head, cap[arcs ^ 1] > _EPS, t, s)
+        if dist[s] < 0:
+            return _levels(offsets, head, live, s, t) >= 0
+        # the admissible arcs, one step nearer t, still grouped by origin
+        ok = np.flatnonzero(live & (dist[head] >= 0) & (dist[head] == dist[tail] - 1))
+        ids = arcs[ok]
         # search over the admissible arcs only, by position j in their list
         hd = head[ok].tolist()
         res = cap[ids].tolist()
         back = cap[ids ^ 1].tolist()
-        nxt = first.tolist()
-        stop = stop.tolist()
+        bounds = np.searchsorted(ok, offsets).tolist()
+        nxt, stop = bounds[:-1], bounds[1:]
         path = []
         u = s
         while True:
@@ -177,17 +153,21 @@ def min_st_cut(n_nodes, edges, capacities, s, t):
     Returns ``(cut_value, source_side)`` where ``source_side`` is a bool
     array over nodes; the value is recomputed from the partition so it is
     an exact sum of the given capacities. Raises ValueError when s == t,
-    when s, t or an edge endpoint is not a node, or when a capacity is
-    negative or not finite.
+    when s or t is not an int node id (a bool is not one), when the edges
+    are not pairs of integer node ids, or when a capacity is negative or
+    not finite.
     """
-    edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(edges)
     capacities = np.ascontiguousarray(capacities, dtype=np.float64)
-    if not (0 <= s < n_nodes and 0 <= t < n_nodes):
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+               and 0 <= i < n_nodes for i in (s, t)):
         raise ValueError(f"source {s} or sink {t} is not a node of {n_nodes}")
     if s == t:
         raise ValueError(f"source and sink are the same node {s}")
-    if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
-        raise ValueError(f"edge endpoint outside nodes 0..{n_nodes - 1}")
+    if edges.size and (edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu"
+                       or edges.min() < 0 or edges.max() >= n_nodes):
+        raise ValueError(f"edge endpoints must be node ids in 0..{n_nodes - 1}, two an edge")
+    edges = edges.astype(np.int64).reshape(-1, 2)
     if capacities.shape != (len(edges),):
         raise ValueError(f"{capacities.size} capacities for {len(edges)} edges")
     if not np.all(np.isfinite(capacities) & (capacities >= 0.0)):
@@ -269,13 +249,35 @@ def _expansion_move(costs, pairs, weights, cur, alpha):
     return switch
 
 
-def potts_energy(costs, pairs, weights, labels) -> float:
-    """Sum of data costs plus pair weights across label discontinuities."""
-    costs = np.minimum(np.ascontiguousarray(costs, dtype=np.float64), BIG)
-    pairs = np.ascontiguousarray(pairs, dtype=np.int64).reshape(-1, 2)
+def _checked_potts(costs, pairs, weights, labels, name):
+    """The Potts inputs as float64 costs capped at BIG, int64 pairs, float64
+    weights and int64 labels, or None. Raises ValueError for a NaN or -inf
+    cost, a pair that is not two node ids, a weight count other than m, a
+    negative or non-finite weight, or `name` not n whole labels in 0..L-1."""
+    costs = np.ascontiguousarray(costs, dtype=np.float64)
+    pairs = np.asarray(pairs)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    return _potts_energy(costs, pairs, weights, labels)
+    if costs.ndim != 2 or not np.all(costs > -np.inf):
+        raise ValueError("costs must be an (n, L) array without NaN or -inf")
+    n, n_labels = costs.shape
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.size and (
+            pairs.dtype.kind not in "iu" or pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError(f"pairs must be (m, 2) node ids in 0..{n - 1}")
+    if weights.shape != (len(pairs),) or not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ValueError(f"weights must be {len(pairs)} finite non-negative numbers, one a pair")
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape != (n,) or labels.dtype.kind not in "biuf" or not np.all(
+                (labels >= 0) & (labels < n_labels) & (labels == np.round(labels))):
+            raise ValueError(f"{name} must be {n} labels in 0..{n_labels - 1}, whole numbers")
+        labels = labels.astype(np.int64)
+    return np.minimum(costs, BIG), pairs.astype(np.int64), weights, labels
+
+
+def potts_energy(costs, pairs, weights, labels) -> float:
+    """Sum of data costs plus pair weights across label discontinuities;
+    raises ValueError where alpha_expansion would, `labels` read as `init`."""
+    return _potts_energy(*_checked_potts(costs, pairs, weights, np.asarray(labels), "labels"))
 
 
 def alpha_expansion(costs, pairs, weights, init=None):
@@ -297,30 +299,13 @@ def alpha_expansion(costs, pairs, weights, init=None):
       plus _EPS, so the first fixing pass keeps every node. Otherwise, as
       for an `init` on a forbidden label, the move runs.
 
-    Returns (labels, energy). Raises ValueError for a NaN or -inf cost, a
-    pair that is not two node ids, a weight count other than m, a negative
-    or non-finite weight, and an `init` that is not n whole labels in 0..L-1.
+    Returns (labels, energy). Raises ValueError for input that
+    `_checked_potts` refuses, `init` being its labels.
     """
-    costs = np.ascontiguousarray(costs, dtype=np.float64)
-    pairs = np.asarray(pairs)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    if costs.ndim != 2 or not np.all(costs > -np.inf):
-        raise ValueError("costs must be an (n, L) array without NaN or -inf")
+    costs, pairs, weights, cur = _checked_potts(costs, pairs, weights, init, "init")
     n, n_labels = costs.shape
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.size and (
-            pairs.dtype.kind not in "iu" or pairs.min() < 0 or pairs.max() >= n):
-        raise ValueError(f"pairs must be (m, 2) node ids in 0..{n - 1}")
-    if weights.shape != (len(pairs),) or not np.all(np.isfinite(weights) & (weights >= 0.0)):
-        raise ValueError(f"weights must be {len(pairs)} finite non-negative numbers, one a pair")
-    costs, pairs = np.minimum(costs, BIG), pairs.astype(np.int64)
-    if init is None:
+    if cur is None:
         cur = np.argmin(costs, axis=1).astype(np.int64)
-    else:
-        cur = np.asarray(init)
-        if cur.shape != (n,) or cur.dtype.kind not in "biuf" or not np.all(
-                (cur >= 0) & (cur < n_labels) & (cur == np.round(cur))):
-            raise ValueError(f"init must be {n} labels in 0..{n_labels - 1}, whole numbers")
-        cur = cur.astype(np.int64)
     energy = _potts_energy(costs, pairs, weights, cur)
     nodes = np.arange(n)
     forbidden = np.all(costs >= BIG, axis=0).tolist()

@@ -74,10 +74,10 @@ class CutEnergy:
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
 
 
-def checked_labels(labels) -> np.ndarray:
+def checked_labels(labels, n_triangles=None) -> np.ndarray:
     """The labels as a fresh int64 array; raises ValueError naming the first
     triangle whose label is not a whole number, or else the first outside
-    0..5."""
+    0..5, and then, given `n_triangles`, when they are not that many."""
     labels = np.asarray(labels)
     if labels.dtype.kind == "f":
         odd = np.flatnonzero(labels != np.round(labels))  # NaN too
@@ -86,6 +86,8 @@ def checked_labels(labels) -> np.ndarray:
     bad = np.flatnonzero(~((labels >= 0) & (labels <= 5)))
     if bad.size:
         raise ValueError(f"label {labels[bad[0]]} of triangle {bad[0]} outside 0..5")
+    if n_triangles is not None and labels.shape != (n_triangles,):
+        raise ValueError(f"{labels.size} labels for {n_triangles} triangles")
     return labels.astype(np.int64)
 
 
@@ -182,9 +184,7 @@ def restricted_relabel(
     from .graphcut import BIG, alpha_expansion
 
     n = mesh.n_triangles
-    labels = checked_labels(labels)
-    if labels.shape != (n,):
-        raise ValueError(f"{labels.size} labels for {n} triangles")
+    labels = checked_labels(labels, n)
     region = np.asarray(sorted(region) if isinstance(region, (set, frozenset)) else region)
     if region.dtype == bool:
         if region.shape != (n,):
@@ -241,8 +241,10 @@ def fidelity_score(mesh: SurfaceMesh, labels, mode: str = "dot") -> FidelityRepo
 
     'dot' scores each triangle (1 + n . d) / 2; 'angle' scores
     1 - angle(n, d) / pi. Both area-weighted and uniform means are reported.
+    Raises ValueError for labels that `checked_labels` refuses or whose
+    count is not F.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = checked_labels(labels, mesh.n_triangles)
     dots = np.einsum("ij,ij->i", mesh.normals, LABEL_DIRECTIONS[labels])
     if mode == "dot":
         per_tri = (1.0 + dots) / 2.0

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Boundary, Corner, LabelingGraph
+from .labeling import checked_labels
 
 _REFLEX_TOL = 1e-9
 
@@ -141,8 +142,10 @@ def validate(graph: LabelingGraph, rules: ValidityRules = ValidityRules()) -> Va
 
 
 def feature_edge_stats(mesh, labels) -> dict:
-    """Count sharp feature edges preserved (on a boundary) vs lost."""
-    labels = np.asarray(labels)
+    """Count sharp feature edges preserved (on a boundary) vs lost. Raises
+    ValueError for labels that `checked_labels` refuses or whose count is
+    not F."""
+    labels = checked_labels(labels, mesh.n_triangles)
     t1, t2 = mesh.edge_tris[mesh.feature_edge_mask].T
     preserved = int(np.count_nonzero(labels[t1] != labels[t2]))
     return {

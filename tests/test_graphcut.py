@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from polycubelabel import graphcut, labeling, shapes
 from polycubelabel.graphcut import (
     BIG,
-    _admissible,
     _dinic,
     _expansion_move,
     _paired_arcs,
@@ -19,8 +18,10 @@ from polycubelabel.graphcut import (
     min_st_cut,
     potts_energy,
 )
+from polycubelabel.graph import LabelingGraph
 from polycubelabel.labeling import CutEnergy
 from polycubelabel.mesh import SurfaceMesh
+from polycubelabel.operators import remove_chart
 
 import oracles
 from helpers import spy_moves
@@ -79,10 +80,22 @@ def test_min_cut_same_source_and_sink_raises():
     ([(0, 1), (1, 2)], [1.0, np.inf], 0, 2, "finite"),
     ([(0, 1), (1, 2)], [np.nan, 1.0], 0, 2, "finite"),
     ([(0, 1), (1, 2)], [1.0], 0, 2, "1 capacities for 2 edges"),
+    ([(0, 1.7), (1, 2)], [1.0, 2.0], 0, 2, "endpoints must be node ids"),
+    ([(0, 1, 2), (1, 2, 0)], [1.0, 2.0, 3.0], 0, 2, "two an edge"),
+    ([(0, 1), (1, 2)], [1.0, 2.0], 0.5, 2, "source 0.5"),
+    ([(0, 1), (1, 2)], [1.0, 2.0], 0, 2.0, "sink 2.0"),
+    ([(0, 1), (1, 2)], [1.0, 2.0], True, 2, "source True"),
+    ([(0, 1), (1, 2)], [1.0, 2.0], np.int64(0), np.True_, "sink True"),
 ])
 def test_min_cut_rejects_bad_input(edges, caps, s, t, match):
     with pytest.raises(ValueError, match=match):
         min_st_cut(3, edges, np.array(caps), s, t)
+
+
+def test_min_cut_takes_numpy_integer_ids():
+    edges = np.array([(0, 1), (1, 2)], dtype=np.uint32)
+    value, side = min_st_cut(3, edges, [1.0, 2.0], np.int64(0), np.int32(2))
+    assert value == 1.0 and side.tolist() == [True, False, False]
 
 
 def test_min_cut_matches_enumeration():
@@ -170,52 +183,6 @@ def test_dinic_matches_reference_bit_for_bit():
     assert unreachable >= 40
 
 
-def _reaching(tail, head, arcs, t):
-    """The nodes that reach t through the arcs at positions `arcs`."""
-    good, grew = {t}, True
-    while grew:
-        grew = False
-        for j in arcs:
-            if head[j] in good and tail[j] not in good:
-                good.add(tail[j])
-                grew = True
-    return good
-
-
-def test_admissible_drops_exactly_the_arcs_into_dead_ends(monkeypatch):
-    # every phase of the Dinic runs on the random graphs above: a kept arc
-    # leads into a node that reaches t through kept arcs, and a dropped
-    # one-level-up arc into a node that does not reach t at all
-    dropped = 0
-
-    def checked(starts, head, level, t):
-        nonlocal dropped
-        ok, first, stop = _admissible(starts, head, level, t)
-        n = len(starts) - 1
-        tail = np.repeat(np.arange(n), np.diff(starts)).tolist()
-        lt, lh = level[tail], level[head]
-        up = np.flatnonzero((lt >= 0) & (lh == lt + 1) & ((lh < level[t]) | (head == t))).tolist()
-        heads, kept = head.tolist(), ok.tolist()
-        assert kept == sorted(set(kept)) and set(kept) <= set(up)
-        reach_kept = _reaching(tail, heads, kept, t)
-        assert all(heads[j] in reach_kept for j in kept)
-        reach_up = _reaching(tail, heads, up, t)
-        gone = set(up) - set(kept)
-        assert not any(heads[j] in reach_up for j in gone)
-        dropped += len(gone)
-        for u in range(n):
-            assert all(tail[j] == u for j in kept[first[u]:stop[u]])
-        assert stop[-1] == len(kept)
-        return ok, first, stop
-
-    monkeypatch.setattr(graphcut, "_admissible", checked)
-    rng = np.random.default_rng(21)
-    for _ in range(400):
-        n, tails, heads, caps, s, t = _random_flow_graph(rng)
-        _dinic(*_paired_arcs(n, tails, heads, caps), s, t)
-    assert dropped >= 100
-
-
 def test_dinic_matches_reference_on_a_long_chain():
     # a path s=0 -> 1 -> ... -> 199 = t with shortcuts: many phases, many levels
     n = 200
@@ -233,6 +200,80 @@ def test_dinic_matches_reference_past_the_sink_level():
                       (a, t), (c, t), (b, a), (d, b)])
     caps = np.array([1.0, 2.5, 1.5, 2.0, 1.0, 0.5, 3.0, 0.25, 1.0, 1.0, 2.0])
     _assert_dinic_matches_reference(6, edges[:, 0], edges[:, 1], caps, s, t)
+
+
+@st.composite
+def _flow_graphs(draw):
+    """A small graph with parallel and antiparallel arcs, zero capacities
+    among them, and at times an s with no out-arcs or a t nothing enters."""
+    n = draw(st.integers(2, 12))
+    node = st.integers(0, n - 1)
+    capacity = st.one_of(st.just(0.0), st.integers(0, 3).map(float), st.floats(0.0, 5.0))
+    arcs = draw(st.lists(st.tuples(node, node, capacity), max_size=40))
+    for k, reverse, c in draw(st.lists(st.tuples(st.integers(0, 39), st.booleans(), capacity),
+                                       max_size=10)):
+        if arcs:  # a copy of a drawn arc, or its reverse, with its own capacity
+            u, v, _ = arcs[k % len(arcs)]
+            arcs.append((v, u, c) if reverse else (u, v, c))
+    s, t = draw(st.lists(node, min_size=2, max_size=2, unique=True))
+    if draw(st.booleans()):
+        arcs = [a for a in arcs if a[0] != s]
+    if draw(st.booleans()):
+        arcs = [a for a in arcs if a[1] != t]
+    tails, heads, caps = (np.array([a[i] for a in arcs], dtype=dt)
+                          for i, dt in enumerate((np.int64, np.int64, np.float64)))
+    return n, tails, heads, caps, s, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flow_graphs())
+def test_dinic_matches_reference_on_drawn_graphs(graph):
+    _assert_dinic_matches_reference(*graph)
+
+
+def _replayed_cuts(monkeypatch):
+    """Run every _dinic call on its own graph through the one-by-one arc
+    build and the reference Dinic too; records, per call, whether the
+    residuals are bit-equal and the sides equal."""
+    real, calls = graphcut._dinic, []
+
+    def replay(offsets, arcs, to, cap, s, t):
+        n = len(offsets) - 1
+        # arc 2k runs to[2k + 1] -> to[2k] with cap[2k]
+        head, nxt, want_to, want_cap = push_arcs_one_by_one(n, to[1::2], to[::2], cap[::2])
+        assert want_to.tobytes() == to.tobytes() and want_cap.tobytes() == cap.tobytes()
+        side = real(offsets, arcs, to, cap, s, t)
+        want = reference_dinic(n, head, nxt, want_to, want_cap, s, t)
+        calls.append((cap.tobytes() == want_cap.tobytes(), side.tolist() == want.tolist()))
+        return side
+
+    monkeypatch.setattr(graphcut, "_dinic", replay)
+    return calls
+
+
+def _noisy_sphere_removals():
+    # the naive labeling of a sphere with 30% of its triangles relabelled at
+    # random, and each of its charts removed in turn
+    mesh = SurfaceMesh(*shapes.icosphere(2))
+    rng = np.random.default_rng(0)
+    labels = labeling.naive_labeling(mesh)
+    noisy = rng.random(mesh.n_triangles) < 0.3
+    labels[noisy] = rng.integers(0, 6, noisy.sum())
+    graph = LabelingGraph(mesh, labels)
+    for chart in range(graph.n_charts):
+        remove_chart(graph, chart)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: labeling.compute_labeling(SurfaceMesh(*shapes.icosphere(3))),
+    _noisy_sphere_removals,
+], ids=["compute-labeling-icosphere-3", "remove-chart-noisy-icosphere-2"])
+def test_every_cut_of_a_run_matches_the_reference(run, monkeypatch):
+    # the expansion-move graphs of real runs: bit-equal residuals, equal sides
+    calls = _replayed_cuts(monkeypatch)
+    run()
+    assert len(calls) >= 10
+    assert all(residual and side for residual, side in calls)
 
 
 def _use_reference_cut(monkeypatch):
@@ -597,6 +638,30 @@ def test_potts_energy_formula():
     w = np.array([10.0, 20.0])
     assert potts_energy(costs, pairs, w, [0, 1, 1]) == 1 + 4 + 6 + 10
     assert potts_energy(costs, pairs, w, [0, 0, 0]) == 1 + 3 + 5
+
+
+@pytest.mark.parametrize("pairs, weights, labels, match", [
+    ([[0, 1]], [1.0], [-1, 0], r"labels must be 2 labels in 0\.\.2"),
+    ([[0, -1]], [1.0], [0, 1], "node ids in 0..1"),
+    ([[0, 1]], [1.0], [0.7, 1.2], "whole numbers"),
+    ([[0, 1]], [np.nan], [0, 1], "finite"),
+    ([[0, 1]], [1.0], [3, 0], r"in 0\.\.2"),
+    ([[0, 1]], [1.0], [0], "labels must be 2 labels"),
+    ([[0.0, 1.0]], [1.0], [0, 1], "node ids"),
+    ([[0, 1]], [1.0, 1.0], [0, 1], "1 finite non-negative"),
+], ids=["label-negative", "pair-negative", "label-not-integer", "weight-nan", "label-past-L",
+        "label-count", "pair-not-integer", "weight-count"])
+def test_potts_energy_rejects_what_alpha_expansion_rejects(pairs, weights, labels, match):
+    costs = np.zeros((2, 3))
+    with pytest.raises(ValueError, match=match) as got:
+        potts_energy(costs, pairs, weights, labels)
+    with pytest.raises(ValueError) as want:
+        alpha_expansion(costs, pairs, weights, init=labels)
+    assert str(got.value) == str(want.value).replace("init must", "labels must")
+
+
+def test_potts_energy_takes_whole_float_labels():
+    assert potts_energy(np.zeros((2, 3)), [[0, 1]], [1.0], [1.0, 2.0]) == 1.0
 
 
 def test_potts_energy_adds_terms_in_order():

@@ -169,6 +169,17 @@ def test_fidelity_sphere_matches_quadrature():
     assert rep.area_weighted == pytest.approx(expect, abs=5e-4)
 
 
+@pytest.mark.parametrize("labels, match", [
+    ([-1] * 12, "label -1 of triangle 0 outside 0..5"),
+    ([2.5] * 12, "label 2.5 of triangle 0 is not an integer"),
+    ([6] * 12, "label 6 of triangle 0 outside 0..5"),
+    ([0] * 3, "3 labels for 12 triangles"),
+], ids=["negative", "not-integer", "past-5", "too-few"])
+def test_fidelity_rejects_labels_outside_the_contract(cube_mesh, labels, match):
+    with pytest.raises(ValueError, match=match):
+        fidelity_score(cube_mesh, labels)
+
+
 def test_fidelity_unknown_mode(cube_mesh):
     with pytest.raises(ValueError):
         fidelity_score(cube_mesh, naive_labeling(cube_mesh), mode="nope")

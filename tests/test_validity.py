@@ -231,6 +231,18 @@ def test_feature_edge_stats_cube(cube_mesh):
     assert stats == {"preserved": 12, "lost": 0, "ignored": 0}
 
 
+@pytest.mark.parametrize("labels, match", [
+    ([-1] * 12, "label -1 of triangle 0 outside 0..5"),
+    ([2.5] * 12, "label 2.5 of triangle 0 is not an integer"),
+    ([6] * 12, "label 6 of triangle 0 outside 0..5"),
+    ([0] * 3, "3 labels for 12 triangles"),
+    ([0] * 13, "13 labels for 12 triangles"),
+], ids=["negative", "not-integer", "past-5", "too-few", "too-many"])
+def test_feature_edge_stats_rejects_labels_outside_the_contract(cube_mesh, labels, match):
+    with pytest.raises(ValueError, match=match):
+        feature_edge_stats(cube_mesh, labels)
+
+
 def test_feature_edge_stats_lost(cube_mesh):
     labels = naive_labeling(cube_mesh)
     labels[cube_mesh.normals[:, 2] > 0.9] = 0  # merge lid into the +X wall

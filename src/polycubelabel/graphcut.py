@@ -152,11 +152,13 @@ def min_st_cut(n_nodes, edges, capacities, s, t):
 
     Returns ``(cut_value, source_side)`` where ``source_side`` is a bool
     array over nodes; the value is recomputed from the partition so it is
-    an exact sum of the given capacities. Raises ValueError when s == t,
-    when s or t is not an int node id (a bool is not one), when the edges
-    are not pairs of integer node ids, or when a capacity is negative or
-    not finite.
+    an exact sum of the given capacities. Raises ValueError when n_nodes is
+    not an int (a bool is not one), when s == t, when s or t is not an int
+    node id, when the edges are not pairs of integer node ids, or when a
+    capacity is negative or not finite.
     """
+    if not isinstance(n_nodes, (int, np.integer)) or isinstance(n_nodes, bool):
+        raise ValueError(f"n_nodes must be an int, not {n_nodes!r}")
     edges = np.asarray(edges)
     capacities = np.ascontiguousarray(capacities, dtype=np.float64)
     if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)

@@ -83,9 +83,9 @@ def checked_labels(labels, n_triangles=None) -> np.ndarray:
         odd = np.flatnonzero(labels != np.round(labels))  # NaN too
         if odd.size:
             raise ValueError(f"label {labels[odd[0]]} of triangle {odd[0]} is not an integer")
-    bad = np.flatnonzero(~((labels >= 0) & (labels <= 5)))
-    if bad.size:
-        raise ValueError(f"label {labels[bad[0]]} of triangle {bad[0]} outside 0..5")
+    if labels.size and not (labels.min() >= 0 and labels.max() <= 5):
+        bad = np.flatnonzero(~((labels >= 0) & (labels <= 5)))[0]
+        raise ValueError(f"label {labels[bad]} of triangle {bad} outside 0..5")
     if n_triangles is not None and labels.shape != (n_triangles,):
         raise ValueError(f"{labels.size} labels for {n_triangles} triangles")
     return labels.astype(np.int64)

@@ -110,13 +110,17 @@ def component_roots(n, a, b) -> np.ndarray:
     """The smallest node of each node's connected component, for nodes
     0..n-1 joined by the edges (a[i], b[i]). Min-label hooking: hook the
     larger of two adjacent roots onto the smaller, then jump pointers to
-    the roots, until no edge joins two roots."""
+    the roots, until no edge joins two roots. The first round hooks the
+    nodes themselves; later rounds see only the edges that still join two
+    roots, as pairs of roots. Each test for the roots jumps twice."""
     root = np.arange(n)
-    while (apart := root[a] != root[b]).any():
-        ra, rb = root[a[apart]], root[b[apart]]
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while not np.array_equal(jumped := root[root], root):
-            root = jumped
+    while len(a):
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not ((jumped := root[root]) == root).all():
+            root = jumped[jumped]
+        a, b = root[a], root[b]
+        apart = a != b
+        a, b = a[apart], b[apart]
     return root
 
 

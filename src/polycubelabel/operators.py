@@ -165,10 +165,9 @@ def _chart_contour_loops(graph: LabelingGraph, chart_id: int) -> list:
 
 def is_feature_surrounded(graph: LabelingGraph, chart_id: int) -> bool:
     """True when every contour edge of the chart is a sharp feature edge."""
-    mesh = graph.mesh
-    edges = [e for bid in graph.charts[chart_id].boundaries
-             for e in graph.boundaries[bid].edge_ids]
-    return bool(edges) and bool(mesh.feature_edge_mask[edges].all())
+    mesh, edges = graph.mesh, graph.boundary_edges
+    edges = edges[(graph.chart_of[mesh.edge_tris.take(edges, axis=0)] == chart_id).any(axis=1)]
+    return bool(edges.size) and bool(mesh.feature_edge_mask[edges].all())
 
 
 def trace_path(
@@ -229,9 +228,8 @@ def remove_chart(graph: LabelingGraph, chart_id: int,
     chart = _target(graph.charts, chart_id, "chart")
     if not chart.neighbors:  # constant labeling: nothing to absorb into
         return _skip(labels)
-    allowed_labels = sorted({graph.charts[n].label for n in chart.neighbors})
     allowed = np.zeros(6, dtype=bool)
-    allowed[allowed_labels] = True
+    allowed[graph.chart_label[list(chart.neighbors)]] = True
     out = restricted_relabel(graph.mesh, labels, chart.triangles, allowed=allowed, energy=energy)
     return _outcome(labels, out)
 
@@ -246,7 +244,7 @@ def fix_invalid_boundary(
         return _skip(labels)
     allowed = np.isin(graph.chart_of, (b.left_chart, b.right_chart))
     region = _grow(mesh, mesh.edge_tris[list(b.edge_ids)].ravel(), allowed, rings=width)
-    shared_axis = graph.charts[b.left_chart].label >> 1
+    shared_axis = b.left_label >> 1
     return _paint(labels, region, _fresh_label(mesh, region, {shared_axis}))
 
 
@@ -268,7 +266,7 @@ def fix_invalid_corner(graph: LabelingGraph, corner_id: int, radius: int = DISK_
         region = _grow(mesh, star, rings=r)
         if allowed[region].all():
             break  # at r = 1 the disk is the vertex star, which always fits
-    used_axes = {graph.charts[c].label >> 1 for c in incident_charts}
+    used_axes = set((graph.chart_label[incident_charts] >> 1).tolist())
     return _paint(labels, region, _fresh_label(mesh, region, used_axes))
 
 
@@ -525,7 +523,7 @@ def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOut
     region = _grow(mesh, mesh.edge_tris[list(seg_edges)].ravel(), allowed, path.edges)
     if len(region) == int(allowed.sum()):
         return _skip(labels)
-    return _paint(labels, region, graph.charts[other_chart].label)
+    return _paint(labels, region, int(graph.chart_label[other_chart]))
 
 
 def move_boundary_near_turning_point(
@@ -548,7 +546,7 @@ def move_boundary_near_turning_point(
             angle_sum[l] += _corner_angle(mesh, t, tp)
     winner = min(angle_sum, key=lambda l: (-angle_sum[l], l))
     loser = b.right_label if winner == b.left_label else b.left_label
-    loser_chart = b.left_chart if graph.charts[b.left_chart].label == loser else b.right_chart
+    loser_chart = b.left_chart if b.left_label == loser else b.right_chart
 
     allowed = graph.chart_of == loser_chart
     region = _grow(mesh, mesh.vertex_triangles(tp), allowed, rings=radius)
@@ -601,6 +599,6 @@ def straighten_boundary(graph: LabelingGraph, boundary_id: int) -> OperatorOutco
     if len(region_left) == int(union.sum()):
         return _skip(labels)  # new path failed to separate the union
     out = labels.copy()
-    out[union] = graph.charts[b.right_chart].label
-    out[region_left] = graph.charts[b.left_chart].label
+    out[union] = b.right_label
+    out[region_left] = b.left_label
     return _outcome(labels, out)

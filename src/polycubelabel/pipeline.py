@@ -125,8 +125,8 @@ def _valence_gain(chart_id):
     """Accept when the chart holding the target chart's first triangle has
     more neighbors than the target had."""
     def accept(old, new, report):
-        chart = old.charts[chart_id]
-        return new.charts[int(new.chart_of[chart.triangles[0]])].valence > chart.valence
+        first = old.charts[chart_id].triangles[0]
+        return new.chart_valence[new.chart_of[first]] > old.chart_valence[chart_id]
     return accept
 
 

@@ -18,6 +18,7 @@ former before spending effort on the latter.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -56,43 +57,77 @@ class ValidityRules:
             raise ValueError(f"min_reflex_fraction must be in 0..1, not {self.min_reflex_fraction}")
 
 
+def _reflex_fractions(mesh, edge_ids, offsets) -> np.ndarray:
+    """Fraction of each boundary's edges lying on a reflex (>180 deg) crease,
+    for boundaries whose edges are rows of the CSR (offsets, edge_ids)."""
+    reflex = mesh.dihedral_angles[edge_ids] > math.pi + _REFLEX_TOL
+    return np.add.reduceat(reflex, offsets[:-1], dtype=np.int64) / np.diff(offsets)
+
+
 def reflex_fraction(mesh, boundary: Boundary) -> float:
     """Fraction of the boundary's edges lying on a reflex (>180 deg) crease."""
-    theta = mesh.dihedral_angles[list(boundary.edge_ids)]
-    return float(np.mean(theta > math.pi + _REFLEX_TOL))
+    return float(_reflex_fractions(mesh, list(boundary.edge_ids), [0, boundary.n_edges])[0])
+
+
+# Each rule gives the ids of the invalid elements among arrays of them, and
+# a reason each; `validate` runs it on a graph, `*_is_valid` on one element.
+
+
+def _chart_faults(valence):
+    bad = (valence < 4).nonzero()[0]
+    return bad, [f"valence {v} < 4" for v in valence[bad].tolist()]
+
+
+def _boundary_faults(mesh, axis, edge_ids, offsets, rules):
+    bad = (axis < 0).nonzero()[0]
+    if not rules.allow_opposite_labels or not bad.size:
+        return bad, ["separates two charts of the same axis"] * len(bad)
+    frac = _reflex_fractions(mesh, edge_ids, offsets)[bad]
+    low = frac < rules.min_reflex_fraction
+    return bad[low], [f"same-axis boundary with reflex fraction {f:.3f}"
+                      f" < {rules.min_reflex_fraction:.3f}" for f in frac[low].tolist()]
+
+
+# A corner verdict reads each axis count as a class: 0, 1, even >= 2 or odd
+# >= 3. Each rule's faults, for every triple of classes, at 16 * X class +
+# 4 * Y class + Z class:
+_CLASSES = np.array(list(itertools.product(range(4), repeat=3)))
+_TRIO = (_CLASSES == 1).all(axis=1)
+_PAIRED = (_CLASSES % 2 == 0).all(axis=1) & ((_CLASSES > 0).sum(axis=1) >= 2)
+_CORNER_FAULTS = {"improved": ~(_TRIO | _PAIRED), "legacy": ~_TRIO}
+_CLASS_WEIGHTS = np.array([16, 4, 1])
+
+
+def _corner_faults(counts, undefined, rules):
+    classes = np.minimum(counts, 2 + (counts & 1))  # 0, 1, 2 when even, 3 when odd
+    bad = (_CORNER_FAULTS[rules.corner_rule][classes @ _CLASS_WEIGHTS] | undefined).nonzero()[0]
+    if not bad.size:
+        return bad, []
+    why = ("needs exactly one X, Y and Z boundary, got {}" if rules.corner_rule == "legacy"
+           else "boundary axes {} neither pair up nor form an XYZ trio")
+    return bad, ["incident to a same-axis boundary (no polycube axis)" if u
+                 else why.format(tuple(c))
+                 for c, u in zip(counts[bad].tolist(), undefined[bad].tolist())]
+
+
+def _verdict(faults) -> tuple:
+    bad, reasons = faults
+    return (False, reasons[0]) if len(bad) else (True, "")
 
 
 def chart_is_valid(chart) -> tuple:
-    if chart.valence < 4:
-        return False, f"valence {chart.valence} < 4"
-    return True, ""
+    return _verdict(_chart_faults(np.array([chart.valence])))
 
 
 def boundary_is_valid(mesh, boundary: Boundary, rules: ValidityRules = ValidityRules()) -> tuple:
-    if boundary.axis is not None:
-        return True, ""
-    if not rules.allow_opposite_labels:
-        return False, "separates two charts of the same axis"
-    frac = reflex_fraction(mesh, boundary)
-    if frac < rules.min_reflex_fraction:
-        return False, (f"same-axis boundary with reflex fraction {frac:.3f}"
-                       f" < {rules.min_reflex_fraction:.3f}")
-    return True, ""
+    axis = -1 if boundary.axis is None else boundary.axis
+    return _verdict(_boundary_faults(mesh, np.array([axis]), list(boundary.edge_ids),
+                                     [0, boundary.n_edges], rules))
 
 
 def corner_is_valid(corner: Corner, rules: ValidityRules = ValidityRules()) -> tuple:
-    if corner.has_undefined_axis:
-        return False, "incident to a same-axis boundary (no polycube axis)"
-    counts = corner.axis_counts
-    if rules.corner_rule == "legacy":
-        if counts == (1, 1, 1):
-            return True, ""
-        return False, f"needs exactly one X, Y and Z boundary, got {counts}"
-    if counts == (1, 1, 1):
-        return True, ""
-    if all(c % 2 == 0 for c in counts) and sum(c > 0 for c in counts) >= 2:
-        return True, ""
-    return False, f"boundary axes {counts} neither pair up nor form an XYZ trio"
+    return _verdict(_corner_faults(np.array([corner.axis_counts]),
+                                   np.array([corner.has_undefined_axis]), rules))
 
 
 @dataclass
@@ -117,27 +152,17 @@ class ValidityReport:
 
 
 def validate(graph: LabelingGraph, rules: ValidityRules = ValidityRules()) -> ValidityReport:
-    """Check every component of the labeling graph against its rule."""
-    report = ValidityReport()
-    bad_charts, bad_boundaries, bad_corners = [], [], []
-    for chart in graph.charts:
-        ok, why = chart_is_valid(chart)
-        if not ok:
-            bad_charts.append(chart.index)
-            report.reasons[("chart", chart.index)] = why
-    for boundary in graph.boundaries:
-        ok, why = boundary_is_valid(graph.mesh, boundary, rules)
-        if not ok:
-            bad_boundaries.append(boundary.index)
-            report.reasons[("boundary", boundary.index)] = why
-    for i, corner in enumerate(graph.corners):
-        ok, why = corner_is_valid(corner, rules)
-        if not ok:
-            bad_corners.append(i)
-            report.reasons[("corner", i)] = why
-    report.invalid_charts = tuple(bad_charts)
-    report.invalid_boundaries = tuple(bad_boundaries)
-    report.invalid_corners = tuple(bad_corners)
+    """Check every component of the labeling graph against its rule, on the
+    graph's arrays; a reason is worded only for what fails."""
+    faults = (
+        _chart_faults(graph.chart_valence),
+        _boundary_faults(graph.mesh, graph.boundary_axis, graph.boundary_edges,
+                         graph.boundary_offsets, rules),
+        _corner_faults(graph.corner_axis_counts, graph.corner_undefined, rules),
+    )
+    report = ValidityReport(*(tuple(bad.tolist()) for bad, _ in faults))
+    for kind, (bad, reasons) in zip(("chart", "boundary", "corner"), faults):
+        report.reasons.update(zip(((kind, i) for i in bad.tolist()), reasons))
     return report
 
 

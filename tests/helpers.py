@@ -5,7 +5,10 @@ import math
 import numpy as np
 
 from polycubelabel import graphcut, shapes
+from polycubelabel.labeling import naive_labeling
 from polycubelabel.mesh import SurfaceMesh, detect_feature_edges
+
+from oracles import ring_grow
 
 
 def build(verts, tris, feature_angle=math.pi / 4):
@@ -112,3 +115,56 @@ def spy_moves(monkeypatch):
 
     monkeypatch.setattr(graphcut, "_expansion_move", spy)
     return alphas
+
+
+# -- test shapes with label patterns for the graph and validity oracles -------------
+
+
+def tilted_torus():
+    """torus(24, 12) turned 0.3 rad about z, then 0.5 rad about x."""
+    verts, tris = shapes.torus(nu=24, nv=12)
+    cz, sz, cx, sx = math.cos(0.3), math.sin(0.3), math.cos(0.5), math.sin(0.5)
+    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    return SurfaceMesh(verts @ (rx @ rz).T, tris)
+
+
+GRAPH_SHAPES = {
+    "cube": lambda: SurfaceMesh(*shapes.subdivide(*shapes.cube(), 2)),
+    "l-prism": lambda: SurfaceMesh(*shapes.subdivide(*shapes.l_prism(), 2)),
+    "sphere": lambda: SurfaceMesh(*shapes.icosphere(2)),
+    "torus": lambda: SurfaceMesh(*shapes.torus(nu=24, nv=12)),
+    "cone": lambda: SurfaceMesh(*shapes.cone(16)),
+    "tilted-torus": tilted_torus,
+}
+_graph_meshes = {}
+
+
+def graph_mesh(shape):
+    """The mesh of a GRAPH_SHAPES entry, built once."""
+    if shape not in _graph_meshes:
+        _graph_meshes[shape] = GRAPH_SHAPES[shape]()
+    return _graph_meshes[shape]
+
+
+def blob_labeling(shape, n_blobs, seed):
+    """The naive labeling of a test shape with blobs of random labels painted
+    over it: each blob is 1-3 triangle rings around a random triangle."""
+    m = graph_mesh(shape)
+    rng = np.random.default_rng(seed)
+    labels = naive_labeling(m)
+    for _ in range(n_blobs):
+        blob = ring_grow(m, [int(rng.integers(m.n_triangles))], int(rng.integers(1, 4)))
+        labels[sorted(blob)] = rng.integers(0, 6)
+    return m, labels
+
+
+def noisy_labeling(shape, noise, seed):
+    """The naive labeling of a test shape with each triangle, at probability
+    ``noise``, given a random label."""
+    m = graph_mesh(shape)
+    rng = np.random.default_rng(seed)
+    labels = naive_labeling(m)
+    flip = rng.random(m.n_triangles) < noise
+    labels[flip] = rng.integers(0, 6, size=int(flip.sum()))
+    return m, labels

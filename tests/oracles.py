@@ -21,6 +21,7 @@ from polycubelabel.labeling import LABEL_COLORS, LABEL_DIRECTIONS
 from polycubelabel.mesh import (MeshError, NonManifoldEdgeError, NonTriangleFaceError,
                                OpenSurfaceError, SurfaceMesh)
 from polycubelabel.operators import _closest_label, _grow, _outcome, _paint, _skip, _target
+from polycubelabel.validity import _REFLEX_TOL, ValidityReport, ValidityRules
 
 
 def random_cut_instance(rng, max_nodes=10):
@@ -1074,3 +1075,88 @@ class ReferenceLabelingGraph:
         for c in self.charts:
             out[c.label] += 1
         return out
+
+
+# -- validation, one element at a time -----------------------------------------------
+
+
+def reference_reflex_fraction(mesh, boundary: Boundary) -> float:
+    """Fraction of the boundary's edges lying on a reflex (>180 deg) crease."""
+    theta = mesh.dihedral_angles[list(boundary.edge_ids)]
+    return float(np.mean(theta > math.pi + _REFLEX_TOL))
+
+
+def reference_chart_is_valid(chart) -> tuple:
+    if chart.valence < 4:
+        return False, f"valence {chart.valence} < 4"
+    return True, ""
+
+
+def reference_boundary_is_valid(mesh, boundary: Boundary, rules: ValidityRules) -> tuple:
+    if boundary.axis is not None:
+        return True, ""
+    if not rules.allow_opposite_labels:
+        return False, "separates two charts of the same axis"
+    frac = reference_reflex_fraction(mesh, boundary)
+    if frac < rules.min_reflex_fraction:
+        return False, (f"same-axis boundary with reflex fraction {frac:.3f}"
+                       f" < {rules.min_reflex_fraction:.3f}")
+    return True, ""
+
+
+def reference_corner_is_valid(corner: Corner, rules: ValidityRules) -> tuple:
+    if corner.has_undefined_axis:
+        return False, "incident to a same-axis boundary (no polycube axis)"
+    counts = corner.axis_counts
+    if rules.corner_rule == "legacy":
+        if counts == (1, 1, 1):
+            return True, ""
+        return False, f"needs exactly one X, Y and Z boundary, got {counts}"
+    if counts == (1, 1, 1):
+        return True, ""
+    if all(c % 2 == 0 for c in counts) and sum(c > 0 for c in counts) >= 2:
+        return True, ""
+    return False, f"boundary axes {counts} neither pair up nor form an XYZ trio"
+
+
+def reference_validate(graph, rules: ValidityRules = ValidityRules()) -> ValidityReport:
+    """Check every component of the labeling graph against its rule."""
+    report = ValidityReport()
+    bad_charts, bad_boundaries, bad_corners = [], [], []
+    for chart in graph.charts:
+        ok, why = reference_chart_is_valid(chart)
+        if not ok:
+            bad_charts.append(chart.index)
+            report.reasons[("chart", chart.index)] = why
+    for boundary in graph.boundaries:
+        ok, why = reference_boundary_is_valid(graph.mesh, boundary, rules)
+        if not ok:
+            bad_boundaries.append(boundary.index)
+            report.reasons[("boundary", boundary.index)] = why
+    for i, corner in enumerate(graph.corners):
+        ok, why = reference_corner_is_valid(corner, rules)
+        if not ok:
+            bad_corners.append(i)
+            report.reasons[("corner", i)] = why
+    report.invalid_charts = tuple(bad_charts)
+    report.invalid_boundaries = tuple(bad_boundaries)
+    report.invalid_corners = tuple(bad_corners)
+    return report
+
+
+# -- connected components --------------------------------------------------------------
+
+
+def union_find_roots(n, pairs) -> list:
+    """The smallest node of each node's component, by a plain union-find."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(n)]

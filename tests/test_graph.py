@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -11,14 +13,13 @@ from polycubelabel.graph import LabelingGraph, discontinuity_edges, optimal_edge
 from polycubelabel.labeling import naive_labeling
 from polycubelabel.mesh import SurfaceMesh
 
-from helpers import build, chart_euler
+from helpers import GRAPH_SHAPES, blob_labeling, build, chart_euler, noisy_labeling
 from oracles import (
     ReferenceLabelingGraph,
     brute_force_directions,
     direction_cost,
     flood_fill_charts,
     reference_edge_directions,
-    ring_grow,
 )
 
 
@@ -269,40 +270,6 @@ def test_charts_match_flood_fill_on_label_noise(shape, noise, seed):
 # -- the array build against the edge-by-edge walk --------------------------------
 
 
-def _tilted_torus():
-    """torus(24, 12) turned 0.3 rad about z, then 0.5 rad about x."""
-    verts, tris = shapes.torus(nu=24, nv=12)
-    cz, sz, cx, sx = math.cos(0.3), math.sin(0.3), math.cos(0.5), math.sin(0.5)
-    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
-    return SurfaceMesh(verts @ (rx @ rz).T, tris)
-
-
-GRAPH_SHAPES = {
-    "cube": lambda: SurfaceMesh(*shapes.subdivide(*shapes.cube(), 2)),
-    "l-prism": lambda: SurfaceMesh(*shapes.subdivide(*shapes.l_prism(), 2)),
-    "sphere": lambda: SurfaceMesh(*shapes.icosphere(2)),
-    "torus": lambda: SurfaceMesh(*shapes.torus(nu=24, nv=12)),
-    "cone": lambda: SurfaceMesh(*shapes.cone(16)),
-    "tilted-torus": _tilted_torus,
-}
-_graph_meshes = {}
-
-
-def _blob_labeling(shape, n_blobs, seed):
-    """The naive labeling of a test shape with blobs of random labels painted
-    over it: each blob is 1-3 triangle rings around a random triangle."""
-    if shape not in _graph_meshes:
-        _graph_meshes[shape] = GRAPH_SHAPES[shape]()
-    m = _graph_meshes[shape]
-    rng = np.random.default_rng(seed)
-    labels = naive_labeling(m)
-    for _ in range(n_blobs):
-        blob = ring_grow(m, [int(rng.integers(m.n_triangles))], int(rng.integers(1, 4)))
-        labels[sorted(blob)] = rng.integers(0, 6)
-    return m, labels
-
-
 def _typed(value):
     """A value with the type of each of its parts, so 1 != np.int64(1) and a
     tuple != a list."""
@@ -334,6 +301,13 @@ def _assert_same_graph(g, ref):
     assert np.flatnonzero(g.boundary_vertex_mask).tolist() == on_boundary
     assert np.flatnonzero(g.boundary_edge_mask).tolist() == sorted(
         e for r in ref.boundaries for e in r.edge_ids)
+    # the arrays that validate reads say what the views say
+    assert g.chart_label.tolist() == [r.label for r in ref.charts]
+    assert g.chart_valence.tolist() == [r.valence for r in ref.charts]
+    assert g.boundary_axis.tolist() == [-1 if r.axis is None else r.axis for r in ref.boundaries]
+    assert g.corner_vertex.tolist() == [r.vertex for r in ref.corners]
+    assert g.corner_axis_counts.tolist() == [list(r.axis_counts) for r in ref.corners]
+    assert g.corner_undefined.tolist() == [r.has_undefined_axis for r in ref.corners]
 
 
 def _boundary_kinds(g):
@@ -357,7 +331,18 @@ def _boundary_kinds(g):
     st.integers(0, 2**32 - 1),
 )
 def test_graph_equals_edge_by_edge_build_on_blob_labelings(shape, n_blobs, seed):
-    m, labels = _blob_labeling(shape, n_blobs, seed)
+    m, labels = blob_labeling(shape, n_blobs, seed)
+    _assert_same_graph(LabelingGraph(m, labels), ReferenceLabelingGraph(m, labels))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(GRAPH_SHAPES)),
+    st.sampled_from([0.01, 0.05, 0.2, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_graph_equals_edge_by_edge_build_on_noisy_labelings(shape, noise, seed):
+    m, labels = noisy_labeling(shape, noise, seed)
     _assert_same_graph(LabelingGraph(m, labels), ReferenceLabelingGraph(m, labels))
 
 
@@ -365,13 +350,73 @@ def test_graph_equals_edge_by_edge_build_on_every_boundary_kind():
     kinds = set()
     for shape, n_blobs, seed in [("cube", 2, 0), ("cube", 4, 0), ("sphere", 3, 0),
                                  ("tilted-torus", 2, 0), ("torus", 0, 0)]:
-        m, labels = _blob_labeling(shape, n_blobs, seed)
+        m, labels = blob_labeling(shape, n_blobs, seed)
         g = LabelingGraph(m, labels)
         _assert_same_graph(g, ReferenceLabelingGraph(m, labels))
         kinds |= _boundary_kinds(g)
     assert kinds == {"cyclic", "corner loop", "several between one pair", "corner of valence >= 4",
                      "zero sign", "mixed signs", "turning point"}
     # a labeling with no boundary at all
-    m, _ = _blob_labeling("cone", 0, 0)
+    m, _ = blob_labeling("cone", 0, 0)
     labels = np.zeros(m.n_triangles, dtype=np.int64)
     _assert_same_graph(LabelingGraph(m, labels), ReferenceLabelingGraph(m, labels))
+
+
+# -- read-only arrays and element views ----------------------------------------------
+
+
+def _arrays_in(value, name):
+    if isinstance(value, np.ndarray):
+        yield name, value
+    elif isinstance(value, tuple):
+        for k, item in enumerate(value):
+            yield from _arrays_in(item, f"{name}[{k}]")
+
+
+def test_every_array_the_graph_holds_is_read_only():
+    m = SurfaceMesh(*shapes.subdivide(*shapes.l_prism(), 1))
+    g = LabelingGraph(m, naive_labeling(m))
+    views = list(g.charts) + list(g.boundaries) + list(g.corners)  # builds the lazy parts too
+    arrays = dict(a for name, value in vars(g).items() for a in _arrays_in(value, name))
+    arrays.update((f"charts[{c.index}].triangles", c.triangles) for c in g.charts)
+    public = ("labels", "boundary_edge_mask", "boundary_vertex_mask", "chart_of", "chart_label",
+              "chart_valence", "boundary_charts", "boundary_labels", "boundary_axis",
+              "boundary_cyclic", "boundary_offsets", "boundary_edges", "edge_heads",
+              "edge_tails", "raw_signs", "edge_signs", "corner_vertex", "corner_axis_counts",
+              "corner_undefined")
+    arrays.update((name, getattr(g, name)) for name in public)
+    assert len(views) == g.n_charts + g.n_boundaries + g.n_corners > 0
+    assert len(arrays) > len(public) + g.n_charts
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+        assert not a.flags.writeable, name
+
+
+def test_element_views_are_built_once_and_indexed_like_a_tuple(lprism_mesh):
+    g = LabelingGraph(lprism_mesh, naive_labeling(lprism_mesh))
+    for items in (g.charts, g.boundaries, g.corners):
+        assert items[0] is items[0] is items[-len(items)] is list(items)[0]
+        assert items[len(items) - 1] is items[-1]
+        assert items[np.int64(1)] is items[1]
+        for bad in (len(items), -len(items) - 1):
+            with pytest.raises(IndexError):
+                items[bad]
+        with pytest.raises(TypeError):
+            items[0:2]
+    assert [c.index for c in g.charts] == list(range(g.n_charts))
+    assert [type(b.index) for b in g.boundaries] == [int] * g.n_boundaries
+    assert g.charts[2] is g.charts[2] and g.corners[-1] is g.corners[-1]
+
+
+def test_a_graph_is_freed_as_soon_as_it_is_dropped(lprism_mesh):
+    # no reference cycle: the repair loop drops a graph per operator attempt
+    gc.disable()
+    try:
+        g = LabelingGraph(lprism_mesh, naive_labeling(lprism_mesh))
+        views = g.charts[0], g.boundaries[0], g.corners[0], g.total_turning_points
+        alive = weakref.ref(g)
+        del g
+        assert alive() is None and views
+    finally:
+        gc.enable()

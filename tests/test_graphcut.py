@@ -92,6 +92,14 @@ def test_min_cut_rejects_bad_input(edges, caps, s, t, match):
         min_st_cut(3, edges, np.array(caps), s, t)
 
 
+@pytest.mark.parametrize("n_nodes", [3.5, 4.0, True, "3", None])
+def test_min_cut_rejects_a_node_count_that_is_not_an_int(n_nodes):
+    # 3.5 and 4.0 used to fail with a bare TypeError in np.bincount, and True
+    # was read as one node
+    with pytest.raises(ValueError, match=f"n_nodes must be an int, not {n_nodes!r}"):
+        min_st_cut(n_nodes, [[0, 1], [1, 2]], [1.0, 2.0], 0, 1)
+
+
 def test_min_cut_takes_numpy_integer_ids():
     edges = np.array([(0, 1), (1, 2)], dtype=np.uint32)
     value, side = min_st_cut(3, edges, [1.0, 2.0], np.int64(0), np.int32(2))

@@ -17,6 +17,7 @@ from polycubelabel.mesh import (
     OpenSurfaceError,
     SurfaceMesh,
     UnreferencedVertexError,
+    component_roots,
     detect_feature_edges,
     interior_dihedral,
 )
@@ -28,7 +29,7 @@ from helpers import (
     two_cubes_sharing_a_vertex,
     two_disjoint_cubes,
 )
-from oracles import DictMesh, flood, reference_vertex_ring, ring_grow
+from oracles import DictMesh, flood, reference_vertex_ring, ring_grow, union_find_roots
 
 
 def test_cube_combinatorics(cube_mesh):
@@ -510,3 +511,12 @@ def test_earlier_checks_win_over_the_component_checks():
     with pytest.raises(OpenSurfaceError):
         SurfaceMesh(v2, f2[:-1])
 
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))))
+def test_component_roots_match_a_plain_union_find(graph):
+    # drawn graphs have isolated nodes, self-loops and repeated edges
+    n, pairs = graph
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    assert component_roots(n, a, b).tolist() == union_find_roots(n, pairs)

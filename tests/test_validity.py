@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycubelabel.graph import Corner, LabelingGraph
+from polycubelabel.graph import Boundary, Corner, LabelingGraph
 from polycubelabel.labeling import naive_labeling
 from polycubelabel.validity import (
     CORNER_RULES,
@@ -19,7 +19,9 @@ from polycubelabel.validity import (
     validate,
 )
 
-from helpers import build
+from helpers import GRAPH_SHAPES, blob_labeling, build, graph_mesh, noisy_labeling
+from oracles import (reference_boundary_is_valid, reference_corner_is_valid,
+                     reference_reflex_fraction, reference_validate)
 from polycubelabel import shapes
 
 
@@ -250,3 +252,72 @@ def test_feature_edge_stats_lost(cube_mesh):
     assert stats["preserved"] == 11
     assert stats["lost"] == 1
     assert stats["preserved"] + stats["lost"] == 12
+
+
+# -- validate on arrays against the per-element loop --------------------------------
+
+RULE_SETS = [
+    ValidityRules(),
+    ValidityRules(corner_rule="legacy"),
+    ValidityRules(allow_opposite_labels=True, min_reflex_fraction=0.0),
+    ValidityRules(allow_opposite_labels=True, min_reflex_fraction=0.5),
+    ValidityRules(allow_opposite_labels=True, min_reflex_fraction=1.0),
+    ValidityRules(allow_opposite_labels=True, min_reflex_fraction=0.5, corner_rule="legacy"),
+]
+
+
+def _assert_same_report(got, want):
+    assert (got.invalid_charts, got.invalid_boundaries, got.invalid_corners) == (
+        want.invalid_charts, want.invalid_boundaries, want.invalid_corners)
+    assert all(type(i) is int for i in got.invalid_charts + got.invalid_boundaries
+               + got.invalid_corners)
+    assert got.reasons == want.reasons
+    assert list(got.reasons) == list(want.reasons)  # charts, boundaries, corners, each by id
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(GRAPH_SHAPES)),
+    st.sampled_from(["blobs", "noise"]),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_validate_matches_the_per_element_loop(shape, kind, level, seed):
+    m, labels = (blob_labeling(shape, level, seed) if kind == "blobs"
+                 else noisy_labeling(shape, (0.01, 0.02, 0.05, 0.2, 1.0)[level], seed))
+    g = LabelingGraph(m, labels)
+    for rules in RULE_SETS:
+        _assert_same_report(validate(g, rules), reference_validate(g, rules))
+
+
+def test_validate_matches_the_per_element_loop_on_every_kind_of_fault():
+    """Noisy l-prism labelings bring up every reason of every rule set."""
+    kinds = set()
+    for seed in range(12):
+        g = LabelingGraph(*noisy_labeling("l-prism", 0.05, seed))
+        for rules in RULE_SETS:
+            got = validate(g, rules)
+            _assert_same_report(got, reference_validate(g, rules))
+            kinds |= {why.split()[0] for why in got.reasons.values()}
+    assert kinds == {"valence", "separates", "same-axis", "incident", "needs", "boundary"}
+
+
+def test_boundary_rule_matches_the_reference_at_reflex_fractions_around_one_half():
+    m = graph_mesh("l-prism")
+    reflex = np.flatnonzero(m.dihedral_angles > math.pi + 1e-6).tolist()
+    flat = np.flatnonzero(np.abs(m.dihedral_angles - math.pi) < 1e-6).tolist()
+    assert len(reflex) >= 3 and len(flat) >= 4
+    for n_reflex, n_flat in [(0, 4), (1, 3), (1, 1), (2, 2), (3, 1), (2, 0)]:
+        edges = tuple(reflex[:n_reflex] + flat[:n_flat])
+        b = Boundary(0, 0, 1, 0, 1, (), edges, False, None)
+        assert reflex_fraction(m, b) == reference_reflex_fraction(m, b) == n_reflex / len(edges)
+        for rules in RULE_SETS:
+            assert boundary_is_valid(m, b, rules) == reference_boundary_is_valid(m, b, rules)
+
+
+def test_corner_lookup_matches_the_reference_on_every_count_up_to_seven():
+    for counts in itertools.product(range(8), repeat=3):
+        for undefined in (False, True):
+            c = _corner(counts, undefined)
+            for rules in RULE_SETS[:2]:
+                assert corner_is_valid(c, rules) == reference_corner_is_valid(c, rules), counts

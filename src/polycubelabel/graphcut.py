@@ -1,9 +1,8 @@
 """Mesh-agnostic discrete optimizers: s-t max-flow / min-cut (Dinic) and
 multi-label energy minimization by alpha-expansion.
 
-Graph construction, energies and the breadth-first levels of each Dinic
-phase are numpy; the augmenting search is plain Python over the arcs that are
-admissible when its phase starts. Capacities are float64; disallowed
+Graph construction and energies are numpy; each Dinic flow runs on Python
+lists, read from the arrays once per cut. Capacities are float64; disallowed
 assignments are BIG rather than inf so residual arithmetic never gives NaN.
 
 An expansion move gives each node one net terminal arc (Kolmogorov & Zabih,
@@ -25,15 +24,19 @@ have returned a switch the loop refuses, so the labels are unchanged.
 
 Each Dinic phase takes its levels as distances to t, from one breadth-first
 search from t over the residual arcs reversed (Dinitz 1970; Goldberg &
-Tarjan, JACM 1988). An admissible arc leads one step nearer t, so each leads
-on to t when the phase starts; at a node the search reaches from s they are
-the arcs of the shortest s-t paths, in list order. In a phase an arc gains
-capacity only as its partner carries flow, so it leads away from t, and
-admissible arcs only lose it: a dead end stays one. The search takes the
-paths a full scan would, in the same order, with the same float arithmetic.
+Tarjan, JACM 1988), stopped after the level that labels s. An admissible
+arc has residual capacity and leads one step nearer t, so each leads on to t
+when the phase starts; at a node the search reaches from s they are the arcs
+of the shortest s-t paths, in list order. In a phase an arc gains capacity
+only as its partner carries flow, so it leads away from t, never admissible,
+and admissible arcs only lose it: the search tests each arc as it reaches
+it, and a dead end stays one. It takes the paths a full scan would, in the
+same order, with the same float arithmetic.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,30 +47,21 @@ _EPS = 1e-12
 _MAX_SWEEPS = 100  # label sweeps of alpha_expansion at most
 
 
-def _levels(offsets, head, live, s, t):
-    """Breadth-first levels from s over the arcs where live holds, node u's
-    arcs leading to head[offsets[u]:offsets[u + 1]]; -1 where unreached.
-    Expands one frontier at a time and stops after the level that reaches t:
-    no arc beyond it can be admissible."""
-    pos = np.flatnonzero(live)
-    starts, head = np.searchsorted(pos, offsets), head[pos]
-    level = np.full(len(starts) - 1, -1, dtype=np.int64)
-    slot = np.empty_like(level)
-    level[s] = 0
-    front, depth = np.array([s]), 0
-    while front.size and level[t] < 0:
-        lo = starts[front]
-        counts = starts[front + 1] - lo
-        # the frontier's arcs, taken from each node's run in head
-        reached = head[np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
-        reached = reached[level[reached] < 0]
+def _levels(bounds, head, res, via, start, goal):
+    """Breadth-first levels from start, -1 where unreached, stopped at goal's level,
+    over arcs p -> head[p] (v's at bounds[v]:bounds[v + 1]) with res[via[p]] > _EPS."""
+    level = [-1] * (len(bounds) - 1)
+    level[start], front, depth = 0, [start], 0
+    while front and level[goal] < 0:
         depth += 1
-        level[reached] = depth
-        # each new node once, without a sort: the one entry whose position
-        # its slot holds
-        at = np.arange(len(reached))
-        slot[reached] = at
-        front = reached[slot[reached] == at]
+        reached = []
+        for v in front:
+            for p in range(bounds[v], bounds[v + 1]):
+                w = head[p]
+                if level[w] < 0 and res[via[p]] > _EPS:
+                    level[w] = depth
+                    reached.append(w)
+        front = reached
     return level
 
 
@@ -79,39 +73,32 @@ def _dinic(offsets, arcs, to, cap, s, t):
     search reaches from s through arcs with residual capacity once t is out
     of reach.
     """
-    tail, head = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), to[arcs]
+    # by arc position p in the lists: head, residual and the partner's position
+    where = np.empty_like(arcs)
+    where[arcs] = np.arange(len(arcs))
+    bounds, head, res = offsets.tolist(), to[arcs].tolist(), cap[arcs].tolist()
+    mate = where[arcs ^ 1].tolist()
     while True:
-        live = cap[arcs] > _EPS
-        # distances to t over the residual arcs reversed: arc f runs from
-        # tail to head, its partner f ^ 1 back
-        dist = _levels(offsets, head, cap[arcs ^ 1] > _EPS, t, s)
+        # distances to t over the residual arcs reversed, partners running back
+        dist = _levels(bounds, head, res, mate, t, s)
         if dist[s] < 0:
-            return _levels(offsets, head, live, s, t) >= 0
-        # the admissible arcs, one step nearer t, still grouped by origin
-        ok = np.flatnonzero(live & (dist[head] >= 0) & (dist[head] == dist[tail] - 1))
-        ids = arcs[ok]
-        # search over the admissible arcs only, by position j in their list
-        hd = head[ok].tolist()
-        res = cap[ids].tolist()
-        back = cap[ids ^ 1].tolist()
-        bounds = np.searchsorted(ok, offsets).tolist()
+            break
         nxt, stop = bounds[:-1], bounds[1:]
-        path = []
-        u = s
+        u, path = s, []
         while True:
             if u == t:
-                bottleneck = 1e300
+                bottleneck = math.inf
                 for j in path:
                     if res[j] < bottleneck:
                         bottleneck = res[j]
                 for j in path:
                     res[j] -= bottleneck
-                    back[j] += bottleneck
-                u = s
-                path = []
+                    res[mate[j]] += bottleneck
+                u, path = s, []
                 continue
-            j, end = nxt[u], stop[u]
-            while j < end and not res[j] > _EPS:
+            # the next admissible arc: residual left, one step nearer t
+            j, end, below = nxt[u], stop[u], dist[u] - 1
+            while j < end and not (res[j] > _EPS and dist[head[j]] == below):
                 j += 1
             nxt[u] = j
             if j == end:
@@ -120,13 +107,19 @@ def _dinic(offsets, arcs, to, cap, s, t):
                 if not path:
                     break
                 path.pop()
-                u = hd[path[-1]] if path else s
+                u = head[path[-1]] if path else s
                 nxt[u] += 1
             else:
                 path.append(j)
-                u = hd[j]
-        cap[ids] = res
-        cap[ids ^ 1] = back
+                u = head[j]
+    cap[arcs] = res
+    return np.array(_levels(bounds, head, res, range(len(res)), s, t)) >= 0
+
+
+def _total(values):
+    """The sum of non-negative values, inf where it overflows, without numpy's
+    warning: scaled by 2**-64 they cannot overflow, and keep all bits above 1e-289."""
+    return float((values * 2.0**-64).sum()) * 2.0**64
 
 
 def _paired_arcs(n_nodes, tails, heads, caps):
@@ -155,7 +148,7 @@ def min_st_cut(n_nodes, edges, capacities, s, t):
     an exact sum of the given capacities. Raises ValueError when n_nodes is
     not an int (a bool is not one), when s == t, when s or t is not an int
     node id, when the edges are not pairs of integer node ids, or when a
-    capacity is negative or not finite.
+    capacity is negative or not finite, or their sum is not.
     """
     if not isinstance(n_nodes, (int, np.integer)) or isinstance(n_nodes, bool):
         raise ValueError(f"n_nodes must be an int, not {n_nodes!r}")
@@ -174,6 +167,8 @@ def min_st_cut(n_nodes, edges, capacities, s, t):
         raise ValueError(f"{capacities.size} capacities for {len(edges)} edges")
     if not np.all(np.isfinite(capacities) & (capacities >= 0.0)):
         raise ValueError("capacities must be finite and non-negative")
+    if not math.isfinite(_total(capacities)):
+        raise ValueError("capacities must have a finite sum")
     side = _dinic(*_paired_arcs(n_nodes, edges[:, 0], edges[:, 1], capacities), s, t)
     value = float(capacities[side[edges[:, 0]] & ~side[edges[:, 1]]].sum())
     return value, side
@@ -254,19 +249,24 @@ def _expansion_move(costs, pairs, weights, cur, alpha):
 def _checked_potts(costs, pairs, weights, labels, name):
     """The Potts inputs as float64 costs capped at BIG, int64 pairs, float64
     weights and int64 labels, or None. Raises ValueError for a NaN or -inf
-    cost, a pair that is not two node ids, a weight count other than m, a
-    negative or non-finite weight, or `name` not n whole labels in 0..L-1."""
+    cost, no label column, a pair that is not two node ids, a weight count
+    other than m, a negative or non-finite weight, weights whose total times
+    3 is not finite, or `name` not n whole labels in 0..L-1."""
     costs = np.ascontiguousarray(costs, dtype=np.float64)
     pairs = np.asarray(pairs)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     if costs.ndim != 2 or not np.all(costs > -np.inf):
         raise ValueError("costs must be an (n, L) array without NaN or -inf")
     n, n_labels = costs.shape
+    if not n_labels:
+        raise ValueError("costs must have at least one label column")
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.size and (
             pairs.dtype.kind not in "iu" or pairs.min() < 0 or pairs.max() >= n):
         raise ValueError(f"pairs must be (m, 2) node ids in 0..{n - 1}")
     if weights.shape != (len(pairs),) or not np.all(np.isfinite(weights) & (weights >= 0.0)):
         raise ValueError(f"weights must be {len(pairs)} finite non-negative numbers, one a pair")
+    if not math.isfinite(3.0 * _total(weights)):  # alpha_expansion's bound on a move's capacities
+        raise ValueError("weights must total less than a third of the float range")
     if labels is not None:
         labels = np.asarray(labels)
         if labels.shape != (n,) or labels.dtype.kind not in "biuf" or not np.all(

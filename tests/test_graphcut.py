@@ -86,6 +86,7 @@ def test_min_cut_same_source_and_sink_raises():
     ([(0, 1), (1, 2)], [1.0, 2.0], 0, 2.0, "sink 2.0"),
     ([(0, 1), (1, 2)], [1.0, 2.0], True, 2, "source True"),
     ([(0, 1), (1, 2)], [1.0, 2.0], np.int64(0), np.True_, "sink True"),
+    ([(0, 1), (1, 2), (0, 2)], [1e308] * 3, 0, 2, "finite sum"),
 ])
 def test_min_cut_rejects_bad_input(edges, caps, s, t, match):
     with pytest.raises(ValueError, match=match):
@@ -210,6 +211,22 @@ def test_dinic_matches_reference_past_the_sink_level():
     _assert_dinic_matches_reference(6, edges[:, 0], edges[:, 1], caps, s, t)
 
 
+def test_dinic_saturates_an_arc_above_1e300_in_one_augmentation():
+    # a bottleneck that started at 1e300 took 1e7 augmentations of this arc
+    # and left 1.0000000000000001e307 on its reverse
+    offsets, arcs, to, cap = _paired_arcs(2, np.array([0]), np.array([1]), np.array([1e307]))
+    side = _dinic(offsets, arcs, to, cap, 0, 1)
+    assert cap.tolist() == [0.0, 1e307] and side.tolist() == [True, False]
+
+
+def test_huge_capacities_cut_exactly():
+    square = [(0, 1), (1, 3), (0, 2), (2, 3)]
+    assert min_st_cut(4, square, [1e307] * 4, 0, 3)[0] == 2e307
+    costs = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    labels, energy = alpha_expansion(costs, [[0, 1], [1, 2], [0, 2]], [1e307] * 3)
+    assert labels.tolist() == [0, 0, 0] and energy == 1.0
+
+
 @st.composite
 def _flow_graphs(draw):
     """A small graph with parallel and antiparallel arcs, zero capacities
@@ -272,15 +289,31 @@ def _noisy_sphere_removals():
         remove_chart(graph, chart)
 
 
-@pytest.mark.parametrize("run", [
-    lambda: labeling.compute_labeling(SurfaceMesh(*shapes.icosphere(3))),
-    _noisy_sphere_removals,
-], ids=["compute-labeling-icosphere-3", "remove-chart-noisy-icosphere-2"])
-def test_every_cut_of_a_run_matches_the_reference(run, monkeypatch):
+def _labeled(shape, sensitivity=CutEnergy.sensitivity):
+    energy = CutEnergy(sensitivity=sensitivity)
+    return lambda: labeling.compute_labeling(SurfaceMesh(*shape), energy)
+
+
+def _turned(verts, tris, angle):
+    return shapes.rotate_z(verts, angle), tris
+
+
+@pytest.mark.parametrize("run, n_cuts", [
+    (_labeled(shapes.icosphere(3)), 16),
+    (_noisy_sphere_removals, 10),
+    # the label-cad solids whose initial cut reaches the flow; the cone's
+    # last cut has 514 nodes
+    (_labeled(shapes.subdivide(*shapes.cone(32), 2)), 5),
+    (_labeled(_turned(*shapes.subdivide(*shapes.l_prism(1.2), 3), math.pi / 4), 1e-3), 4),
+    (_labeled(shapes.subdivide(*shapes.cylinder(32, 1.0, 2.7), 1)), 4),
+    (_labeled(shapes.torus(R=2.6, r=1.0, nu=32, nv=16)), 6),
+], ids=["compute-labeling-icosphere-3", "remove-chart-noisy-icosphere-2", "cone-32-subdivided-2",
+        "l-prism-rotated-45", "cylinder-32-subdivided", "torus-32x16"])
+def test_every_cut_of_a_run_matches_the_reference(run, n_cuts, monkeypatch):
     # the expansion-move graphs of real runs: bit-equal residuals, equal sides
     calls = _replayed_cuts(monkeypatch)
     run()
-    assert len(calls) >= 10
+    assert len(calls) >= n_cuts
     assert all(residual and side for residual, side in calls)
 
 
@@ -576,10 +609,12 @@ def test_expansion_move_is_the_smallest_minimum_cut(kind, monkeypatch):
     ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0], [0.7, 1.2], "whole numbers"),
     ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0], [np.nan, 0.0], "whole numbers"),
     ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0], ["0", "1"], "whole numbers"),
+    ([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1], [1, 2], [0, 2]], [1e308] * 3, None,
+     "third of the float range"),
 ], ids=["nan-cost", "minus-inf-cost", "costs-1d", "pairs-1d", "pair-past-n", "pair-negative",
         "pair-not-integer", "weight-count", "weight-negative", "weight-nan", "weight-inf",
         "init-length", "init-past-L", "init-negative", "init-not-integer", "init-nan",
-        "init-strings"])
+        "init-strings", "weights-overflow"])
 def test_alpha_expansion_rejects_bad_input(costs, pairs, weights, init, match):
     with pytest.raises(ValueError, match=match):
         alpha_expansion(np.array(costs), np.array(pairs), np.array(weights), init=init)
@@ -666,6 +701,17 @@ def test_potts_energy_rejects_what_alpha_expansion_rejects(pairs, weights, label
     with pytest.raises(ValueError) as want:
         alpha_expansion(costs, pairs, weights, init=labels)
     assert str(got.value) == str(want.value).replace("init must", "labels must")
+
+
+@pytest.mark.parametrize("n", [3, 0])
+def test_potts_functions_refuse_costs_without_a_label(n):
+    # used to fail in numpy's argmin, or as "labels must be 3 labels in 0..-1"
+    costs, pairs = np.zeros((n, 0)), np.array([[0, 1]] if n else np.empty((0, 2), dtype=np.int64))
+    weights = np.ones(len(pairs))
+    for refuse in (lambda: alpha_expansion(costs, pairs, weights),
+                   lambda: potts_energy(costs, pairs, weights, np.zeros(n, dtype=np.int64))):
+        with pytest.raises(ValueError, match="^costs must have at least one label column$"):
+            refuse()
 
 
 def test_potts_energy_takes_whole_float_labels():

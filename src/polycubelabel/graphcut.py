@@ -251,7 +251,10 @@ def _checked_potts(costs, pairs, weights, labels, name):
     weights and int64 labels, or None. Raises ValueError for a NaN or -inf
     cost, no label column, a pair that is not two node ids, a weight count
     other than m, a negative or non-finite weight, weights whose total times
-    3 is not finite, or `name` not n whole labels in 0..L-1."""
+    3 is not finite, costs whose magnitudes, capped at BIG, have no finite
+    total, or `name` not n whole labels in 0..L-1. Every energy is then
+    finite: from below the costs' total magnitude bounds it, and from above
+    n times BIG plus the weight total."""
     costs = np.ascontiguousarray(costs, dtype=np.float64)
     pairs = np.asarray(pairs)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -267,13 +270,16 @@ def _checked_potts(costs, pairs, weights, labels, name):
         raise ValueError(f"weights must be {len(pairs)} finite non-negative numbers, one a pair")
     if not math.isfinite(3.0 * _total(weights)):  # alpha_expansion's bound on a move's capacities
         raise ValueError("weights must total less than a third of the float range")
+    costs = np.minimum(costs, BIG)
+    if not math.isfinite(_total(np.abs(costs))):
+        raise ValueError("costs must have a finite total magnitude")
     if labels is not None:
         labels = np.asarray(labels)
         if labels.shape != (n,) or labels.dtype.kind not in "biuf" or not np.all(
                 (labels >= 0) & (labels < n_labels) & (labels == np.round(labels))):
             raise ValueError(f"{name} must be {n} labels in 0..{n_labels - 1}, whole numbers")
         labels = labels.astype(np.int64)
-    return np.minimum(costs, BIG), pairs.astype(np.int64), weights, labels
+    return costs, pairs.astype(np.int64), weights, labels
 
 
 def potts_energy(costs, pairs, weights, labels) -> float:

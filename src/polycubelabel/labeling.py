@@ -180,6 +180,18 @@ def restricted_relabel(
     count is not F, a mask whose length is not F, a region id that is not a
     triangle id, and, naming it, the first free triangle that `allowed`
     leaves no label.
+
+    Where `allowed` leaves each of the k free triangles one label, they take
+    it and no cut runs, while k * pi * (fidelity + 6 * compactness) < BIG / 2;
+    the cut would return the same labels. Each free triangle's allowed label
+    costs at most fidelity * pi plus the weights of its edges out of the
+    region, and each other label at least BIG less a few ulps. No weight
+    exceeds compactness * pi and at most 3k edges touch the region, so the
+    painted labeling's energy is below BIG / 2 and every other labeling's
+    above it. From any other labeling the move to the one label of a
+    triangle not on it lowers the energy, and the cut accepts only strict
+    decreases, so it ends on the painted labeling. Past the bound the cut
+    runs, and refuses what `alpha_expansion` refuses.
     """
     from .graphcut import BIG, alpha_expansion
 
@@ -202,15 +214,21 @@ def restricted_relabel(
     idx = np.nonzero(mask)[0]
     if idx.size == 0:
         return labels
+    if allowed is not None:
+        allowed = np.broadcast_to(np.asarray(allowed, dtype=bool), (idx.size, 6))
+        choices = allowed.sum(axis=1)
+        empty = np.flatnonzero(choices == 0)
+        if empty.size:
+            raise ValueError(f"allowed leaves free triangle {idx[empty[0]]} no label")
+        if choices.max() == 1 and (
+                idx.size * math.pi * (energy.fidelity + 6.0 * energy.compactness) < BIG / 2):
+            labels[idx] = np.argmax(allowed, axis=1)  # see the docstring
+            return labels
     pos = np.full(n, -1, dtype=np.int64)
     pos[idx] = np.arange(idx.size)
 
     costs = data_costs(mesh.normals[idx], energy)
     if allowed is not None:
-        allowed = np.broadcast_to(np.asarray(allowed, dtype=bool), costs.shape)
-        empty = np.flatnonzero(~allowed.any(axis=1))
-        if empty.size:
-            raise ValueError(f"allowed leaves free triangle {idx[empty[0]]} no label")
         costs = np.where(allowed, costs, BIG)
 
     w_all = smoothness_weights(mesh, energy)

@@ -253,7 +253,9 @@ def fix_invalid_corner(graph: LabelingGraph, corner_id: int, radius: int = DISK_
     """Bury an invalid corner under a small disk chart with a fresh axis.
 
     The disk is the widest one of at most `radius` triangle rings around the
-    corner that stays inside the charts incident to it.
+    corner that stays inside the charts incident to it. Not applied, before
+    any disk is grown, when those charts span all three axes: no fresh axis
+    is left for the disk.
     """
     mesh, labels = graph.mesh, graph.labels
     corner = _target(graph.corners, corner_id, "corner")
@@ -261,12 +263,14 @@ def fix_invalid_corner(graph: LabelingGraph, corner_id: int, radius: int = DISK_
         return _skip(labels)
     star = mesh.vertex_triangles(corner.vertex)
     incident_charts = sorted({int(graph.chart_of[t]) for t in star})
+    used_axes = set((graph.chart_label[incident_charts] >> 1).tolist())
+    if len(used_axes) == 3:
+        return _skip(labels)
     allowed = np.isin(graph.chart_of, incident_charts)
     for r in range(max(radius, 1), 0, -1):
         region = _grow(mesh, star, rings=r)
         if allowed[region].all():
             break  # at r = 1 the disk is the vertex star, which always fits
-    used_axes = set((graph.chart_label[incident_charts] >> 1).tolist())
     return _paint(labels, region, _fresh_label(mesh, region, used_axes))
 
 

@@ -17,11 +17,13 @@ from polycubelabel import graphcut
 from polycubelabel.graphcut import (_EPS, _MAX_SWEEPS, BIG, _dinic, _paired_arcs,
                                     _potts_energy)
 from polycubelabel.io import FileFormatError
-from polycubelabel.labeling import LABEL_COLORS, LABEL_DIRECTIONS
+from polycubelabel.labeling import (LABEL_COLORS, LABEL_DIRECTIONS, CutEnergy, checked_labels,
+                                    data_costs, smoothness_weights)
 from polycubelabel.mesh import (MeshError, NonManifoldEdgeError, NonTriangleFaceError,
                                OpenSurfaceError, SurfaceMesh)
-from polycubelabel.operators import _closest_label, _grow, _outcome, _paint, _skip, _target
-from polycubelabel.validity import _REFLEX_TOL, ValidityReport, ValidityRules
+from polycubelabel.operators import (DISK_RADIUS, _closest_label, _fresh_label, _grow, _outcome,
+                                     _paint, _skip, _target)
+from polycubelabel.validity import _REFLEX_TOL, ValidityReport, ValidityRules, corner_is_valid
 
 
 def random_cut_instance(rng, max_nodes=10):
@@ -759,6 +761,76 @@ def reference_alpha_expansion(costs, pairs, weights, init=None):
         if not improved:
             break
     return cur, energy
+
+
+def reference_restricted_relabel(mesh, labels, region, allowed=None, energy=CutEnergy()):
+    """restricted_relabel with every region solved by a cut, one-label
+    regions too; the cut is `graphcut.alpha_expansion`, looked up at each
+    call, so a spy or a patch sees it."""
+    n = mesh.n_triangles
+    labels = checked_labels(labels, n)
+    region = np.asarray(sorted(region) if isinstance(region, (set, frozenset)) else region)
+    if region.dtype == bool:
+        if region.shape != (n,):
+            raise ValueError(f"region mask of length {region.size} for {n} triangles")
+        mask = region.copy()
+    else:
+        ids = region.ravel()
+        if ids.size and ids.dtype.kind not in "iu":
+            raise ValueError(f"region id {ids[0]} is not a triangle id")
+        bad = np.flatnonzero((ids < 0) | (ids >= n))
+        if bad.size:
+            raise ValueError(f"region id {ids[bad[0]]} outside 0..{n - 1}")
+        mask = np.zeros(n, dtype=bool)
+        mask[ids.astype(np.int64)] = True
+    idx = np.nonzero(mask)[0]
+    if idx.size == 0:
+        return labels
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[idx] = np.arange(idx.size)
+
+    costs = data_costs(mesh.normals[idx], energy)
+    if allowed is not None:
+        allowed = np.broadcast_to(np.asarray(allowed, dtype=bool), costs.shape)
+        empty = np.flatnonzero(~allowed.any(axis=1))
+        if empty.size:
+            raise ValueError(f"allowed leaves free triangle {idx[empty[0]]} no label")
+        costs = np.where(allowed, costs, BIG)
+
+    w_all = smoothness_weights(mesh, energy)
+    t1, t2 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
+    both = mask[t1] & mask[t2]
+    pairs = np.column_stack([pos[t1[both]], pos[t2[both]]])
+    weights = w_all[both]
+    for inner, outer in ((t1, t2), (t2, t1)):
+        half = mask[inner] & ~mask[outer]
+        rows = pos[inner[half]]
+        np.add.at(costs, rows, w_all[half, None])
+        np.subtract.at(costs, (rows, labels[outer[half]]), w_all[half])
+
+    init = labels[idx].copy()
+    stuck = costs[np.arange(idx.size), init] >= BIG
+    init[stuck] = np.argmin(costs[stuck], axis=1)
+    labels[idx], _ = graphcut.alpha_expansion(costs, pairs, weights, init=init)
+    return labels
+
+
+def reference_fix_invalid_corner(graph, corner_id, radius=DISK_RADIUS, rules=ValidityRules()):
+    """fix_invalid_corner growing its disk at every invalid corner, also where
+    the incident charts leave no fresh axis and the paint then skips."""
+    mesh, labels = graph.mesh, graph.labels
+    corner = _target(graph.corners, corner_id, "corner")
+    if corner_is_valid(corner, rules)[0]:
+        return _skip(labels)
+    star = mesh.vertex_triangles(corner.vertex)
+    incident_charts = sorted({int(graph.chart_of[t]) for t in star})
+    allowed = np.isin(graph.chart_of, incident_charts)
+    for r in range(max(radius, 1), 0, -1):
+        region = _grow(mesh, star, rings=r)
+        if allowed[region].all():
+            break  # at r = 1 the disk is the vertex star, which always fits
+    used_axes = set((graph.chart_label[incident_charts] >> 1).tolist())
+    return _paint(labels, region, _fresh_label(mesh, region, used_axes))
 
 
 def reference_straighten_boundary(graph, boundary_id):

@@ -611,10 +611,12 @@ def test_expansion_move_is_the_smallest_minimum_cut(kind, monkeypatch):
     ([[0.0, 1.0], [1.0, 0.0]], [[0, 1]], [1.0], ["0", "1"], "whole numbers"),
     ([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1], [1, 2], [0, 2]], [1e308] * 3, None,
      "third of the float range"),
+    ([[-1e308, 0.0], [-1e308, 0.0]], [[0, 1]], [1.0], None, "^costs must have a finite total"),
 ], ids=["nan-cost", "minus-inf-cost", "costs-1d", "pairs-1d", "pair-past-n", "pair-negative",
         "pair-not-integer", "weight-count", "weight-negative", "weight-nan", "weight-inf",
         "init-length", "init-past-L", "init-negative", "init-not-integer", "init-nan",
-        "init-strings", "weights-overflow"])
+        "init-strings", "weights-overflow", "costs-overflow"])
+@pytest.mark.filterwarnings("error")  # refused before any sum overflows
 def test_alpha_expansion_rejects_bad_input(costs, pairs, weights, init, match):
     with pytest.raises(ValueError, match=match):
         alpha_expansion(np.array(costs), np.array(pairs), np.array(weights), init=init)
@@ -683,19 +685,23 @@ def test_potts_energy_formula():
     assert potts_energy(costs, pairs, w, [0, 0, 0]) == 1 + 3 + 5
 
 
-@pytest.mark.parametrize("pairs, weights, labels, match", [
-    ([[0, 1]], [1.0], [-1, 0], r"labels must be 2 labels in 0\.\.2"),
-    ([[0, -1]], [1.0], [0, 1], "node ids in 0..1"),
-    ([[0, 1]], [1.0], [0.7, 1.2], "whole numbers"),
-    ([[0, 1]], [np.nan], [0, 1], "finite"),
-    ([[0, 1]], [1.0], [3, 0], r"in 0\.\.2"),
-    ([[0, 1]], [1.0], [0], "labels must be 2 labels"),
-    ([[0.0, 1.0]], [1.0], [0, 1], "node ids"),
-    ([[0, 1]], [1.0, 1.0], [0, 1], "1 finite non-negative"),
+ZEROS = [[0.0] * 3] * 2
+
+
+@pytest.mark.parametrize("costs, pairs, weights, labels, match", [
+    (ZEROS, [[0, 1]], [1.0], [-1, 0], r"labels must be 2 labels in 0\.\.2"),
+    (ZEROS, [[0, -1]], [1.0], [0, 1], "node ids in 0..1"),
+    (ZEROS, [[0, 1]], [1.0], [0.7, 1.2], "whole numbers"),
+    (ZEROS, [[0, 1]], [np.nan], [0, 1], "finite"),
+    (ZEROS, [[0, 1]], [1.0], [3, 0], r"in 0\.\.2"),
+    (ZEROS, [[0, 1]], [1.0], [0], "labels must be 2 labels"),
+    (ZEROS, [[0.0, 1.0]], [1.0], [0, 1], "node ids"),
+    (ZEROS, [[0, 1]], [1.0, 1.0], [0, 1], "1 finite non-negative"),
+    ([[-1e308, 0.0], [-1e308, 0.0]], [[0, 1]], [1.0], [0, 0], "^costs must have a finite total"),
 ], ids=["label-negative", "pair-negative", "label-not-integer", "weight-nan", "label-past-L",
-        "label-count", "pair-not-integer", "weight-count"])
-def test_potts_energy_rejects_what_alpha_expansion_rejects(pairs, weights, labels, match):
-    costs = np.zeros((2, 3))
+        "label-count", "pair-not-integer", "weight-count", "costs-overflow"])
+@pytest.mark.filterwarnings("error")
+def test_potts_energy_rejects_what_alpha_expansion_rejects(costs, pairs, weights, labels, match):
     with pytest.raises(ValueError, match=match) as got:
         potts_energy(costs, pairs, weights, labels)
     with pytest.raises(ValueError) as want:

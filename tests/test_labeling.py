@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
-from polycubelabel import labeling, shapes
+from polycubelabel import graphcut, labeling, shapes
 from polycubelabel.labeling import (
     LABEL_DIRECTIONS,
     CutEnergy,
@@ -24,6 +25,7 @@ from polycubelabel.labeling import (
 from polycubelabel.mesh import SurfaceMesh
 
 from helpers import build, face_mask
+from oracles import reference_restricted_relabel, ring_grow
 
 
 def test_label_encoding_helpers():
@@ -300,6 +302,73 @@ def test_restricted_relabel_takes_every_triangle_id_and_whole_masks():
     assert np.array_equal(restricted_relabel(m, base, ids == 47), base)
     assert np.array_equal(restricted_relabel(m, base, np.array([], dtype=np.int64)), base)
     assert np.array_equal(restricted_relabel(m, base, []), base)
+
+
+RELABEL_MESHES = {
+    "cube": lambda: SurfaceMesh(*shapes.subdivide(*shapes.cube(), 1)),
+    "l-prism": lambda: SurfaceMesh(*shapes.l_prism()),
+    "wedge": lambda: SurfaceMesh(*shapes.wedge()),
+    "cylinder": lambda: SurfaceMesh(*shapes.cylinder(8)),
+    "cone": lambda: SurfaceMesh(*shapes.cone(8)),
+    "sphere": lambda: SurfaceMesh(*shapes.icosphere(1)),
+    "torus": lambda: SurfaceMesh(*shapes.torus(nu=8, nv=4)),
+    "staircase": lambda: SurfaceMesh(*shapes.subdivide(*shapes.staircase(), 1)),
+}
+_relabel_meshes = {}
+
+
+def _relabel_or_refusal(relabel, *args, **kw):
+    try:
+        return relabel(*args, **kw)
+    except ValueError as e:
+        return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(RELABEL_MESHES)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["mask", "ids"]),
+    st.sampled_from(["shared", "rows", "two-labels", "one-row-empty"]),
+    st.sampled_from(labeling.SMOOTHNESS_MODES),
+    st.sampled_from([0.0, 0.5, 1.0, 1e3, 1e15, 1e16, 1e17, 1e300, 1e307]),
+    st.sampled_from([0.0, 3.0, 1e15]),
+)
+def test_restricted_relabel_as_the_reference_cut(shape, seed, form, kind, mode, compactness,
+                                                 fidelity):
+    """A region that `allowed` leaves one label per free triangle takes it
+    with no cut, with the labels the cut gives; every other region gets the
+    cut, and both refuse the same input with the same message."""
+    if shape not in _relabel_meshes:
+        _relabel_meshes[shape] = RELABEL_MESHES[shape]()
+    m = _relabel_meshes[shape]
+    rng = np.random.default_rng(seed)
+    labels = naive_labeling(m)
+    flip = rng.random(m.n_triangles) < 0.3
+    labels[flip] = rng.integers(0, 6, size=int(flip.sum()))
+    ids = np.array(sorted(ring_grow(m, [int(rng.integers(m.n_triangles))],
+                                    int(rng.integers(1, 4)))))
+    region = np.isin(np.arange(m.n_triangles), ids) if form == "mask" else rng.permutation(ids)
+    if kind == "shared":
+        allowed = np.arange(6) == rng.integers(6)
+    else:
+        allowed = np.arange(6) == rng.integers(0, 6, size=(len(ids), 1))
+        if kind == "two-labels":
+            allowed[0, (np.argmax(allowed[0]) + 1) % 6] = True
+        elif kind == "one-row-empty":
+            allowed[-1] = False
+    energy = CutEnergy(compactness=compactness, fidelity=fidelity, smoothness_mode=mode)
+    with mock.patch.object(graphcut, "alpha_expansion", wraps=graphcut.alpha_expansion) as cut:
+        got = _relabel_or_refusal(restricted_relabel, m, labels, region, allowed, energy)
+    want = _relabel_or_refusal(reference_restricted_relabel, m, labels, region, allowed, energy)
+    if isinstance(want, ValueError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert isinstance(got, np.ndarray) and got.dtype == want.dtype and got.flags.writeable
+    assert np.array_equal(got, want)
+    shortcut = kind in ("shared", "rows") and (
+        len(ids) * math.pi * (fidelity + 6 * compactness) < graphcut.BIG / 2)
+    assert cut.call_count == (0 if shortcut else 1)
 
 
 # -- full initial labeling -------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycubelabel import graphcut, shapes
+from polycubelabel import graphcut, operators, shapes
 from polycubelabel.graph import LabelingGraph
 from polycubelabel.labeling import naive_labeling
 from polycubelabel.mesh import SurfaceMesh, detect_feature_edges
@@ -36,8 +36,9 @@ from polycubelabel.operators import (
 )
 from polycubelabel.validity import corner_is_valid, validate
 
-from helpers import build, grid_box, spy_moves
-from oracles import (reference_alpha_expansion, reference_join_turning_points_pair,
+from helpers import build, grid_box, noisy_labeling, spy_moves
+from oracles import (reference_alpha_expansion, reference_fix_invalid_corner,
+                     reference_join_turning_points_pair, reference_restricted_relabel,
                      reference_straighten_boundary)
 
 # grid_box(8, 8, 4): cell (a, b) of a face covers triangles 2k and 2k+1,
@@ -125,10 +126,9 @@ def test_remove_chart_absorbs_into_neighbors(lprism_mesh):
     assert LabelingGraph(lprism_mesh, out.labels).n_charts < g.n_charts
 
 
-def test_remove_chart_into_one_label_runs_one_expansion_move(monkeypatch):
-    # a two-cell patch in the +Z face: its one neighbour carries +Z, so the
-    # other five labels are forbidden at every free triangle and their
-    # moves, which could switch none, are skipped
+def test_remove_chart_into_one_label_runs_no_cut(monkeypatch):
+    # a two-cell patch in the +Z face: its one neighbour carries +Z, the one
+    # label left at every free triangle, which the patch takes without a cut
     m = box_mesh()
     labels = naive_labeling(m)
     labels[top_cell(3, 3) + top_cell(3, 4)] = 0
@@ -139,10 +139,11 @@ def test_remove_chart_into_one_label_runs_one_expansion_move(monkeypatch):
     out = run(remove_chart, g, patch)
     assert out.changed == frozenset(top_cell(3, 3) + top_cell(3, 4))
     assert set(out.labels[sorted(out.changed)].tolist()) == {4}
-    assert alphas == [4, 4]  # `run` calls the operator twice
-    alphas.clear()
+    assert alphas == []
     monkeypatch.setattr(graphcut, "alpha_expansion", reference_alpha_expansion)
-    assert np.array_equal(remove_chart(g, patch).labels, out.labels)
+    want = reference_restricted_relabel(m, labels, g.charts[patch].triangles,
+                                        allowed=np.arange(6) == 4)
+    assert np.array_equal(want, out.labels)
     assert alphas == [0, 1, 2, 3, 4, 5]
 
 
@@ -234,6 +235,49 @@ def test_fix_invalid_corner_skips_valid_corner(cube_mesh):
     g = LabelingGraph(cube_mesh, labels)
     out = run(fix_invalid_corner, g, 0)
     assert not out.applied
+
+
+@pytest.fixture
+def disks(monkeypatch):
+    """The arguments of every `_grow` call the operators make from here on."""
+    grown, grow = [], operators._grow
+    monkeypatch.setattr(operators, "_grow", lambda *a, **kw: grown.append(a) or grow(*a, **kw))
+    return grown
+
+
+def _assert_fixes_corners_as_the_reference(graph, disks):
+    """fix_invalid_corner's outcome equals the reference's at every corner of
+    the graph, and it grows no disk where the incident charts span all three
+    axes; returns how many such corners there are and how many applied."""
+    three_axes = applied = 0
+    for c in range(graph.n_corners):
+        disks.clear()
+        got, want = fix_invalid_corner(graph, c), reference_fix_invalid_corner(graph, c)
+        assert got.changed == want.changed
+        assert np.array_equal(got.labels, want.labels)
+        star = list(graph.mesh.vertex_triangles(graph.corners[c].vertex))
+        if len(set((graph.chart_label[graph.chart_of[star]] >> 1).tolist())) == 3:
+            assert not disks and not got.applied
+            three_axes += 1
+        applied += got.applied
+    return three_axes, applied
+
+
+def test_fix_invalid_corner_as_the_reference_on_the_pinned_labelings(disks):
+    counts = [_assert_fixes_corners_as_the_reference(g, disks) for g in pinned_graphs()]
+    assert sum(n for n, _ in counts) and sum(k for _, k in counts)
+
+
+@pytest.mark.parametrize("shape", ["cube", "l-prism", "sphere", "torus"])
+def test_fix_invalid_corner_as_the_reference_on_noisy_starts(shape, disks):
+    # every corner of a repair start with a fifth of its triangles relabeled
+    # at random: most stars there span all three axes
+    three_axes = applied = 0
+    for seed in range(3):
+        n, k = _assert_fixes_corners_as_the_reference(
+            LabelingGraph(*noisy_labeling(shape, 0.2, seed)), disks)
+        three_axes, applied = three_axes + n, applied + k
+    assert three_axes and applied
 
 
 # -------------------------------------------------------- increase_chart_valence

@@ -28,6 +28,18 @@ count. Edge signs (one projection; only boundaries whose signs are mixed or
 zero run the direction DP) and turning points are computed on first use, as
 are the read-only sequences ``charts``, ``boundaries`` and ``corners``
 element by element.
+
+A graph built with ``parent``, the graph of the labeling it was repainted
+from, hooks its charts from the parent's: each triangle of a parent chart
+that kept one label starts at that chart's smallest triangle, and only the
+uncut edges of the repainted triangles and of the charts repainted in part
+are hooked. That is exact: an untouched chart keeps its triangles, its
+label and its smallest triangle, and no same-label edge joins two untouched
+charts, so hooking from that forest ends on each chart's smallest triangle,
+as the full build does. The direction DP of a boundary is a function of its
+signs and whether it is cyclic, so the child looks those rows up among the
+ones its parent read, and keeps only the rows it reads itself; it holds no
+reference to the parent graph. Everything else is built as without a parent.
 """
 
 from __future__ import annotations
@@ -210,6 +222,31 @@ def _chain_edges(ends, count):
     return np.array(order, dtype=np.int64), starts, n_open
 
 
+def _roots_from(parent, labels, cut):
+    """`component_roots` of the same-label triangles of ``labels``, hooked
+    from the parent's chart roots: each triangle of a parent chart whose
+    triangles all keep one label starts at that chart's smallest triangle,
+    every other one at itself, and only the uncut edges of the triangles
+    that changed or lie in a chart that did not keep one label are hooked."""
+    mesh, chart = parent.mesh, parent.chart_of
+    changed = (labels != parent.labels).nonzero()[0]
+    # a chart lost its one label when one of its own edges is cut now, and
+    # such an edge has a changed triangle on at least one side
+    nbrs = mesh.triangle_adjacency.take(changed, axis=0)
+    own = chart.take(changed)[:, None]
+    cut_inside = (chart[nbrs] == own) & (labels[nbrs] != labels.take(changed)[:, None])
+    split = np.zeros(len(parent.chart_label), dtype=bool)
+    split[own[cut_inside.any(axis=1), 0]] = True
+    hooked = split[chart]
+    forest = parent._tops[chart]
+    alone = hooked.nonzero()[0]
+    forest[alone] = alone  # the triangles of a split chart start as trees of their own
+    hooked[changed] = True
+    edges = mesh.triangle_edges[hooked].ravel()
+    a, b = mesh.edge_tris.take(edges.compress(~cut[edges]), axis=0).T
+    return component_roots(len(labels), a, b, forest)
+
+
 class Elements(Sequence):
     """Read-only sequence whose element i is ``make(i)``, built when first
     read and kept in the list ``made``, so reading it again gives the same
@@ -238,6 +275,9 @@ class LabelingGraph:
     ----------
     mesh : SurfaceMesh
     labels : (F,) int array, values 0..5; kept as a read-only copy
+    parent : LabelingGraph, optional
+        A graph of another labeling of the same mesh, to build from; the
+        result is the same as without it.
 
     Besides the arrays and sequences of the module docstring it keeps the
     masks ``boundary_edge_mask`` (E,) and ``boundary_vertex_mask`` (V,),
@@ -248,10 +288,12 @@ class LabelingGraph:
     and ``total_turning_points``.
     """
 
-    def __init__(self, mesh: SurfaceMesh, labels):
+    def __init__(self, mesh: SurfaceMesh, labels, parent: "LabelingGraph" = None):
         labels = self.labels = checked_labels(labels)
         if labels.shape != (mesh.n_triangles,):
             raise ValueError("labeling length does not match mesh")
+        if parent is not None and parent.mesh is not mesh:
+            raise ValueError("the parent graph is of another mesh")
         self.mesh, n = mesh, mesh.n_triangles
 
         cut = self.boundary_edge_mask = discontinuity_edges(mesh, labels)
@@ -259,8 +301,13 @@ class LabelingGraph:
         ends = mesh.edges.take(cut_ids, axis=0).ravel()
         self.boundary_vertex_mask = np.zeros(mesh.n_vertices, dtype=bool)
         self.boundary_vertex_mask[ends] = True
-        root = component_roots(n, *mesh.edge_tris.compress(~cut, axis=0).T)
-        tops = (root == np.arange(n)).nonzero()[0]  # each chart's smallest triangle
+        if parent is None:
+            root = component_roots(n, *mesh.edge_tris.compress(~cut, axis=0).T)
+            self._rows = {}
+        else:
+            root = _roots_from(parent, labels, cut)
+            self._rows = parent._rows
+        tops = self._tops = (root == np.arange(n)).nonzero()[0]  # each chart's smallest triangle
         index = np.empty(n, dtype=np.int64)
         index[tops] = np.arange(len(tops))
         self.chart_of, self.chart_label = index[root], labels[tops]
@@ -318,12 +365,20 @@ class LabelingGraph:
         # a run of one nonzero sign is its own optimum: no flip, no cost
         runs = np.minimum.reduceat(raw, bounds[:-1]) * np.maximum.reduceat(raw, bounds[:-1])
         signs, at, bounds = raw.tolist(), {}, bounds.tolist()
+        # the DP rows read here, looked up first among those the parent read
+        rows, known = {}, self._rows
         for bid in ((runs < 1) & (axis >= 0)).nonzero()[0].tolist():
             a, b, cyclic = bounds[bid], bounds[bid + 1], bool(self.boundary_cyclic[bid])
-            dirs, _ = optimal_edge_directions(signs[a:b], cyclic=cyclic)
-            signs[a:b] = dirs
-            for pos in _flip_positions(dirs, cyclic):
+            key = (tuple(signs[a:b]), cyclic)
+            row = rows.get(key) or known.get(key)
+            if row is None:
+                dirs, _ = optimal_edge_directions(key[0], cyclic=cyclic)
+                row = dirs, _flip_positions(dirs, cyclic)
+            rows[key] = row
+            signs[a:b] = row[0]
+            for pos in row[1]:
                 at[int(heads[a + pos])] = (bid, pos)
+        self._rows = rows
         return _read_only(raw), _read_only(np.array(signs, dtype=np.int64)), at
 
     raw_signs = property(lambda self: self._signs[0])

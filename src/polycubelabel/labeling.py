@@ -143,9 +143,9 @@ def smoothness_weights(mesh: SurfaceMesh, energy: CutEnergy = CutEnergy()) -> np
     cuts across flats; 'crease-discount' makes cutting along sharp creases
     nearly free.
     """
-    deviation = np.abs(mesh.dihedral_angles - math.pi)
     if energy.smoothness_mode == "uniform-potts":
         return np.full(mesh.n_edges, float(energy.compactness))
+    deviation = np.abs(mesh.dihedral_angles - math.pi)
     if energy.smoothness_mode == "angle-proportional":
         return energy.compactness * deviation
     return energy.compactness * np.exp(-((deviation / _CREASE_SIGMA) ** 2))

@@ -60,6 +60,16 @@ class DegenerateTriangleError(MeshError):
         super().__init__(f"degenerate triangle {self.triangle_index} (area below tolerance)")
 
 
+class GeometryRangeError(MeshError):
+    """Coordinates at a scale where the triangle areas overflow or underflow
+    float64: their squares, summed for each area, go past its range."""
+
+    def __init__(self, kind, scale):
+        self.kind = kind
+        what = "largest coordinate" if kind == "overflow" else "largest extent"
+        super().__init__(f"triangle areas {kind} at this scale ({what} {scale:.3g})")
+
+
 class UnreferencedVertexError(MeshError):
     def __init__(self, vertex):
         self.vertex = int(vertex)
@@ -86,6 +96,9 @@ class DihedralInfo(NamedTuple):
     is_reflex: bool
 
 
+_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
+
+
 def _cross(x, y):
     """Row-wise cross product of (N, 3) arrays, multiplied and subtracted as ``np.cross`` does."""
     out, tmp = np.empty_like(x), np.empty(len(x))
@@ -106,13 +119,28 @@ def _read_only(arr):
     return arr
 
 
-def component_roots(n, a, b) -> np.ndarray:
+def component_roots(n, a, b, forest=None) -> np.ndarray:
     """The smallest node of each node's connected component, for nodes
     0..n-1 joined by the edges (a[i], b[i]). Min-label hooking: hook the
     larger of two adjacent roots onto the smaller, then jump pointers to
     the roots, until no edge joins two roots. The first round hooks the
     nodes themselves; later rounds see only the edges that still join two
-    roots, as pairs of roots. Each test for the roots jumps twice."""
+    roots, as pairs of roots. Each test for the roots jumps twice.
+
+    ``forest``, when given, is where hooking starts: each node's tree
+    root, the smallest node of a tree inside its component, so that only
+    the edges between trees need be given. Then only the roots those edges
+    join are hooked, renumbered in order, and each tree takes the root its
+    own root found; the forest is not modified."""
+    if forest is not None:
+        a, b = forest[a], forest[b]
+        held = np.zeros(n, dtype=bool)
+        held[a] = held[b] = True
+        joined = held.nonzero()[0]
+        top = np.arange(n)
+        top[joined] = joined[component_roots(len(joined), joined.searchsorted(a),
+                                             joined.searchsorted(b))]
+        return top[forest]
     root = np.arange(n)
     while len(a):
         np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
@@ -220,10 +248,18 @@ class SurfaceMesh:
 
     def _compute_geometry(self):
         v, t = self.vertices, self.triangles
-        p0 = v[t[:, 0]]
-        cross = _cross(v[t[:, 1]] - p0, v[t[:, 2]] - p0)
-        double_area = _norm(cross)
-        bbox_diag2 = float(np.sum((v.max(axis=0) - v.min(axis=0)) ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            p0 = v[t[:, 0]]
+            cross = _cross(v[t[:, 1]] - p0, v[t[:, 2]] - p0)
+            double_area = _norm(cross)
+            extent = v.max(axis=0) - v.min(axis=0)
+            bbox_diag2 = float(np.sum(extent ** 2))
+        if not (math.isfinite(bbox_diag2) and np.isfinite(double_area).all()):
+            raise GeometryRangeError("overflow", float(np.abs(v).max()))
+        # an area sums squares of products of two extents: below this squared
+        # diagonal they are subnormal or zero, and the normals lose their length
+        if bbox_diag2 < _SQRT_TINY and extent.max() > 0.0:
+            raise GeometryRangeError("underflow", float(extent.max()))
         bad = np.nonzero(double_area < 2e-12 * max(bbox_diag2, 1e-300))[0]
         if bad.size:
             raise DegenerateTriangleError(bad[0])
@@ -431,12 +467,17 @@ class SurfaceMesh:
         starts, tris, _, _ = self._fans
         return tuple(sorted(tris[starts[v]:starts[v + 1]].tolist()))
 
-    def vertex_ring(self, v) -> list:
-        """(neighbor vertex, edge id) of each edge at ``v``, in fan order."""
-        v = self._vertex(v)
+    def _ring(self, v) -> tuple:
+        """(neighbor vertices, edge ids) of the edges at ``v``, in fan order:
+        read-only views of the fan table, to gather from."""
         starts, _, neighbors, edge_ids = self._fans
         lo, hi = starts[v], starts[v + 1]
-        return list(zip(neighbors[lo:hi].tolist(), edge_ids[lo:hi].tolist()))
+        return neighbors[lo:hi], edge_ids[lo:hi]
+
+    def vertex_ring(self, v) -> list:
+        """(neighbor vertex, edge id) of each edge at ``v``, in fan order."""
+        neighbors, edge_ids = self._ring(self._vertex(v))
+        return list(zip(neighbors.tolist(), edge_ids.tolist()))
 
     def signed_volume(self) -> float:
         """Signed enclosed volume; positive for outward orientation."""

@@ -18,6 +18,15 @@ All but remove_chart and straighten_boundary end in `_paint`, which relabels
 one region to one label; a new chart takes `_closest_label`, the allowed
 label nearest the region's area-weighted mean normal.
 
+Regions come from two primitives. `_grow` takes a disk: the triangles
+within a few rings of the seeds, ring by ring, inside an allowed set (the
+strip of fix_invalid_boundary, the disks around a corner or a turning
+point). `_barrier_region` takes the triangles of some charts reached from
+the seeds without crossing a traced path: the components of one
+`component_roots` pass over the edges inside the charts that the path does
+not cut (increase_chart_valence, join_turning_points_pair,
+pull_closest_corner, straighten_boundary).
+
 All tie-breaks (label choices, path steps, target scans) resolve toward the
 lowest encoding / index so repeated runs are bit-identical.
 """
@@ -31,7 +40,7 @@ import numpy as np
 
 from .graph import LabelingGraph
 from .labeling import LABEL_DIRECTIONS, CutEnergy, restricted_relabel
-from .mesh import SurfaceMesh
+from .mesh import SurfaceMesh, component_roots
 from .validity import ValidityRules, corner_is_valid
 
 AXIS_DIRECTIONS = LABEL_DIRECTIONS[::2]  # unit +X, +Y, +Z
@@ -109,25 +118,38 @@ def _fresh_label(mesh: SurfaceMesh, region, taken_axes):
     return _closest_label(mesh, region, [l for l in range(6) if l >> 1 not in taken_axes])
 
 
-def _grow(mesh: SurfaceMesh, seeds, allowed=None, barrier=(), rings=None) -> np.ndarray:
-    """Sorted ids of the triangles reached from the allowed seeds over
-    edge-adjacent allowed triangles, never across a `barrier` edge id, and
-    within `rings` triangle rings of the seeds (the seeds being ring 1) when
-    `rings` is given. `allowed` is a bool mask over triangles."""
+def _grow(mesh: SurfaceMesh, seeds, allowed=None, *, rings) -> np.ndarray:
+    """Sorted ids of the triangles within `rings` triangle rings of the
+    allowed seeds (the seeds being ring 1), grown over edge-adjacent
+    allowed triangles. `allowed` is a bool mask over triangles."""
     free = np.array(np.ones(mesh.n_triangles) if allowed is None else allowed, dtype=bool)
-    blocked = np.zeros(mesh.n_edges, dtype=bool)
-    blocked[list(barrier)] = True
     frontier = np.fromiter(seeds, dtype=np.int64)
     frontier = np.unique(frontier[free[frontier]])
     free[frontier] = False
     region, ring = [frontier], 1
-    while frontier.size and (rings is None or ring < rings):
-        nbrs = mesh.triangle_adjacency[frontier][~blocked[mesh.triangle_edges[frontier]]]
+    while frontier.size and ring < rings:
+        nbrs = mesh.triangle_adjacency[frontier].ravel()
         frontier = np.unique(nbrs[free[nbrs]])
         free[frontier] = False
         region.append(frontier)
         ring += 1
     return np.sort(np.concatenate(region))
+
+
+def _barrier_region(mesh: SurfaceMesh, seeds, allowed, barrier) -> np.ndarray:
+    """Sorted ids of the triangles reached from the allowed seeds over
+    edge-adjacent allowed triangles, never across a `barrier` edge id: the
+    components of one `component_roots` pass over the edges between allowed
+    triangles that are not barrier edges, those that hold an allowed seed.
+    `allowed` is a bool mask over triangles."""
+    t1, t2 = mesh.edge_tris.T
+    joins = allowed[t1] & allowed[t2]
+    joins[list(barrier)] = False
+    root = component_roots(mesh.n_triangles, t1[joins], t2[joins])
+    seeds = np.fromiter(seeds, dtype=np.int64)
+    held = np.zeros(mesh.n_triangles, dtype=bool)
+    held[root[seeds[allowed[seeds]]]] = True  # a triangle outside `allowed` is its own root
+    return held[root].nonzero()[0]
 
 
 def _chart_contour_loops(graph: LabelingGraph, chart_id: int) -> list:
@@ -399,7 +421,7 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
         barrier |= set(p.edges)
 
     # region: flood the base chart between the two paths
-    region = _grow(mesh, seeds, allowed, barrier)
+    region = _barrier_region(mesh, seeds, allowed, barrier)
     if len(region) == int(allowed.sum()):
         return _skip(labels)  # paths failed to pinch off a proper subregion
     forbidden_axes = {chart_axis} | {int(labels[t]) >> 1 for t in region}
@@ -450,7 +472,7 @@ def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> Operator
     side = left if side_fidelity(left) >= side_fidelity(right) - 1e-12 else right
     # extend to the adjacent facets on the same side of the crease
     allowed = np.isin(graph.chart_of, graph.chart_of[sorted(side)])
-    region = _grow(mesh, side, allowed, path_edges)
+    region = _barrier_region(mesh, side, allowed, path_edges)
     if len(region) == int(allowed.sum()):
         region = sorted(side)  # flood leaked around the path; keep the thin strip
     return _paint(labels, region, label)
@@ -524,7 +546,7 @@ def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOut
         return _skip(labels)
 
     allowed = graph.chart_of == wedge_chart
-    region = _grow(mesh, mesh.edge_tris[list(seg_edges)].ravel(), allowed, path.edges)
+    region = _barrier_region(mesh, mesh.edge_tris[list(seg_edges)].ravel(), allowed, path.edges)
     if len(region) == int(allowed.sum()):
         return _skip(labels)
     return _paint(labels, region, int(graph.chart_label[other_chart]))
@@ -570,16 +592,18 @@ def straighten_boundary(graph: LabelingGraph, boundary_id: int) -> OperatorOutco
     union = (graph.chart_of == b.left_chart) | (graph.chart_of == b.right_chart)
     t1, t2 = mesh.edge_tris.T
     inside = union[t1] & union[t2]  # the edges with both triangles in the union
-    gx, gy, gz = mesh.vertices[c_end].tolist()
+    points = mesh.vertices
+    gx, gy, gz = points[c_end].tolist()
     verts, eids = [c_start], []
     cur, seen = c_start, {c_start}
     ok = False
     for _ in range(mesh.n_edges):
         best = None
-        for nbr, eid in mesh.vertex_ring(cur):
-            if nbr in seen or not inside[eid]:
+        nbrs, ring = mesh._ring(cur)
+        for nbr, eid, free, (x, y, z) in zip(nbrs.tolist(), ring.tolist(), inside[ring].tolist(),
+                                             points[nbrs].tolist()):
+            if nbr in seen or not free:
                 continue
-            x, y, z = mesh.vertices[nbr].tolist()
             dx, dy, dz = x - gx, y - gy, z - gz
             d = math.sqrt(dx * dx + dy * dy + dz * dz)
             if best is None or d < best[0] - 1e-12 or (abs(d - best[0]) <= 1e-12 and nbr < best[1]):
@@ -597,9 +621,12 @@ def straighten_boundary(graph: LabelingGraph, boundary_id: int) -> OperatorOutco
         return _skip(labels)
 
     # re-split the two charts along the new path: everything reachable from
-    # the left side of the new path keeps the left label
-    left_seeds = {mesh.edge_sides(a, w)[0] for a, w in zip(verts, verts[1:])}
-    region_left = _grow(mesh, left_seeds, union, eids)
+    # the left side of the new path keeps the left label; an edge's first
+    # triangle is on its left when it is walked from its smaller vertex
+    path = np.array(eids)
+    sides = mesh.edge_tris[path]
+    left_seeds = np.where(mesh.edges[path, 0] == verts[:-1], sides[:, 0], sides[:, 1])
+    region_left = _barrier_region(mesh, left_seeds, union, eids)
     if len(region_left) == int(union.sum()):
         return _skip(labels)  # new path failed to separate the union
     out = labels.copy()

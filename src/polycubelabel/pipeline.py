@@ -12,13 +12,14 @@ its ValidityReport, and operators read the mesh and the read-only labels
 off the graph. Turning-point targets and counts come from the graph's index
 (`turning_point_vertices`, `total_turning_points`), built once. Both
 routines apply operators through one step, `_State.attempt`: run the
-operator on the graph, build the outcome's LabelingGraph and ValidityReport
-once, ask the step's accept predicate, then commit and log the outcome or
-drop it. An outcome that changed nothing is always dropped. Validity is
-worth more than quality: the validity routine commits every change
-(increase_chart_valence only when the target chart gains a neighbor), while
-the monotonicity routine drops any outcome that breaks validity or fails to
-reduce the turning-point count (for straightening: raises it).
+operator on the graph, build the outcome's LabelingGraph (from the current
+one, its parent) and ValidityReport once, ask the step's accept predicate,
+then commit and log the outcome or drop it. An outcome that changed nothing
+is always dropped. Validity is worth more than quality: the validity
+routine commits every change (increase_chart_valence only when the target
+chart gains a neighbor), while the monotonicity routine drops any outcome
+that breaks validity or fails to reduce the turning-point count (for
+straightening: raises it).
 
 Most steps run as a sweep (`_sweep`): try the current targets in order,
 start over after the first commit, and stop once a whole pass commits
@@ -102,7 +103,7 @@ class _State:
         out = op(self.graph, *args, **kw)
         if not out.applied:
             return False
-        graph = LabelingGraph(self.graph.mesh, out.labels)
+        graph = LabelingGraph(self.graph.mesh, out.labels, parent=self.graph)
         report = validate(graph, self.cfg.rules)
         if accept is not None and not accept(self.graph, graph, report):
             return False

@@ -868,7 +868,7 @@ def reference_straighten_boundary(graph, boundary_id):
     if not ok or len(eids) > b.n_edges or tuple(eids) == b.edge_ids:
         return _skip(labels)
     left_seeds = {mesh.edge_sides(a, w)[0] for a, w in zip(verts, verts[1:])}
-    region_left = _grow(mesh, left_seeds, union, eids)
+    region_left = sorted(flood(mesh, left_seeds, union, set(eids)))
     if len(region_left) == int(union.sum()):
         return _skip(labels)
     out = labels.copy()
@@ -938,7 +938,7 @@ def reference_join_turning_points_pair(graph, t1, t2):
     side = left if side_fidelity(left) >= side_fidelity(right) - 1e-12 else right
     # extend to the adjacent facets on the same side of the crease
     allowed = np.isin(graph.chart_of, graph.chart_of[sorted(side)])
-    region = _grow(mesh, side, allowed, path_edges)
+    region = sorted(flood(mesh, side, allowed, set(path_edges)))
     if len(region) == int(allowed.sum()):
         region = sorted(side)  # flood leaked around the path; keep the thin strip
     return _paint(labels, region, label)

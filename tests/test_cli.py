@@ -130,6 +130,17 @@ def test_label_non_finite_coordinate_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out.flags").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale, kind", [(1e160, "overflow"), (1e-170, "underflow")])
+def test_label_coordinates_out_of_float_range_exit_2(tmp_path, capsys, scale, kind):
+    v, f = shapes.cube()
+    mesh = tmp_path / "scaled.obj"
+    io.write_obj(mesh, np.asarray(v) * scale, f)
+    assert main(["label", str(mesh), "-o", str(tmp_path / "out.flags")]) == 2
+    assert f"triangle areas {kind} at this scale" in capsys.readouterr().err
+    assert not (tmp_path / "out.flags").exists()
+
+
 def test_label_pinched_vertex_exits_2(tmp_path, capsys):
     v, f, shared = two_cubes_sharing_a_vertex()
     mesh = tmp_path / "pinched.obj"

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycubelabel import graph as graph_module
 from polycubelabel import io, shapes
 from polycubelabel.graph import LabelingGraph, discontinuity_edges, optimal_edge_directions
 from polycubelabel.labeling import naive_labeling
 from polycubelabel.mesh import SurfaceMesh
+from polycubelabel.validity import validate
 
 from helpers import GRAPH_SHAPES, blob_labeling, build, chart_euler, noisy_labeling
 from oracles import (
@@ -20,6 +22,7 @@ from oracles import (
     direction_cost,
     flood_fill_charts,
     reference_edge_directions,
+    ring_grow,
 )
 
 
@@ -420,3 +423,128 @@ def test_a_graph_is_freed_as_soon_as_it_is_dropped(lprism_mesh):
         assert alive() is None and views
     finally:
         gc.enable()
+
+
+# -- graphs built from their parent ---------------------------------------------------
+
+
+def _repaint(g, kind, rng):
+    """A copy of g's labels with one change of the given kind."""
+    m, labels = g.mesh, g.labels.copy()
+    chart = g.charts[int(rng.integers(g.n_charts))]
+    if kind == "whole chart":  # one label over all of a chart, a neighbour's at times
+        labels[chart.triangles] = (g.chart_label[rng.choice(chart.neighbors)]
+                                   if chart.neighbors and rng.random() < 0.5 else rng.integers(6))
+    elif kind == "whole chart, two labels":
+        labels[chart.triangles] = rng.choice(6, size=2, replace=False)[
+            rng.integers(2, size=len(chart.triangles))]
+    elif kind == "part of a chart":
+        seed = [int(rng.choice(chart.triangles))]
+        inside = g.chart_of == chart.index
+        labels[sorted(ring_grow(m, seed, int(rng.integers(1, 4)), inside))] = rng.integers(6)
+    elif kind == "re-split":  # two neighbour charts re-split along a new line, as straightening does
+        if not g.n_boundaries:
+            return labels
+        b = g.boundaries[int(rng.integers(g.n_boundaries))]
+        union = np.isin(g.chart_of, (b.left_chart, b.right_chart))
+        labels[union] = b.right_label
+        seed = [int(rng.choice(union.nonzero()[0]))]
+        labels[sorted(ring_grow(m, seed, int(rng.integers(2, 6)), union))] = b.left_label
+    elif kind == "random":
+        flip = rng.random(m.n_triangles) < rng.choice([0.01, 0.1])
+        labels[flip] = rng.integers(0, 6, size=int(flip.sum()))
+    return labels
+
+
+def _assert_same_build(g, full):
+    for name, value in vars(full).items():
+        if isinstance(value, np.ndarray):
+            got = getattr(g, name)
+            assert got.dtype == value.dtype and np.array_equal(got, value), name
+    assert np.array_equal(g.raw_signs, full.raw_signs)
+    assert np.array_equal(g.edge_signs, full.edge_signs)
+    assert g.turning_point_at == full.turning_point_at
+    _assert_same_graph(g, full)
+    assert validate(g) == validate(full)
+
+
+REPAINTS = ["none", "whole chart", "whole chart, two labels", "part of a chart", "re-split",
+            "random"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(GRAPH_SHAPES)),
+    st.integers(0, 3),
+    st.lists(st.tuples(st.sampled_from(REPAINTS), st.booleans()), min_size=3, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_graph_built_from_its_parent_equals_the_full_build(shape, n_blobs, chain, seed):
+    m, labels = blob_labeling(shape, n_blobs, seed)
+    rng = np.random.default_rng(seed)
+    g = LabelingGraph(m, labels)
+    for kind, read_signs in chain:  # the parent has read its DP rows, or not
+        if read_signs:
+            g.turning_point_at
+        labels = _repaint(g, kind, rng)
+        child = LabelingGraph(m, labels, parent=g)
+        _assert_same_build(child, LabelingGraph(m, labels))
+        assert len(child._rows) <= child.n_boundaries
+        g = child
+
+
+def test_graph_built_from_its_parent_on_noisy_starts():
+    # every outcome a repair applies, built both ways
+    for shape, noise, seed in [("sphere", 0.2, 0), ("tilted-torus", 0.05, 1), ("l-prism", 1.0, 2)]:
+        m, labels = noisy_labeling(shape, noise, seed)
+        rng = np.random.default_rng(seed)
+        g = LabelingGraph(m, labels)
+        for kind in REPAINTS * 2:
+            g.turning_point_at
+            labels = _repaint(g, kind, rng)
+            child = LabelingGraph(m, labels, parent=g)
+            _assert_same_build(child, LabelingGraph(m, labels))
+            g = child
+
+
+def test_graph_from_a_parent_looks_up_the_dp_rows_the_parent_solved(monkeypatch):
+    m, labels = blob_labeling("tilted-torus", 2, 0)
+    calls = []
+    dp = graph_module.optimal_edge_directions
+
+    def counting(signs, mu=1.0, cyclic=False):
+        calls.append(tuple(signs))
+        return dp(signs, mu, cyclic)
+
+    monkeypatch.setattr(graph_module, "optimal_edge_directions", counting)
+    g = LabelingGraph(m, labels)
+    g.turning_point_at
+    solved = len(calls)
+    assert solved > 0 and len(set(calls)) == len(g._rows) <= g.n_boundaries
+    child = LabelingGraph(m, labels, parent=g)
+    grandchild = LabelingGraph(m, labels, parent=child)  # child has not read its rows
+    assert grandchild.turning_point_at == g.turning_point_at
+    assert len(calls) == solved
+
+
+def test_a_child_holds_no_reference_to_its_parent():
+    m, labels = blob_labeling("sphere", 3, 1)
+    gc.disable()
+    try:
+        parent = LabelingGraph(m, labels)
+        parent.turning_point_at
+        child = LabelingGraph(m, _repaint(parent, "part of a chart", np.random.default_rng(0)),
+                              parent=parent)
+        alive = weakref.ref(parent)
+        del parent
+        assert alive() is None
+        child.turning_point_at
+        assert len(child._rows) <= child.n_boundaries
+    finally:
+        gc.enable()
+
+
+def test_a_parent_of_another_mesh_is_refused(cube_mesh, lprism_mesh):
+    parent = LabelingGraph(lprism_mesh, naive_labeling(lprism_mesh))
+    with pytest.raises(ValueError, match="another mesh"):
+        LabelingGraph(cube_mesh, naive_labeling(cube_mesh), parent=parent)

@@ -12,6 +12,7 @@ from scipy.integrate import dblquad
 from polycubelabel import graphcut, labeling, shapes
 from polycubelabel.labeling import (
     LABEL_DIRECTIONS,
+    SMOOTHNESS_MODES,
     CutEnergy,
     compute_labeling,
     data_costs,
@@ -110,6 +111,18 @@ def test_smoothness_modes(cube_mesh):
     assert np.all(disc[~flat] < 1e-8)  # right-angle creases are free to cut
     with pytest.raises(ValueError, match="smoothness mode"):
         CutEnergy(smoothness_mode="bogus")
+
+
+@pytest.mark.parametrize("mode", SMOOTHNESS_MODES)
+def test_smoothness_weights_read_the_dihedral_angles_only_where_the_mode_does(mode):
+    m = SurfaceMesh(*shapes.subdivide(*shapes.l_prism(), 1))
+    w = smoothness_weights(m, CutEnergy(compactness=2.5, smoothness_mode=mode))
+    assert ("dihedral_angles" in vars(m)) == (mode != "uniform-potts")
+    deviation = np.abs(m.dihedral_angles - math.pi)
+    expected = {"uniform-potts": np.full(m.n_edges, 2.5),
+                "angle-proportional": 2.5 * deviation,
+                "crease-discount": 2.5 * np.exp(-((deviation / 0.25) ** 2))}[mode]
+    assert w.dtype == np.float64 and np.array_equal(w, expected)
 
 
 @pytest.mark.parametrize("name, value, match", [

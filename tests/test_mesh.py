@@ -10,6 +10,7 @@ from polycubelabel import shapes
 from polycubelabel.mesh import (
     DegenerateTriangleError,
     DisconnectedSurfaceError,
+    GeometryRangeError,
     MeshError,
     NonFiniteVertexError,
     NonManifoldEdgeError,
@@ -21,9 +22,12 @@ from polycubelabel.mesh import (
     detect_feature_edges,
     interior_dihedral,
 )
-from polycubelabel.operators import _grow
+from polycubelabel.graph import LabelingGraph
+from polycubelabel.operators import _barrier_region, _grow
 
 from helpers import (
+    GRAPH_SHAPES,
+    blob_labeling,
     build,
     cube_with_a_stray_vertex,
     two_cubes_sharing_a_vertex,
@@ -89,6 +93,37 @@ def test_degenerate_triangle_rejected():
     f = np.vstack([f, [8, 9, 10]])
     with pytest.raises(DegenerateTriangleError):
         SurfaceMesh(v, f)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # refused before anything overflows
+@pytest.mark.parametrize("scale, kind", [
+    (1e160, "overflow"), (1e300, "overflow"), (1e100, "overflow"),
+    (1e-170, "underflow"), (1e-80, "underflow"),
+])
+def test_geometry_out_of_float_range_rejected(scale, kind):
+    # areas sum squares of products of two coordinates: a cube at 1e100
+    # has infinite areas and at 1e-80 subnormal ones, whose normals are not
+    # unit length
+    v, f = shapes.cube()
+    with pytest.raises(GeometryRangeError, match=f"triangle areas {kind} at this scale") as err:
+        SurfaceMesh(np.asarray(v) * scale, f)
+    assert err.value.kind == kind and isinstance(err.value, MeshError)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e77, 1e-77, 2.0**250, 2.0**-250])
+def test_geometry_at_the_ends_of_the_float_range_builds(scale):
+    v, f = shapes.cube()
+    m = SurfaceMesh(np.asarray(v) * scale, f)
+    assert np.isfinite(m.areas).all() and np.allclose(np.linalg.norm(m.normals, axis=1), 1.0)
+    if math.frexp(scale)[0] == 0.5:  # a power of two scales exactly
+        assert np.array_equal(m.normals, SurfaceMesh(v, f).normals)
+
+
+def test_all_vertices_at_one_point_are_degenerate_not_underflow():
+    v, f = shapes.cube()
+    with pytest.raises(DegenerateTriangleError):
+        SurfaceMesh(np.zeros_like(np.asarray(v, dtype=float)), f)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -430,7 +465,8 @@ def test_grow_matches_ring_and_flood_references(case):
     seeds = rng.choice(m.n_triangles, size=int(rng.integers(0, 5)), replace=False).tolist()
     barrier = set(rng.choice(m.n_edges, size=int(rng.integers(0, m.n_edges // 3 + 1)),
                              replace=False).tolist())
-    assert _grow(m, seeds, allowed, barrier).tolist() == sorted(flood(ref, seeds, allowed, barrier))
+    assert (_barrier_region(m, seeds, allowed, barrier).tolist()
+            == sorted(flood(ref, seeds, allowed, barrier)))
     inside = [t for t in seeds if allowed[t]]
     for rings in range(5):
         assert _grow(m, seeds, rings=rings).tolist() == sorted(ring_grow(ref, seeds, rings))
@@ -520,3 +556,38 @@ def test_component_roots_match_a_plain_union_find(graph):
     n, pairs = graph
     a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     assert component_roots(n, a, b).tolist() == union_find_roots(n, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+    st.integers(0, 2**32 - 1))))
+def test_component_roots_from_a_forest_match_the_call_without_one(graph):
+    # the forest: each node's smallest node in the components of some of
+    # the edges; the other edges are hooked from it
+    n, pairs, seed = graph
+    rng = np.random.default_rng(seed)
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    some = rng.random(len(a)) < rng.random()
+    forest = np.array(union_find_roots(n, [p for p, k in zip(pairs, some) if k]))
+    kept = forest.copy()
+    got = component_roots(n, a[~some], b[~some], forest)
+    assert got.tolist() == component_roots(n, a, b).tolist() == union_find_roots(n, pairs)
+    assert np.array_equal(forest, kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(GRAPH_SHAPES)), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_barrier_region_matches_the_flood_reference_inside_two_charts(shape, n_blobs, seed):
+    # as the operators call it: two neighbour charts, a barrier of edges
+    # inside them, and seeds on both sides of it and outside the charts
+    m, labels = blob_labeling(shape, n_blobs, seed)
+    g = LabelingGraph(m, labels)
+    rng = np.random.default_rng(seed)
+    b = g.boundaries[int(rng.integers(g.n_boundaries))]
+    allowed = np.isin(g.chart_of, (b.left_chart, b.right_chart))
+    inside = np.flatnonzero(allowed[m.edge_tris].all(axis=1))
+    barrier = set(rng.choice(inside, size=int(rng.integers(len(inside) + 1)), replace=False).tolist())
+    seeds = rng.choice(m.n_triangles, size=int(rng.integers(1, 6)), replace=False).tolist()
+    assert (_barrier_region(m, seeds, allowed, barrier).tolist()
+            == sorted(flood(m, seeds, allowed, barrier)))

@@ -310,3 +310,36 @@ def test_label_mesh_builds_one_graph_per_applied_outcome(counted):
     assert res.status.startswith("valid")
     assert counted["applied"] >= len(res.op_log) > 0
     assert counted["builds"] == 1 + counted["applied"]
+
+
+# The random starts of a stress run: hundreds of outcomes repaint charts in
+# part, so every graph the repair builds from its parent, and every DP row
+# it looks up, is held to the bytes of the full build. Pinned before graphs
+# were built from their parents: (op-log lines, graph builds, sha256 of the
+# labels, sha256 of the op log joined by newlines).
+RANDOM_STARTS = {
+    2: (160, 163, "206e55d37842d7df2847b4126b04d2630335a91a08202935c6cbc91606cce032",
+        "62977c3b395c21b8b66f05554f76e0d88877678c34e50621fb866ff5b18479ba"),
+    3: (687, 696, "93599fb38f3495c88bf04bbe79ae2ad37fb869322ca1d3801aa15a99907b6a3c",
+        "5369b81d3031489e86078b1acea3ba39b1af65bacc7d774f6fda9e31e93e060b"),
+}
+
+
+@pytest.mark.parametrize("level", sorted(RANDOM_STARTS))
+def test_random_start_on_an_icosphere_is_pinned(level, monkeypatch):
+    built = []  # whether each graph was built from a parent
+
+    class Recording(LabelingGraph):
+        def __init__(self, mesh, labels, parent=None):
+            super().__init__(mesh, labels, parent)
+            built.append(parent is not None)
+
+    monkeypatch.setattr(pl, "LabelingGraph", Recording)
+    m = SurfaceMesh(*shapes.icosphere(level))
+    res = pl.label_mesh(m, init_labels=np.random.default_rng(0).integers(0, 6, m.n_triangles))
+    lines, builds, labels_sha, log_sha = RANDOM_STARTS[level]
+    assert res.status == "valid-with-turning-points"
+    assert len(res.op_log) == lines
+    assert built == [False] + [True] * (builds - 1)  # only the start is built cold
+    assert hashlib.sha256(res.labels.astype(np.int64).tobytes()).hexdigest() == labels_sha
+    assert hashlib.sha256("\n".join(res.op_log).encode()).hexdigest() == log_sha

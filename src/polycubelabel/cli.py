@@ -183,8 +183,8 @@ def _cmd_fix(args) -> int:
         print(f"error: {args.op} expects {n_targets} target id(s)", file=sys.stderr)
         return 2
     out = op(graph, *targets)
-    print(f"{args.op}: applied={out.applied} changed={len(out.changed)}",
-          file=sys.stderr)
+    print(f"{args.op}: applied={out.applied} changed={len(out.changed)}"
+          + (f" ({out.reason})" if out.reason else ""), file=sys.stderr)
     if args.output:
         write_labeling(args.output, out.labels)
     return 0

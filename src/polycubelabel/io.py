@@ -1,5 +1,5 @@
-"""Readers and writers: OBJ / MEDIT surface meshes, labeling files,
-feature-edge sidecars and colored PLY exports.
+"""Readers and writers: OBJ / MEDIT surface meshes and labeling files, a
+reader of feature-edge sidecars, and colored PLY exports.
 
 Each reader reads its file as one UTF-8 text, refusing other bytes with the
 file name and offset, and converts whole blocks of numbers at once. A number
@@ -382,12 +382,6 @@ def read_feature_edges(path):
             raise FileFormatError(f"{path}:{lineno}: expected 'v1 v2' (two integers)") from None
         pairs.append((a, b))
     return pairs
-
-
-def write_feature_edges(path, pairs):
-    canon = sorted((a, b) if a < b else (b, a) for a, b in pairs)
-    with open(path, "w") as fh:
-        fh.writelines(f"{a} {b}\n" for a, b in canon)
 
 
 # -- colored PLY ---------------------------------------------------------------

@@ -9,14 +9,16 @@ Every operator is a pure function (graph, *targets, ...) -> OperatorOutcome
 that reads the mesh and the labeling off the LabelingGraph, and looks up
 boundary vertices and edges, corners and turning points in the graph's
 index rather than rescanning its boundaries. The graph's
-labels are read-only, so the input labeling cannot be mutated; `applied` is
-False when the precondition does not hold at the target or the attempt
-changed nothing, in which case the returned labeling is a copy of the input.
-Callers rebuild the LabelingGraph after an applied operator.
+labels are read-only, so the input labeling cannot be mutated. Callers
+rebuild the LabelingGraph after an applied operator.
 
-All but remove_chart and straighten_boundary end in `_paint`, which relabels
-one region to one label; a new chart takes `_closest_label`, the allowed
-label nearest the region's area-weighted mean normal.
+Every operator ends in one outcome step, `_apply`, which applies its edit
+(region paints in order, or remove_chart's one restricted cut) to one copy
+of the labels and reads `changed` off the edited regions. An operator that
+does not apply returns `_skip`: the graph's own read-only labels, nothing
+changed, and a `reason` that names the exit, one fixed string each. A new
+chart takes `_closest_label`, the allowed label nearest the region's
+area-weighted mean normal.
 
 Regions come from two primitives. `_grow` takes a disk: the triangles
 within a few rings of the seeds, ring by ring, inside an allowed set (the
@@ -52,6 +54,7 @@ DISK_RADIUS = 3  # most triangle rings of a disk around a corner or turning poin
 class OperatorOutcome:
     labels: np.ndarray
     changed: frozenset
+    reason: str = ""  # why the operator did not apply; empty when it did
 
     @property
     def applied(self) -> bool:
@@ -73,25 +76,29 @@ def _target(items, i, kind):
     return items[i]
 
 
-def _skip(labels) -> OperatorOutcome:
-    return OperatorOutcome(np.array(labels, dtype=np.int64), frozenset())
+def _skip(graph: LabelingGraph, reason: str) -> OperatorOutcome:
+    """Not applied, for `reason`: the graph's own read-only labels."""
+    return OperatorOutcome(graph.labels, frozenset(), reason)
 
 
-def _outcome(labels_in, labels_out) -> OperatorOutcome:
-    changed = frozenset(int(i) for i in np.nonzero(labels_in != labels_out)[0])
-    if not changed:
-        return _skip(labels_in)
-    return OperatorOutcome(labels_out, changed)
-
-
-def _paint(labels, region, label) -> OperatorOutcome:
-    """The labeling with `region` relabeled to `label`; not applied when
-    `label` is None or nothing changed."""
-    if label is None:
-        return _skip(labels)
-    out = labels.copy()
-    out[region] = label
-    return _outcome(labels, out)
+def _apply(graph: LabelingGraph, edit, energy: CutEnergy = CutEnergy()) -> OperatorOutcome:
+    """The outcome of `edit`, an ordered tuple of `(region, label)` paints or
+    a tuple of one `(region, allowed)` restricted cut, `allowed` a (6,) bool
+    mask; regions are triangle ids. `changed` holds the edited triangles
+    whose label moved; an edit that moves none is not applied."""
+    labels = graph.labels
+    if isinstance(edit[0][1], np.ndarray):  # allowed labels: a restricted cut
+        [(region, allowed)] = edit
+        out = restricted_relabel(graph.mesh, labels, region, allowed=allowed, energy=energy)
+    else:
+        out = labels.copy()
+        for region, label in edit:
+            out[region] = label
+    edited = np.concatenate([region for region, _ in edit])  # frozenset drops repeats
+    moved = edited[out[edited] != labels[edited]]
+    if not moved.size:
+        return _skip(graph, "the edit changes no label")
+    return OperatorOutcome(out, frozenset(moved.tolist()))
 
 
 def _unit(v):
@@ -246,28 +253,26 @@ def trace_path(
 def remove_chart(graph: LabelingGraph, chart_id: int,
                  energy: CutEnergy = CutEnergy()) -> OperatorOutcome:
     """Dissolve a chart by re-solving its triangles over the neighbors' labels."""
-    labels = graph.labels
     chart = _target(graph.charts, chart_id, "chart")
-    if not chart.neighbors:  # constant labeling: nothing to absorb into
-        return _skip(labels)
+    if not chart.neighbors:
+        return _skip(graph, "the labeling is one chart")
     allowed = np.zeros(6, dtype=bool)
     allowed[graph.chart_label[list(chart.neighbors)]] = True
-    out = restricted_relabel(graph.mesh, labels, chart.triangles, allowed=allowed, energy=energy)
-    return _outcome(labels, out)
+    return _apply(graph, ((chart.triangles, allowed),), energy)
 
 
 def fix_invalid_boundary(
     graph: LabelingGraph, boundary_id: int, width: int = STRIP_WIDTH
 ) -> OperatorOutcome:
     """Insert a strip chart along a same-axis boundary, separating its charts."""
-    mesh, labels = graph.mesh, graph.labels
+    mesh = graph.mesh
     b = _target(graph.boundaries, boundary_id, "boundary")
-    if b.axis is not None:  # orthogonal boundary: nothing to fix
-        return _skip(labels)
+    if b.axis is not None:
+        return _skip(graph, "the boundary is orthogonal")
     allowed = np.isin(graph.chart_of, (b.left_chart, b.right_chart))
     region = _grow(mesh, mesh.edge_tris[list(b.edge_ids)].ravel(), allowed, rings=width)
     shared_axis = b.left_label >> 1
-    return _paint(labels, region, _fresh_label(mesh, region, {shared_axis}))
+    return _apply(graph, ((region, _fresh_label(mesh, region, {shared_axis})),))
 
 
 def fix_invalid_corner(graph: LabelingGraph, corner_id: int, radius: int = DISK_RADIUS,
@@ -279,21 +284,21 @@ def fix_invalid_corner(graph: LabelingGraph, corner_id: int, radius: int = DISK_
     any disk is grown, when those charts span all three axes: no fresh axis
     is left for the disk.
     """
-    mesh, labels = graph.mesh, graph.labels
+    mesh = graph.mesh
     corner = _target(graph.corners, corner_id, "corner")
     if corner_is_valid(corner, rules)[0]:
-        return _skip(labels)
+        return _skip(graph, "the corner is valid")
     star = mesh.vertex_triangles(corner.vertex)
     incident_charts = sorted({int(graph.chart_of[t]) for t in star})
     used_axes = set((graph.chart_label[incident_charts] >> 1).tolist())
     if len(used_axes) == 3:
-        return _skip(labels)
+        return _skip(graph, "the incident charts span all three axes")
     allowed = np.isin(graph.chart_of, incident_charts)
     for r in range(max(radius, 1), 0, -1):
         region = _grow(mesh, star, rings=r)
         if allowed[region].all():
             break  # at r = 1 the disk is the vertex star, which always fits
-    return _paint(labels, region, _fresh_label(mesh, region, used_axes))
+    return _apply(graph, ((region, _fresh_label(mesh, region, used_axes)),))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +339,7 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
             if best is None or key < best[0]:
                 best = (key, v, li, k, d1, d2, ax_in)
     if best is None:
-        return _skip(labels)
+        return _skip(graph, "no acute same-axis contour vertex")
     _, v, li, k, d1, d2, ax_cur = best
     loop = loops[li]
     n = len(loop)
@@ -417,22 +422,24 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
         p = trace_path(graph, o, direction, graph.boundary_vertex_mask,
                        forbidden_edges=contour_edges, tp_vertices=graph.turning_point_at)
         if not p.edges:
-            return _skip(labels)
+            return _skip(graph, "a cutting path takes no step")
         barrier |= set(p.edges)
 
     # region: flood the base chart between the two paths
     region = _barrier_region(mesh, seeds, allowed, barrier)
     if len(region) == int(allowed.sum()):
-        return _skip(labels)  # paths failed to pinch off a proper subregion
-    forbidden_axes = {chart_axis} | {int(labels[t]) >> 1 for t in region}
-    return _paint(labels, region, _fresh_label(mesh, region, forbidden_axes))
+        return _skip(graph, "the paths pinch off no proper subregion")
+    label = _fresh_label(mesh, region, {chart_axis} | set((labels[region] >> 1).tolist()))
+    if label is None:
+        return _skip(graph, "no axis is free for the new chart")
+    return _apply(graph, ((region, label),))
 
 
 def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> OperatorOutcome:
     """Bond two turning-points with a new chart along their lost feature path."""
     mesh, labels = graph.mesh, graph.labels
     if t1 == t2 or t1 not in graph.turning_point_at or t2 not in graph.turning_point_at:
-        return _skip(labels)
+        return _skip(graph, "not two distinct turning points")
 
     # shortest path t1 -> t2 over lost feature edges, sharp but with equal
     # labels on both sides (BFS, deterministic neighbor order)
@@ -450,7 +457,7 @@ def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> Operator
             break
         queue = sorted(nxt)
     if t2 not in prev:
-        return _skip(labels)
+        return _skip(graph, "no lost feature path joins them")
     # facets left/right of the path, each edge directed from t1 toward t2
     sides, path_edges, w = [], [], t2
     while prev[w] is not None:
@@ -463,7 +470,7 @@ def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> Operator
     around = {int(labels[t]) for v in (t1, t2) for t in mesh.vertex_triangles(v)}
     label = _closest_label(mesh, sorted(left | right), [l for l in range(6) if l not in around])
     if label is None:
-        return _skip(labels)
+        return _skip(graph, "every label meets one of them")
 
     def side_fidelity(side):
         n = mesh.normals[sorted(side)]
@@ -475,7 +482,7 @@ def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> Operator
     region = _barrier_region(mesh, side, allowed, path_edges)
     if len(region) == int(allowed.sum()):
         region = sorted(side)  # flood leaked around the path; keep the thin strip
-    return _paint(labels, region, label)
+    return _apply(graph, ((region, label),))
 
 
 def _corner_angle(mesh: SurfaceMesh, t: int, v: int) -> float:
@@ -494,13 +501,13 @@ def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOut
     is re-traced from the turning-point, and the wedge of triangles between
     the old and new position is relabeled to the chart across it.
     """
-    mesh, labels = graph.mesh, graph.labels
+    mesh = graph.mesh
     if turning_point not in graph.turning_point_at:
-        return _skip(labels)
+        return _skip(graph, "not a turning point")
     bid, pos = graph.turning_point_at[turning_point]
     b, tp = graph.boundaries[bid], turning_point
     if b.cyclic:
-        return _skip(labels)
+        return _skip(graph, "the boundary is cyclic")
 
     # nearest endpoint corner along the path; a turning point is an interior
     # vertex of its boundary, so the segment has at least one edge
@@ -531,7 +538,7 @@ def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOut
             bs = cand
             break
     if bs is None:
-        return _skip(labels)
+        return _skip(graph, "no other boundary at the corner borders the wedge")
     other_chart = bs.right_chart if bs.left_chart == wedge_chart else bs.left_chart
 
     # direction of B_s leaving the corner, which is one of its ends
@@ -543,13 +550,13 @@ def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOut
     path = trace_path(graph, tp, direction, stop, forbidden_edges=frozenset(b.edge_ids),
                       feature_only=mesh.is_feature_vertex(tp))
     if path.reason == "max-steps":
-        return _skip(labels)
+        return _skip(graph, "the new path reaches no boundary")
 
     allowed = graph.chart_of == wedge_chart
     region = _barrier_region(mesh, mesh.edge_tris[list(seg_edges)].ravel(), allowed, path.edges)
     if len(region) == int(allowed.sum()):
-        return _skip(labels)
-    return _paint(labels, region, int(graph.chart_label[other_chart]))
+        return _skip(graph, "the new path pinches off no wedge")
+    return _apply(graph, ((region, int(graph.chart_label[other_chart])),))
 
 
 def move_boundary_near_turning_point(
@@ -559,11 +566,11 @@ def move_boundary_near_turning_point(
     turning-point; the larger sum of triangle corner angles at the vertex wins."""
     mesh, labels = graph.mesh, graph.labels
     if turning_point not in graph.turning_point_at:
-        return _skip(labels)
+        return _skip(graph, "not a turning point")
     b = graph.boundaries[graph.turning_point_at[turning_point][0]]
     tp = turning_point
-    if mesh.is_feature_vertex(tp):
-        return _skip(labels)  # feature turning-points belong to pull_closest_corner
+    if mesh.is_feature_vertex(tp):  # feature turning-points belong to pull_closest_corner
+        return _skip(graph, "a feature turning point")
 
     angle_sum = {b.left_label: 0.0, b.right_label: 0.0}
     for t in mesh.vertex_triangles(tp):
@@ -576,18 +583,18 @@ def move_boundary_near_turning_point(
 
     allowed = graph.chart_of == loser_chart
     region = _grow(mesh, mesh.vertex_triangles(tp), allowed, rings=radius)
-    return _paint(labels, region, winner)
+    return _apply(graph, ((region, winner),))
 
 
 def straighten_boundary(graph: LabelingGraph, boundary_id: int) -> OperatorOutcome:
     """Re-draw a boundary as a greedy shortest walk between its two corners,
     re-splitting the two adjacent charts along the new path."""
-    mesh, labels = graph.mesh, graph.labels
+    mesh = graph.mesh
     b = _target(graph.boundaries, boundary_id, "boundary")
     if b.cyclic:
-        return _skip(labels)
+        return _skip(graph, "the boundary is cyclic")
     if mesh.feature_edge_mask[list(b.edge_ids)].any():
-        return _skip(labels)  # feature boundaries keep their path
+        return _skip(graph, "a feature boundary keeps its path")
     c_start, c_end = b.vertices[0], b.vertices[-1]
     union = (graph.chart_of == b.left_chart) | (graph.chart_of == b.right_chart)
     t1, t2 = mesh.edge_tris.T
@@ -618,7 +625,7 @@ def straighten_boundary(graph: LabelingGraph, boundary_id: int) -> OperatorOutco
             ok = True
             break
     if not ok or len(eids) > b.n_edges or tuple(eids) == b.edge_ids:
-        return _skip(labels)
+        return _skip(graph, "the greedy walk gives no new path as short")
 
     # re-split the two charts along the new path: everything reachable from
     # the left side of the new path keeps the left label; an edge's first
@@ -628,8 +635,5 @@ def straighten_boundary(graph: LabelingGraph, boundary_id: int) -> OperatorOutco
     left_seeds = np.where(mesh.edges[path, 0] == verts[:-1], sides[:, 0], sides[:, 1])
     region_left = _barrier_region(mesh, left_seeds, union, eids)
     if len(region_left) == int(union.sum()):
-        return _skip(labels)  # new path failed to separate the union
-    out = labels.copy()
-    out[union] = b.right_label
-    out[region_left] = b.left_label
-    return _outcome(labels, out)
+        return _skip(graph, "the new path does not separate the charts")
+    return _apply(graph, ((union.nonzero()[0], b.right_label), (region_left, b.left_label)))

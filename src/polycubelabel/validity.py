@@ -115,10 +115,6 @@ def _verdict(faults) -> tuple:
     return (False, reasons[0]) if len(bad) else (True, "")
 
 
-def chart_is_valid(chart) -> tuple:
-    return _verdict(_chart_faults(np.array([chart.valence])))
-
-
 def boundary_is_valid(mesh, boundary: Boundary, rules: ValidityRules = ValidityRules()) -> tuple:
     axis = -1 if boundary.axis is None else boundary.axis
     return _verdict(_boundary_faults(mesh, np.array([axis]), list(boundary.edge_ids),

@@ -11,18 +11,20 @@ from collections import deque
 
 import numpy as np
 
-from polycubelabel.graph import (_SIGN_TOL, Boundary, Chart, Corner, _flip_positions,
-                                 discontinuity_edges, optimal_edge_directions)
+from polycubelabel.graph import (_SIGN_TOL, Boundary, Chart, Corner, LabelingGraph,
+                                 _flip_positions, discontinuity_edges, optimal_edge_directions)
 from polycubelabel import graphcut
 from polycubelabel.graphcut import (_EPS, _MAX_SWEEPS, BIG, _dinic, _paired_arcs,
                                     _potts_energy)
 from polycubelabel.io import FileFormatError
 from polycubelabel.labeling import (LABEL_COLORS, LABEL_DIRECTIONS, CutEnergy, checked_labels,
-                                    data_costs, smoothness_weights)
+                                    data_costs, restricted_relabel, smoothness_weights)
 from polycubelabel.mesh import (MeshError, NonManifoldEdgeError, NonTriangleFaceError,
                                OpenSurfaceError, SurfaceMesh)
-from polycubelabel.operators import (DISK_RADIUS, _closest_label, _fresh_label, _grow, _outcome,
-                                     _paint, _skip, _target)
+from polycubelabel.operators import (AXIS_DIRECTIONS, DISK_RADIUS, STRIP_WIDTH, OperatorOutcome,
+                                     _barrier_region, _chart_contour_loops, _closest_label,
+                                     _corner_angle, _fresh_label, _grow, _target, _unit,
+                                     trace_path)
 from polycubelabel.validity import _REFLEX_TOL, ValidityReport, ValidityRules, corner_is_valid
 
 
@@ -942,6 +944,413 @@ def reference_join_turning_points_pair(graph, t1, t2):
     if len(region) == int(allowed.sum()):
         region = sorted(side)  # flood leaked around the path; keep the thin strip
     return _paint(labels, region, label)
+
+
+# -- the operators as they built their outcomes before the one outcome step -------
+#
+# Each copied the labels at every exit (`_skip`), painted into a copy of its
+# own (`_paint`), and found what changed by a diff over every triangle
+# (`_outcome`); the reference_* operators above build their outcomes the
+# same way.
+
+
+def _skip(labels):
+    return OperatorOutcome(np.array(labels, dtype=np.int64), frozenset())
+
+
+def _outcome(labels_in, labels_out):
+    changed = frozenset(int(i) for i in np.nonzero(labels_in != labels_out)[0])
+    if not changed:
+        return _skip(labels_in)
+    return OperatorOutcome(labels_out, changed)
+
+
+def _paint(labels, region, label):
+    """The labeling with `region` relabeled to `label`; not applied when
+    `label` is None or nothing changed."""
+    if label is None:
+        return _skip(labels)
+    out = labels.copy()
+    out[region] = label
+    return _outcome(labels, out)
+
+
+def copying_remove_chart(graph: LabelingGraph, chart_id: int,
+                         energy: CutEnergy = CutEnergy()) -> OperatorOutcome:
+    """Dissolve a chart by re-solving its triangles over the neighbors' labels."""
+    labels = graph.labels
+    chart = _target(graph.charts, chart_id, "chart")
+    if not chart.neighbors:  # constant labeling: nothing to absorb into
+        return _skip(labels)
+    allowed = np.zeros(6, dtype=bool)
+    allowed[graph.chart_label[list(chart.neighbors)]] = True
+    out = restricted_relabel(graph.mesh, labels, chart.triangles, allowed=allowed, energy=energy)
+    return _outcome(labels, out)
+
+
+def copying_fix_invalid_boundary(
+    graph: LabelingGraph, boundary_id: int, width: int = STRIP_WIDTH
+) -> OperatorOutcome:
+    """Insert a strip chart along a same-axis boundary, separating its charts."""
+    mesh, labels = graph.mesh, graph.labels
+    b = _target(graph.boundaries, boundary_id, "boundary")
+    if b.axis is not None:  # orthogonal boundary: nothing to fix
+        return _skip(labels)
+    allowed = np.isin(graph.chart_of, (b.left_chart, b.right_chart))
+    region = _grow(mesh, mesh.edge_tris[list(b.edge_ids)].ravel(), allowed, rings=width)
+    shared_axis = b.left_label >> 1
+    return _paint(labels, region, _fresh_label(mesh, region, {shared_axis}))
+
+
+def copying_fix_invalid_corner(graph: LabelingGraph, corner_id: int, radius: int = DISK_RADIUS,
+                               rules: ValidityRules = ValidityRules()) -> OperatorOutcome:
+    """Bury an invalid corner under a small disk chart with a fresh axis.
+
+    The disk is the widest one of at most `radius` triangle rings around the
+    corner that stays inside the charts incident to it. Not applied, before
+    any disk is grown, when those charts span all three axes: no fresh axis
+    is left for the disk.
+    """
+    mesh, labels = graph.mesh, graph.labels
+    corner = _target(graph.corners, corner_id, "corner")
+    if corner_is_valid(corner, rules)[0]:
+        return _skip(labels)
+    star = mesh.vertex_triangles(corner.vertex)
+    incident_charts = sorted({int(graph.chart_of[t]) for t in star})
+    used_axes = set((graph.chart_label[incident_charts] >> 1).tolist())
+    if len(used_axes) == 3:
+        return _skip(labels)
+    allowed = np.isin(graph.chart_of, incident_charts)
+    for r in range(max(radius, 1), 0, -1):
+        region = _grow(mesh, star, rings=r)
+        if allowed[region].all():
+            break  # at r = 1 the disk is the vertex star, which always fits
+    return _paint(labels, region, _fresh_label(mesh, region, used_axes))
+
+
+def copying_increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutcome:
+    """Give a low-valence feature-bounded chart one more neighbor.
+
+    Finds the contour vertex v where two same-axis contour edges meet at an
+    acute angle, locates equilibrium split points on the two polyedges that
+    leave v, traces two paths into the surrounding chart(s) along the axis of
+    the target chart's label, and relabels the triangles caught between the
+    paths to a fresh-axis label, creating a new chart adjacent to the target.
+    """
+    mesh, labels = graph.mesh, graph.labels
+    chart = _target(graph.charts, chart_id, "chart")
+    loops = _chart_contour_loops(graph, chart_id)
+    pts = mesh.vertices
+
+    # v: most acute same-axis contour vertex
+    best = None  # (−dot, vertex, loop idx, position)
+    for li, loop in enumerate(loops):
+        for k in range(len(loop)):
+            (u, v, e_in, b_in) = loop[k - 1]
+            (_, w, e_out, b_out) = loop[k]
+            ax_in = graph.boundaries[b_in].axis
+            ax_out = graph.boundaries[b_out].axis
+            if ax_in is None or ax_in != ax_out:
+                continue
+            d1 = _unit(pts[u] - pts[v])
+            d2 = _unit(pts[w] - pts[v])
+            dot = float(np.dot(d1, d2))
+            if dot <= 0.0:  # not acute
+                continue
+            key = (-dot, v)
+            if best is None or key < best[0]:
+                best = (key, v, li, k, d1, d2, ax_in)
+    if best is None:
+        return _skip(labels)
+    _, v, li, k, d1, d2, ax_cur = best
+    loop = loops[li]
+    n = len(loop)
+
+    # axis to distribute along the contour: most aligned with both edges at v
+    scores = [abs(np.dot(d1, AXIS_DIRECTIONS[a])) + abs(np.dot(d2, AXIS_DIRECTIONS[a])) for a in range(3)]
+    new_axis = int(np.argmax(scores))
+
+    def polyedge_dirs(step):
+        """Contour edges leaving v in the +-1 loop direction, until a corner."""
+        out = []
+        prev = v
+        idx = k if step == 1 else (k - 1) % n
+        for _ in range(n):
+            a, b_, eid, bid = loop[idx]
+            tail = b_ if step == 1 else a
+            out.append((eid, _unit(pts[tail] - pts[prev]), tail, bid))
+            if tail in graph.corner_at and tail != v:
+                break
+            prev = tail
+            idx = (idx + step) % n
+        return out
+
+    def angles(poly, axis):
+        """Per-edge angles of a polyedge to an axis."""
+        return [math.acos(min(1.0, abs(float(np.dot(d, AXIS_DIRECTIONS[axis])))))
+                for _, d, _, _ in poly]
+
+    def equilibrium(cn, cc):
+        """Split index minimizing new-axis cost before + current-axis cost after."""
+        best_s, best_total = 0, None
+        for s in range(len(cn) + 1):
+            total = sum(cn[:s]) + sum(cc[s:])
+            if best_total is None or total < best_total - 1e-12:
+                best_s, best_total = s, total
+        return best_s
+
+    poly_o = polyedge_dirs(+1)
+    poly_s = polyedge_dirs(-1)
+    # costs of the distributed axis and of the current one, the axis of both
+    # boundaries at v
+    cn_o, cc_o = angles(poly_o, new_axis), angles(poly_o, ax_cur)
+    cn_s, cc_s = angles(poly_s, new_axis), angles(poly_s, ax_cur)
+    s_o = equilibrium(cn_o, cc_o)
+    s_s = equilibrium(cn_s, cc_s)
+    # a corner must land on v itself: one equilibrium stays at v, the other
+    # gives the far end of the new contour segment
+    if s_o != 0 and s_s != 0:
+        if s_o <= s_s:
+            s_o = 0
+        else:
+            s_s = 0
+    elif s_o == 0 and s_s == 0:
+        # flat cost profile: force a minimal one-edge segment where the
+        # reassignment is cheapest (each polyedge has at least one edge)
+        if cn_o[0] - cc_o[0] <= cn_s[0] - cc_s[0]:
+            s_o = 1
+        else:
+            s_s = 1
+
+    far_poly, far_s = (poly_o, s_o) if s_o > 0 else (poly_s, s_s)
+    o_far = far_poly[far_s - 1][2]
+    # seeds: base-chart side of the contour segment that turns into the new
+    # boundary (between v and the far equilibrium point)
+    sides = mesh.edge_tris[[eid for eid, _, _, _ in far_poly[:far_s]]]
+    seeds = sides[graph.chart_of[sides] != chart_id]
+    allowed = np.isin(graph.chart_of, graph.chart_of[seeds])
+
+    # trace the two cutting paths along the chart-label axis
+    chart_axis = chart.label >> 1
+    axis_vec = AXIS_DIRECTIONS[chart_axis]
+    align = 0.0
+    for nbr, _ in mesh.vertex_ring(v):
+        align += float(np.dot(_unit(pts[nbr] - pts[v]), axis_vec))
+    direction = axis_vec if align >= 0 else -axis_vec
+
+    contour_edges = {e for _, _, e, _ in loop}
+    barrier = set(contour_edges)
+    for o in (v, o_far):
+        p = trace_path(graph, o, direction, graph.boundary_vertex_mask,
+                       forbidden_edges=contour_edges, tp_vertices=graph.turning_point_at)
+        if not p.edges:
+            return _skip(labels)
+        barrier |= set(p.edges)
+
+    # region: flood the base chart between the two paths
+    region = _barrier_region(mesh, seeds, allowed, barrier)
+    if len(region) == int(allowed.sum()):
+        return _skip(labels)  # paths failed to pinch off a proper subregion
+    forbidden_axes = {chart_axis} | {int(labels[t]) >> 1 for t in region}
+    return _paint(labels, region, _fresh_label(mesh, region, forbidden_axes))
+
+
+def copying_join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> OperatorOutcome:
+    """Bond two turning-points with a new chart along their lost feature path."""
+    mesh, labels = graph.mesh, graph.labels
+    if t1 == t2 or t1 not in graph.turning_point_at or t2 not in graph.turning_point_at:
+        return _skip(labels)
+
+    # shortest path t1 -> t2 over lost feature edges, sharp but with equal
+    # labels on both sides (BFS, deterministic neighbor order)
+    lost = mesh.feature_edge_mask & ~graph.boundary_edge_mask
+    prev = {t1: None}
+    queue = [t1]
+    while queue:
+        nxt = []
+        for u in queue:
+            for w, eid in sorted(mesh.vertex_ring(u)):
+                if lost[eid] and w not in prev:
+                    prev[w] = (u, eid)
+                    nxt.append(w)
+        if t2 in prev:
+            break
+        queue = sorted(nxt)
+    if t2 not in prev:
+        return _skip(labels)
+    # facets left/right of the path, each edge directed from t1 toward t2
+    sides, path_edges, w = [], [], t2
+    while prev[w] is not None:
+        u, eid = prev[w]
+        sides.append(mesh.edge_sides(u, w))
+        path_edges.append(eid)
+        w = u
+    left, right = map(set, zip(*sides))
+
+    around = {int(labels[t]) for v in (t1, t2) for t in mesh.vertex_triangles(v)}
+    label = _closest_label(mesh, sorted(left | right), [l for l in range(6) if l not in around])
+    if label is None:
+        return _skip(labels)
+
+    def side_fidelity(side):
+        n = mesh.normals[sorted(side)]
+        return float(np.mean(n @ LABEL_DIRECTIONS[label]))
+
+    side = left if side_fidelity(left) >= side_fidelity(right) - 1e-12 else right
+    # extend to the adjacent facets on the same side of the crease
+    allowed = np.isin(graph.chart_of, graph.chart_of[sorted(side)])
+    region = _barrier_region(mesh, side, allowed, path_edges)
+    if len(region) == int(allowed.sum()):
+        region = sorted(side)  # flood leaked around the path; keep the thin strip
+    return _paint(labels, region, label)
+
+
+def copying_pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOutcome:
+    """Relocate the nearest corner of a boundary onto one of its turning-points.
+
+    The boundary next to the corner on the side the turning-point pokes into
+    is re-traced from the turning-point, and the wedge of triangles between
+    the old and new position is relabeled to the chart across it.
+    """
+    mesh, labels = graph.mesh, graph.labels
+    if turning_point not in graph.turning_point_at:
+        return _skip(labels)
+    bid, pos = graph.turning_point_at[turning_point]
+    b, tp = graph.boundaries[bid], turning_point
+    if b.cyclic:
+        return _skip(labels)
+
+    # nearest endpoint corner along the path; a turning point is an interior
+    # vertex of its boundary, so the segment has at least one edge
+    toward_start = pos <= b.n_edges - pos
+    c = b.vertices[0] if toward_start else b.vertices[-1]
+    seg_edges = b.edge_ids[:pos] if toward_start else b.edge_ids[pos:]
+
+    # which side does the turning-point lean into: the chart with the smaller
+    # angular sector at the tp vertex (the side the V pokes into)
+    sums = {}
+    for t in mesh.vertex_triangles(tp):
+        cid = int(graph.chart_of[t])
+        sums[cid] = sums.get(cid, 0.0) + _corner_angle(mesh, t, tp)
+    side_candidates = {b.left_chart, b.right_chart}
+    wedge_chart = min(
+        (cid for cid in sums if cid in side_candidates),
+        key=lambda cid: (sums[cid], cid),
+    )
+
+    # B_s: next boundary around corner c bordering the wedge chart
+    corner = graph.corners[graph.corner_at[c]]
+    bs = None
+    for bid in corner.boundaries:
+        cand = graph.boundaries[bid]
+        if cand.index == b.index:
+            continue
+        if wedge_chart in (cand.left_chart, cand.right_chart):
+            bs = cand
+            break
+    if bs is None:
+        return _skip(labels)
+    other_chart = bs.right_chart if bs.left_chart == wedge_chart else bs.left_chart
+
+    # direction of B_s leaving the corner, which is one of its ends
+    nxt = bs.vertices[1] if bs.vertices[0] == c else bs.vertices[-2]
+    direction = _unit(mesh.vertices[nxt] - mesh.vertices[c])
+
+    stop = graph.boundary_vertex_mask.copy()
+    stop[list(b.vertices[1:-1])] = False  # passing along b itself must not stop the trace
+    path = trace_path(graph, tp, direction, stop, forbidden_edges=frozenset(b.edge_ids),
+                      feature_only=mesh.is_feature_vertex(tp))
+    if path.reason == "max-steps":
+        return _skip(labels)
+
+    allowed = graph.chart_of == wedge_chart
+    region = _barrier_region(mesh, mesh.edge_tris[list(seg_edges)].ravel(), allowed, path.edges)
+    if len(region) == int(allowed.sum()):
+        return _skip(labels)
+    return _paint(labels, region, int(graph.chart_label[other_chart]))
+
+
+def copying_move_boundary_near_turning_point(
+    graph: LabelingGraph, turning_point: int, radius: int = DISK_RADIUS
+) -> OperatorOutcome:
+    """Push the better-anchored side's label over the other around a smooth
+    turning-point; the larger sum of triangle corner angles at the vertex wins."""
+    mesh, labels = graph.mesh, graph.labels
+    if turning_point not in graph.turning_point_at:
+        return _skip(labels)
+    b = graph.boundaries[graph.turning_point_at[turning_point][0]]
+    tp = turning_point
+    if mesh.is_feature_vertex(tp):
+        return _skip(labels)  # feature turning-points belong to pull_closest_corner
+
+    angle_sum = {b.left_label: 0.0, b.right_label: 0.0}
+    for t in mesh.vertex_triangles(tp):
+        l = int(labels[t])
+        if l in angle_sum:
+            angle_sum[l] += _corner_angle(mesh, t, tp)
+    winner = min(angle_sum, key=lambda l: (-angle_sum[l], l))
+    loser = b.right_label if winner == b.left_label else b.left_label
+    loser_chart = b.left_chart if b.left_label == loser else b.right_chart
+
+    allowed = graph.chart_of == loser_chart
+    region = _grow(mesh, mesh.vertex_triangles(tp), allowed, rings=radius)
+    return _paint(labels, region, winner)
+
+
+def copying_straighten_boundary(graph: LabelingGraph, boundary_id: int) -> OperatorOutcome:
+    """Re-draw a boundary as a greedy shortest walk between its two corners,
+    re-splitting the two adjacent charts along the new path."""
+    mesh, labels = graph.mesh, graph.labels
+    b = _target(graph.boundaries, boundary_id, "boundary")
+    if b.cyclic:
+        return _skip(labels)
+    if mesh.feature_edge_mask[list(b.edge_ids)].any():
+        return _skip(labels)  # feature boundaries keep their path
+    c_start, c_end = b.vertices[0], b.vertices[-1]
+    union = (graph.chart_of == b.left_chart) | (graph.chart_of == b.right_chart)
+    t1, t2 = mesh.edge_tris.T
+    inside = union[t1] & union[t2]  # the edges with both triangles in the union
+    points = mesh.vertices
+    gx, gy, gz = points[c_end].tolist()
+    verts, eids = [c_start], []
+    cur, seen = c_start, {c_start}
+    ok = False
+    for _ in range(mesh.n_edges):
+        best = None
+        nbrs, ring = mesh._ring(cur)
+        for nbr, eid, free, (x, y, z) in zip(nbrs.tolist(), ring.tolist(), inside[ring].tolist(),
+                                             points[nbrs].tolist()):
+            if nbr in seen or not free:
+                continue
+            dx, dy, dz = x - gx, y - gy, z - gz
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if best is None or d < best[0] - 1e-12 or (abs(d - best[0]) <= 1e-12 and nbr < best[1]):
+                best = (d, nbr, eid)
+        if best is None:
+            break
+        _, cur, eid = best
+        eids.append(eid)
+        verts.append(cur)
+        seen.add(cur)
+        if cur == c_end:
+            ok = True
+            break
+    if not ok or len(eids) > b.n_edges or tuple(eids) == b.edge_ids:
+        return _skip(labels)
+
+    # re-split the two charts along the new path: everything reachable from
+    # the left side of the new path keeps the left label; an edge's first
+    # triangle is on its left when it is walked from its smaller vertex
+    path = np.array(eids)
+    sides = mesh.edge_tris[path]
+    left_seeds = np.where(mesh.edges[path, 0] == verts[:-1], sides[:, 0], sides[:, 1])
+    region_left = _barrier_region(mesh, left_seeds, union, eids)
+    if len(region_left) == int(union.sum()):
+        return _skip(labels)  # new path failed to separate the union
+    out = labels.copy()
+    out[union] = b.right_label
+    out[region_left] = b.left_label
+    return _outcome(labels, out)
 
 
 # -- the labeling graph, built by walking each boundary edge by edge ----------------

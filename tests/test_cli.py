@@ -360,7 +360,8 @@ def test_fix_command_applies_an_operator(op, tmp_path, capsys):
     mesh, flags, edges = tmp_path / "in.obj", tmp_path / "in.flags", tmp_path / "in.edges"
     io.write_obj(mesh, m.vertices, m.triangles)
     io.write_labeling(flags, labels)
-    io.write_feature_edges(edges, m.feature_edges)  # at angle 0 all of them stay active
+    # at angle 0 all of them stay active
+    edges.write_text("".join(f"{a} {b}\n" for a, b in sorted(m.feature_edges)))
     out = tmp_path / "out.flags"
     rc = main(["fix", str(mesh), str(flags), "--feature-edges", str(edges),
                "--feature-angle", "0", "--op", op,
@@ -371,6 +372,17 @@ def test_fix_command_applies_an_operator(op, tmp_path, capsys):
     assert not np.array_equal(got, labels)
     fn, _ = cli._OPERATORS[op]
     assert np.array_equal(got, fn(LabelingGraph(m, labels), *targets).labels)
+
+
+def test_fix_prints_why_an_operator_did_not_apply(tmp_path, cube_files, capsys):
+    mesh, flags = cube_files
+    out = tmp_path / "out.flags"
+    rc = main(["fix", str(mesh), str(flags), "--op", "fix_invalid_corner", "--target", "0",
+               "-o", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "fix_invalid_corner: applied=False changed=0 (the corner is valid)" in err
+    assert np.array_equal(io.read_labeling(out), io.read_labeling(flags))
 
 
 def test_fix_rejects_wrong_target_arity(cube_files, capsys):
@@ -411,7 +423,7 @@ def test_feature_edge_file_flag(tmp_path, cube_files, capsys):
     v, f = shapes.cube()
     m = SurfaceMesh(v, f)
     feats = tmp_path / "cube.edges"
-    io.write_feature_edges(feats, sorted(m.edges[:, :2].tolist())[:4])
+    feats.write_text("".join(f"{a} {b}\n" for a, b in sorted(m.edges[:, :2].tolist())[:4]))
     assert main(["validate", str(mesh), str(flags),
                  "--feature-edges", str(feats)]) == 0
     feats.write_text("6 0\n")  # the cube's body diagonal

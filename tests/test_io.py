@@ -296,12 +296,11 @@ def test_labeling_count_mismatch(tmp_path):
         io.read_labeling(p, n_triangles=12)
 
 
-def test_feature_edges_roundtrip_canonicalized(tmp_path):
+def test_feature_edges_are_read_as_written(tmp_path):
     p = tmp_path / "f.txt"
-    io.write_feature_edges(p, [(7, 2), (0, 1), (2, 7)])
-    # written sorted with low vertex first; duplicates preserved as given
-    assert p.read_text() == "0 1\n2 7\n2 7\n"
-    assert io.read_feature_edges(p) == [(0, 1), (2, 7), (2, 7)]
+    p.write_text("7 2\n0 1\n\n2 7\n")
+    # file order and vertex order kept, duplicates too; blank lines skipped
+    assert io.read_feature_edges(p) == [(7, 2), (0, 1), (2, 7)]
 
 
 def test_feature_edges_malformed(tmp_path):
@@ -367,7 +366,7 @@ def test_load_mesh_feature_sidecar(tmp_path):
     io.write_obj(tmp_path / "a.obj", v, f)
     auto = io.load_mesh(tmp_path / "a.obj")
     pairs = sorted(auto.feature_edges)[:4]
-    io.write_feature_edges(tmp_path / "a.features", pairs)
+    (tmp_path / "a.features").write_text("".join(f"{a} {b}\n" for a, b in pairs))
     m = io.load_mesh(tmp_path / "a.obj", feature_edges=tmp_path / "a.features")
     assert sorted(m.feature_edges) == pairs
 

@@ -1,16 +1,16 @@
 """Repair-operator contracts.
 
 Each operator reads its labeling off a LabelingGraph, whose labels are
-read-only, and must return applied=False with byte-identical labels when
-its precondition fails, report the exact
-set of relabeled triangles otherwise, and establish its advertised
-postcondition.  `run` wraps every call with the shared checks (including
-a determinism re-run).
+read-only, and must return applied=False with the graph's own labels and a
+reason when its precondition fails, report the exact set of relabeled
+triangles otherwise, and establish its advertised postcondition.  `run`
+wraps every call with the shared checks (including a determinism re-run).
 """
 
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +36,7 @@ from polycubelabel.operators import (
 )
 from polycubelabel.validity import corner_is_valid, validate
 
+import oracles
 from helpers import build, grid_box, noisy_labeling, spy_moves
 from oracles import (reference_alpha_expansion, reference_fix_invalid_corner,
                      reference_join_turning_points_pair, reference_restricted_relabel,
@@ -91,18 +92,18 @@ def run(op, graph, *args, **kw):
     assert out.labels.dtype == np.int64
     if out.applied:
         assert out.changed == frozenset(np.nonzero(out.labels != labels)[0])
-        assert out.changed
+        assert out.changed and out.reason == ""
     else:
-        assert np.array_equal(out.labels, labels)
-        assert out.changed == frozenset()
+        assert out.labels is labels
+        assert out.changed == frozenset() and out.reason
     again = op(graph, *args, **kw)
-    assert again.applied == out.applied
+    assert again.applied == out.applied and again.reason == out.reason
     assert np.array_equal(again.labels, out.labels)
     return out
 
 
 def test_outcome_applied_is_whether_anything_changed():
-    assert [f.name for f in dataclasses.fields(OperatorOutcome)] == ["labels", "changed"]
+    assert [f.name for f in dataclasses.fields(OperatorOutcome)] == ["labels", "changed", "reason"]
     labels = np.zeros(3, dtype=np.int64)
     assert OperatorOutcome(labels, frozenset({1})).applied is True
     out = OperatorOutcome(labels, frozenset())
@@ -608,6 +609,56 @@ def test_outcomes_are_pinned(op):
     assert digest.hexdigest() == PINNED[op]
 
 
+def _assert_as_the_copying_reference(op, graph):
+    """`op` gives the outcome of its copy in `oracles`, which builds its own
+    labeling at every exit, at every target of `graph`; returns how many
+    applied."""
+    reference = getattr(oracles, "copying_" + op.__name__)
+    applied = 0
+    for target in every_target(graph, op):
+        got, want = op(graph, *target), reference(graph, *target)
+        assert (got.applied, got.changed) == (want.applied, want.changed), target
+        assert np.array_equal(got.labels, want.labels), target
+        applied += got.applied
+    return applied
+
+
+@pytest.mark.parametrize("op", list(PINNED), ids=lambda op: op.__name__)
+def test_operators_as_their_copying_reference_on_the_pinned_labelings(op):
+    assert sum(_assert_as_the_copying_reference(op, g) for g in pinned_graphs())
+
+
+def test_precondition_exits_allocate_no_labeling():
+    """On 20 480 triangles, once the graph's lazy views were read, an
+    operator that returns at its precondition allocates less than one
+    labeling (F int64 values): it hands back the graph's own labels."""
+    m = SurfaceMesh(*shapes.subdivide(*shapes.l_prism(), 5))
+    g = LabelingGraph(m, naive_labeling(m))
+    one_chart = LabelingGraph(m, np.zeros(m.n_triangles, dtype=np.int64))
+    plain = next(v for v in range(m.n_vertices)
+                 if v not in g.turning_point_at and not g.boundary_vertex_mask[v])
+    cases = [
+        (remove_chart, one_chart, (0,), "the labeling is one chart"),
+        (fix_invalid_boundary, g, (0,), "the boundary is orthogonal"),
+        (fix_invalid_corner, g, (0,), "the corner is valid"),
+        (increase_chart_valence, g, (0,), "no acute same-axis contour vertex"),
+        (join_turning_points_pair, g, (plain, plain), "not two distinct turning points"),
+        (pull_closest_corner, g, (plain,), "not a turning point"),
+        (move_boundary_near_turning_point, g, (plain,), "not a turning point"),
+        (straighten_boundary, g, (0,), "a feature boundary keeps its path"),
+    ]
+    for op, graph, target, reason in cases:
+        op(graph, *target)  # reads the lazy views the exit needs
+        tracemalloc.start()
+        try:
+            out = op(graph, *target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.reason == reason and out.labels is graph.labels
+        assert peak < 8 * m.n_triangles, (op.__name__, peak)
+
+
 # ------------------------------------------------- contours and label noise
 
 NOISE_SHAPES = {
@@ -623,15 +674,20 @@ NOISE_SHAPES = {
 _noise_meshes = {}
 
 
+def noise_mesh(shape):
+    """The mesh of a NOISE_SHAPES entry, built once."""
+    if shape not in _noise_meshes:
+        _noise_meshes[shape] = NOISE_SHAPES[shape]()
+    return _noise_meshes[shape]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(NOISE_SHAPES)), st.integers(0, 4), st.integers(0, 2**32 - 1))
 def test_contour_loops_close_on_label_noise(shape, n_blobs, seed):
     """Every chart contour splits into closed loops that use each contour
     edge once, and the operators that walk contours and boundaries never
     raise, so they need no guard for open or missing pieces."""
-    if shape not in _noise_meshes:
-        _noise_meshes[shape] = NOISE_SHAPES[shape]()
-    m = _noise_meshes[shape]
+    m = noise_mesh(shape)
     g = LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs))
     for chart in g.charts:
         loops = _chart_contour_loops(g, chart.index)
@@ -651,9 +707,7 @@ def test_straighten_boundary_walks_as_the_reference_on_label_noise(shape, n_blob
     """The walk on plain floats takes the steps of the walk by np.linalg.norm:
     their distances differ by a few ulps at most, far inside the 1e-12 tie
     margin, on the labelings of the contour test."""
-    if shape not in _noise_meshes:
-        _noise_meshes[shape] = NOISE_SHAPES[shape]()
-    m = _noise_meshes[shape]
+    m = noise_mesh(shape)
     _assert_straightens_as_the_reference(
         LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs)))
 
@@ -664,8 +718,15 @@ def test_join_turning_points_pair_as_the_reference_on_label_noise(shape, n_blobs
     """Lost-feature neighbours read from the vertex rings give the paths of
     the mesh-wide dict of lost feature edges, on the labelings of the
     contour test."""
-    if shape not in _noise_meshes:
-        _noise_meshes[shape] = NOISE_SHAPES[shape]()
-    m = _noise_meshes[shape]
+    m = noise_mesh(shape)
     _assert_joins_as_the_reference(
         LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(NOISE_SHAPES)), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_operators_as_their_copying_reference_on_label_noise(shape, n_blobs, seed):
+    m = noise_mesh(shape)
+    g = LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs))
+    for op in PINNED:
+        _assert_as_the_copying_reference(op, g)

@@ -3,12 +3,15 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycubelabel import io, operators
 from polycubelabel import pipeline as pl
@@ -19,7 +22,8 @@ from polycubelabel.mesh import SurfaceMesh
 from polycubelabel.validity import validate
 
 from helpers import build
-from test_operators import box_mesh, cone_quadrants, rotated_torus, split_top_box, top_cell
+from test_operators import (NOISE_SHAPES, blob_labeling, box_mesh, cone_quadrants, noise_mesh,
+                            rotated_torus, split_top_box, top_cell)
 
 
 def test_cube_end_to_end(cube_mesh):
@@ -343,3 +347,58 @@ def test_random_start_on_an_icosphere_is_pinned(level, monkeypatch):
     assert built == [False] + [True] * (builds - 1)  # only the start is built cold
     assert hashlib.sha256(res.labels.astype(np.int64).tobytes()).hexdigest() == labels_sha
     assert hashlib.sha256("\n".join(res.op_log).encode()).hexdigest() == log_sha
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(NOISE_SHAPES)), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_pipeline_invariants_on_label_noise(shape, n_blobs, seed):
+    """From blobs of random labels on a corpus shape the repair never
+    crashes, a valid result re-validates from a fresh graph, and the same
+    start gives the same labels and op log twice."""
+    m = noise_mesh(shape)
+    start = blob_labeling(m, np.random.default_rng(seed), n_blobs)
+    res = pl.label_mesh(m, init_labels=start)
+    assert res.status != "failed", res.error
+    if res.status != "invalid":
+        assert validate(LabelingGraph(m, res.labels)).is_valid
+    again = pl.label_mesh(m, init_labels=start)
+    assert again.labels.tobytes() == res.labels.tobytes() and again.op_log == res.op_log
+
+
+# Shapes whose labels a power-of-two scale leaves byte-equal. All but the
+# icosphere are axis-aligned, and a signed axis permutation permutes their
+# labels too; on icosphere(3) rounding noise picks the tie-breaks, and only
+# 2 of the 48 permutations permute its labels.
+INVARIANT_SHAPES = {
+    "l-prism": lambda: shapes.subdivide(*shapes.l_prism(), 2),
+    "cone": lambda: shapes.subdivide(*shapes.cone(16), 2),
+    "cylinder": shapes.cylinder,
+    "staircase": shapes.staircase,
+    "notched-box": shapes.notched_box,
+    "torus": lambda: shapes.torus(nu=32, nv=16),
+    "icosphere": lambda: shapes.icosphere(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_SHAPES))
+def test_power_of_two_scaling_keeps_the_labels(name):
+    v, f = INVARIANT_SHAPES[name]()
+    want = pl.label_mesh(SurfaceMesh(v, f)).labels
+    for k in (-30, -10, 10, 30):
+        got = pl.label_mesh(SurfaceMesh(np.asarray(v) * 2.0**k, f)).labels
+        assert got.tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("name", sorted(set(INVARIANT_SHAPES) - {"icosphere"}))
+def test_signed_axis_permutations_permute_the_labels(name):
+    v, f = map(np.asarray, INVARIANT_SHAPES[name]())
+    want = pl.label_mesh(SurfaceMesh(v, f)).labels
+    for p in map(list, itertools.permutations(range(3))):
+        for s in map(np.array, itertools.product((1.0, -1.0), repeat=3)):
+            # coordinate i becomes s[i] times coordinate p[i]; a reflection
+            # keeps the surface outward by reversing each triangle's winding
+            mirrored = np.linalg.det(np.eye(3)[p] * s[:, None]) < 0
+            got = pl.label_mesh(SurfaceMesh(v[:, p] * s, f[:, ::-1] if mirrored else f)).labels
+            # a label of axis a and sign +-1 goes to axis i = p.index(a), sign times s[i]
+            i = np.argsort(p)[np.arange(6) >> 1]
+            assert np.array_equal(got, (2 * i + ((np.arange(6) & 1) ^ (s[i] < 0)))[want]), (p, s)

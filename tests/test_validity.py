@@ -12,7 +12,6 @@ from polycubelabel.validity import (
     CORNER_RULES,
     ValidityRules,
     boundary_is_valid,
-    chart_is_valid,
     corner_is_valid,
     feature_edge_stats,
     reflex_fraction,
@@ -20,8 +19,8 @@ from polycubelabel.validity import (
 )
 
 from helpers import GRAPH_SHAPES, blob_labeling, build, graph_mesh, noisy_labeling
-from oracles import (reference_boundary_is_valid, reference_corner_is_valid,
-                     reference_reflex_fraction, reference_validate)
+from oracles import (reference_boundary_is_valid, reference_chart_is_valid,
+                     reference_corner_is_valid, reference_reflex_fraction, reference_validate)
 from polycubelabel import shapes
 
 
@@ -106,13 +105,22 @@ def test_corner_rule_axis_symmetric(counts, rule):
 
 
 def test_chart_rule_threshold():
-    from polycubelabel.graph import Chart
-
-    for valence, ok in ((0, False), (3, False), (4, True), (7, True)):
-        c = Chart(0, 0, np.array([0]), neighbors=tuple(range(1, valence + 1)))
-        got, why = chart_is_valid(c)
-        assert got is ok
-        assert got or str(valence) in why
+    # every valence from 0 (one chart) and 3 (a wedge's end caps) to 6 and
+    # more (blob labelings), each verdict and reason as the reference's
+    wedge = build(*shapes.subdivide(*shapes.wedge(), 2))
+    graphs = [LabelingGraph(wedge, np.zeros(wedge.n_triangles, dtype=np.int64)),
+              LabelingGraph(wedge, naive_labeling(wedge))]
+    graphs += [LabelingGraph(*blob_labeling(shape, 4, seed))
+               for shape in ("cube", "l-prism") for seed in range(3)]
+    seen = set()
+    for g in graphs:
+        report = validate(g)
+        for chart in g.charts:
+            ok, why = reference_chart_is_valid(chart)
+            assert (chart.index in report.invalid_charts) is not ok
+            assert report.reasons.get(("chart", chart.index), "") == why
+            seen.add(min(chart.valence, 6))
+    assert seen == set(range(7))
 
 
 # -- boundary rule on real geometry ----------------------------------------------

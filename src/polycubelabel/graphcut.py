@@ -226,6 +226,8 @@ def _expansion_move(costs, pairs, weights, cur, alpha):
         if not fixed.any():
             break
         switch[free[goes]] = True
+        if fixed.all():
+            return switch
         # an arc out of a staying node is cut when its head switches, one
         # into a switching node when its tail stays: terminal arcs now
         into, away = stays[tail] & ~fixed[head], goes[head] & ~fixed[tail]

@@ -2,13 +2,15 @@
 
 The mesh is immutable after construction, and the arrays it exposes are
 read-only. The constructor computes what every command reads and what can
-refuse the input: normals, areas, the edge table and triangle adjacency,
-and the check of supplied feature edges. The rest is computed once, on
-first use: the interior dihedral angles and the feature edges derived from
-them (read by labeling, validation and the metrics report, not by a graph
-build or a PLY export), and the fan table of each vertex's corners, from
-the one in its lowest triangle, which the repair operators read as rings in
-fan order and as stars in triangle-index order.
+refuse the input: normals, areas, the edge table with each edge's two
+triangles, and the check of supplied feature edges. The rest is computed
+once, on first use: the edge ids and neighbours of each triangle's corners
+(read by a graph build from a parent graph and by the repair operators),
+the interior dihedral angles and the feature edges derived from them (read
+by labeling, validation and the metrics report, not by a graph build or a
+PLY export), and the fan table of each vertex's corners, from the one in
+its lowest triangle, which the repair operators read as rings in fan order
+and as stars in triangle-index order.
 """
 
 from __future__ import annotations
@@ -119,6 +121,24 @@ def _read_only(arr):
     return arr
 
 
+def _stable_order(keys, n_values) -> tuple:
+    """(order, sorted keys): ``np.argsort(keys, kind="stable")`` and the keys
+    in that order, for int64 keys in 0..n_values-1. Adding its position
+    ``i`` to each key times ``n = len(keys)`` makes the keys unique with the
+    ties in position order, so one plain sort of ``key * n + i`` and a
+    ``divmod`` by ``n`` give both, about three times faster; that needs
+    ``n_values * n`` below 2**62, and past it the stable argsort runs."""
+    n = len(keys)
+    if n_values * n >= 2**62:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    unique = keys * n
+    unique += np.arange(n)
+    unique.sort()
+    sorted_keys, order = np.divmod(unique, n)
+    return order, sorted_keys
+
+
 def component_roots(n, a, b, forest=None) -> np.ndarray:
     """The smallest node of each node's connected component, for nodes
     0..n-1 joined by the edges (a[i], b[i]). Min-label hooking: hook the
@@ -204,9 +224,11 @@ class SurfaceMesh:
     ignored_feature_edges : frozenset of (int, int)
         Supplied CAD edges whose dihedral deviation is below the threshold.
 
-    The arrays from ``vertices`` to ``triangle_adjacency`` are computed in
-    the constructor. ``dihedral_angles`` and the four feature attributes
-    derived from it are each computed on first read; a bad
+    ``vertices``, ``triangles``, ``normals``, ``areas``, ``edges`` and
+    ``edge_tris`` are computed in the constructor. ``triangle_edges`` and
+    ``triangle_adjacency`` are computed on first read, from the edge order
+    the constructor keeps. ``dihedral_angles`` and the four feature
+    attributes derived from it are each computed on first read too; a bad
     ``feature_angle`` and a supplied pair that is not a mesh edge are
     still refused by the constructor. The fan table is built on first use:
     ``vertex_ring(v)`` reads v's corners in fan order from the corner in v's
@@ -236,12 +258,21 @@ class SurfaceMesh:
 
         self._compute_geometry()
         self._build_connectivity()
+        # A closed, orientable, connected surface has V - E + F = 2 - 2g <= 2.
+        # A mesh that passed the edge checks, uses every vertex and is one
+        # piece becomes one when each pinched vertex is split into its k fans,
+        # which adds k - 1 vertices: at V - E + F = 2 no vertex is pinched,
+        # and the fan walk is skipped. Otherwise it runs first, so that a
+        # pinch is named before a stray vertex or a second piece.
+        n_components = self._count_components()
+        if (n_components > 1 or self._degree.min() == 0
+                or self.n_vertices - self.n_edges + self.n_triangles != 2):
+            self._check_fans()
         self._supplied = self._supplied_feature_mask(feature_edges)
-        self._check_one_surface()
+        self._check_one_surface(n_components)
 
         for arr in (self.vertices, self.triangles, self.normals, self.areas,
-                    self.edges, self.triangle_edges, self.edge_tris,
-                    self.triangle_adjacency):
+                    self.edges, self.edge_tris, self._by_edge):
             arr.flags.writeable = False
 
     # -- construction helpers -------------------------------------------------
@@ -249,8 +280,10 @@ class SurfaceMesh:
     def _compute_geometry(self):
         v, t = self.vertices, self.triangles
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            p0 = v[t[:, 0]]
-            cross = _cross(v[t[:, 1]] - p0, v[t[:, 2]] - p0)
+            p0, d1, d2 = (np.take(v, t[:, j], axis=0) for j in range(3))
+            d1 -= p0
+            d2 -= p0
+            cross = _cross(d1, d2)
             double_area = _norm(cross)
             extent = v.max(axis=0) - v.min(axis=0)
             bbox_diag2 = float(np.sum(extent ** 2))
@@ -267,26 +300,22 @@ class SurfaceMesh:
         self.normals = np.divide(cross, double_area[:, None], out=cross)
 
     def _build_connectivity(self):
-        # Corner c = 3 * t + j stands for local edge j of triangle t. One
-        # stable sort of the corner keys min(a, b) * V + max(a, b) numbers the
-        # edges in lexicographic order and lists each edge's corners in
-        # corner order; a run of equal keys is one edge.
+        # Corner c = 3 * t + j stands for local edge j of triangle t. Sorting
+        # the corner keys min(a, b) * V + max(a, b), ties in corner order,
+        # numbers the edges in lexicographic order and lists each edge's
+        # corners in corner order; a run of equal keys is one edge. The order
+        # is kept: the corner tables are built from it on first read.
         t = self.triangles
         n_v = len(self.vertices)
         a, b = t.ravel(), np.roll(t, -1, axis=1).ravel()
         forward = a < b
-        keys = np.minimum(a, b) * n_v + np.maximum(a, b)
-        by_edge = np.argsort(keys, kind="stable")
-        keys = keys[by_edge]
+        by_edge, keys = _stable_order(np.minimum(a, b) * n_v + np.maximum(a, b), n_v * n_v)
         starts = np.concatenate(([True], keys[1:] != keys[:-1]))
         first = np.flatnonzero(starts)
         counts = np.diff(first, append=len(keys))
         self._edge_keys = keys[first]
-        edge_of = np.empty_like(by_edge)
-        edge_of[by_edge] = np.cumsum(starts) - 1
         del b, keys, starts  # free the sort's temporaries before the tables below
         self.edges = np.stack(np.divmod(self._edge_keys, n_v), axis=1)
-        self.triangle_edges = edge_of.reshape(-1, 3)
 
         # a third corner on an edge is reported first, then a lone corner,
         # each at the edge where it shows earliest in corner order
@@ -306,22 +335,21 @@ class SurfaceMesh:
 
         fwd = forward[c0]  # the left triangle holds the edge as min -> max
         self.edge_tris = np.stack((np.where(fwd, c0, c1), np.where(fwd, c1, c0)), axis=1) // 3
-        partner = np.empty_like(a)
-        partner[c0], partner[c1] = c1, c0
-        self.triangle_adjacency = (partner // 3).reshape(-1, 3)
+        self._by_edge = by_edge  # edge e's corners at 2e and 2e + 1
+        self._degree = np.bincount(a, minlength=n_v)
 
-        self._degree = degree = np.bincount(a, minlength=n_v)
-
+    def _check_fans(self):
         # Crossing the edge that leaves a corner's vertex leads to the next
         # corner of that vertex, so the corners of each vertex split into
         # cycles, one per fan. Min-label pointer doubling finds them.
-        self._corner_next = partner - partner % 3 + (partner + 1) % 3
-        label, step, span = np.arange(len(a)), self._corner_next, 1
-        while span < degree.max(initial=0):
+        n = 3 * self.n_triangles
+        label, step, span = np.arange(n), self._corner_next, 1
+        while span < self._degree.max(initial=0):
             label = np.minimum(label, label[step])
             step = step[step]
             span *= 2
-        fans = np.bincount(a[label == np.arange(len(a))], minlength=n_v)
+        fans = np.bincount(self.triangles.ravel()[label == np.arange(n)],
+                           minlength=self.n_vertices)
         pinched = np.nonzero(fans > 1)[0]
         if pinched.size:
             raise NonManifoldVertexError(pinched[0])
@@ -356,13 +384,15 @@ class SurfaceMesh:
                 raise MeshError(f"feature edge {key} is not a mesh edge") from None
         return _read_only(given)
 
-    def _check_one_surface(self):
+    def _count_components(self) -> int:
+        root = component_roots(self.n_triangles, *self.edge_tris.T)
+        return int(np.count_nonzero(root == np.arange(self.n_triangles)))
+
+    def _check_one_surface(self, n_components):
         # The genus formula holds for one closed surface with no stray vertices.
         unused = np.nonzero(self._degree == 0)[0]
         if unused.size:
             raise UnreferencedVertexError(unused[0])
-        root = component_roots(self.n_triangles, *self.edge_tris.T)
-        n_components = np.count_nonzero(root == np.arange(self.n_triangles))
         if n_components > 1:
             raise DisconnectedSurfaceError(n_components)
 
@@ -412,6 +442,31 @@ class SurfaceMesh:
     def is_feature_vertex(self, v) -> bool:
         """True when a sharp feature edge ends at vertex ``v``."""
         return bool(self.feature_vertex_mask[self._vertex(v)])
+
+    @functools.cached_property
+    def triangle_edges(self):
+        edge_of = np.empty_like(self._by_edge)
+        edge_of[self._by_edge] = np.arange(len(edge_of)) >> 1
+        return _read_only(edge_of.reshape(-1, 3))
+
+    @functools.cached_property
+    def _partner(self):
+        """The other corner on each corner's edge."""
+        c0, c1 = self._by_edge[0::2], self._by_edge[1::2]
+        partner = np.empty_like(self._by_edge)
+        partner[c0], partner[c1] = c1, c0
+        return _read_only(partner)
+
+    @functools.cached_property
+    def triangle_adjacency(self):
+        return _read_only((self._partner // 3).reshape(-1, 3))
+
+    @functools.cached_property
+    def _corner_next(self):
+        """The next corner of the vertex of each corner, around its fan: the
+        corner after the partner in the partner's triangle."""
+        after = np.arange(3 * self.n_triangles).reshape(-1, 3)[:, [1, 2, 0]].ravel()
+        return _read_only(after.take(self._partner))
 
     @functools.cached_property
     def dihedral_angles(self):

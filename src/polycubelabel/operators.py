@@ -125,18 +125,28 @@ def _fresh_label(mesh: SurfaceMesh, region, taken_axes):
     return _closest_label(mesh, region, [l for l in range(6) if l >> 1 not in taken_axes])
 
 
+def _distinct(ids) -> np.ndarray:
+    """The distinct values of an int array, ascending: ``np.unique``, which
+    hashes and takes about four times longer on a few hundred ids."""
+    ids = np.sort(ids)
+    keep = np.empty(len(ids), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
 def _grow(mesh: SurfaceMesh, seeds, allowed=None, *, rings) -> np.ndarray:
     """Sorted ids of the triangles within `rings` triangle rings of the
     allowed seeds (the seeds being ring 1), grown over edge-adjacent
     allowed triangles. `allowed` is a bool mask over triangles."""
     free = np.array(np.ones(mesh.n_triangles) if allowed is None else allowed, dtype=bool)
     frontier = np.fromiter(seeds, dtype=np.int64)
-    frontier = np.unique(frontier[free[frontier]])
+    frontier = _distinct(frontier[free[frontier]])
     free[frontier] = False
     region, ring = [frontier], 1
     while frontier.size and ring < rings:
         nbrs = mesh.triangle_adjacency[frontier].ravel()
-        frontier = np.unique(nbrs[free[nbrs]])
+        frontier = _distinct(nbrs[free[nbrs]])
         free[frontier] = False
         region.append(frontier)
         ring += 1

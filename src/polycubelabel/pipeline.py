@@ -26,9 +26,10 @@ start over after the first commit, and stop once a whole pass commits
 nothing. Each validity iteration runs four sweeps once, in this order:
 raise the valence of invalid charts walled in by feature edges, fix
 invalid boundaries, fix invalid corners, then dissolve the other invalid
-charts. Each labeling's graph is built once: either where a routine starts
-from raw labels, or in `attempt`; `run_monotonicity_routine` takes over the
-graph the validity routine ends with.
+charts. Each labeling's graph is built once and validated once: either
+where a routine starts from raw labels, or in `attempt`; `label_mesh` hands
+the graph and report the validity routine ends with to the monotonicity
+routine's body, `_monotonicity`.
 """
 
 from __future__ import annotations
@@ -84,12 +85,14 @@ def labeling_status(graph: LabelingGraph, report: ValidityReport) -> str:
 
 class _State:
     """(graph, report) of the current labeling; every operator application
-    goes through `attempt`."""
+    goes through `attempt`. The graph is validated here unless its report
+    under `cfg.rules` is given."""
 
-    def __init__(self, graph: LabelingGraph, cfg: PipelineConfig, log=None):
+    def __init__(self, graph: LabelingGraph, cfg: PipelineConfig, log=None, report=None):
         self.cfg = cfg
         self.log = log if log is not None else []
-        self.graph, self.report = graph, validate(graph, cfg.rules)
+        self.graph = graph
+        self.report = validate(graph, cfg.rules) if report is None else report
 
     @property
     def valid(self):
@@ -186,9 +189,11 @@ def run_monotonicity_routine(graph: LabelingGraph, cfg: PipelineConfig = None, l
     feature turning-points, push boundaries across smooth turning-points,
     then straighten the remaining smooth boundaries.
     """
-    cfg = cfg or PipelineConfig()
-    st = _State(graph, cfg, log)
+    return _monotonicity(_State(graph, cfg or PipelineConfig(), log))
 
+
+def _monotonicity(st: _State):
+    """The monotonicity routine from the state of a valid labeling."""
     def tps():
         return st.graph.turning_point_vertices()
 
@@ -246,7 +251,7 @@ def label_mesh(
 
         t2 = time.perf_counter()
         if report.is_valid:
-            labels, graph, report = run_monotonicity_routine(graph, cfg, op_log)
+            labels, graph, report = _monotonicity(_State(graph, cfg, op_log, report))
         durations["monotonicity"] = time.perf_counter() - t2
     except Exception as exc:  # a crash is a result, not an abort
         st = _State(LabelingGraph(mesh, init_labels if init_labels is not None else

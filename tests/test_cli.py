@@ -294,15 +294,19 @@ def test_viz_and_graph_never_compute_dihedrals(tmp_path, cube_files, monkeypatch
 
 @pytest.mark.parametrize("command", ["report", "viz", "validate", "graph"])
 def test_read_only_commands_never_build_the_fan_table(tmp_path, cube_files, monkeypatch, command):
-    def no_fans(self):
-        raise AssertionError("fan table built")
+    # nor the corner tables: a graph built without a parent reads edge_tris
+    def no_table(self):
+        raise AssertionError("table built")
 
-    monkeypatch.setattr(SurfaceMesh, "_fans", property(no_fans))
+    for name in ("_fans", "triangle_edges", "triangle_adjacency", "_partner", "_corner_next"):
+        monkeypatch.setattr(SurfaceMesh, name, property(no_table))
     mesh, flags = cube_files
     out = [] if command == "validate" else ["-o", str(tmp_path / "out")]
     assert main([command, str(mesh), str(flags), *out]) == 0
-    with pytest.raises(AssertionError, match="fan table built"):
+    with pytest.raises(AssertionError, match="table built"):
         SurfaceMesh(*shapes.cube()).vertex_ring(0)
+    with pytest.raises(AssertionError, match="table built"):
+        SurfaceMesh(*shapes.cube()).triangle_adjacency
 
 
 def _fix_cases():

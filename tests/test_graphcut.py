@@ -396,6 +396,26 @@ def test_expansion_move_matches_the_per_pair_terminal_arcs(kind):
             assert got.tolist() == want.tolist()
 
 
+def test_expansion_move_decided_by_the_first_pass_matches_the_reference(monkeypatch):
+    # each node's cost of alpha and of its own label differ by more than
+    # three times the weight total, the one at 0 and the other at that gap:
+    # the first fixing pass decides every node, and no flow runs
+    flows = []
+    monkeypatch.setattr(graphcut, "_dinic", lambda *args: flows.append(args))
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        costs, pairs, weights = random_potts_instance(rng, max_nodes=12)
+        n, n_labels = costs.shape
+        nodes, alpha = np.arange(n), int(rng.integers(n_labels))
+        cur = (alpha + rng.integers(1, n_labels, size=n)) % n_labels
+        gap, goes = 3.0 * weights.sum() + 1.0, rng.random(n) < 0.5
+        costs[nodes, alpha], costs[nodes, cur] = np.where(goes, 0.0, gap), np.where(goes, gap, 0.0)
+        got = _expansion_move(costs, pairs, weights, cur, alpha)
+        assert got.tolist() == goes.tolist()
+        assert got.tolist() == reference_expansion_move(costs, pairs, weights, cur, alpha).tolist()
+    assert not flows
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(MOVE_KINDS), st.integers(0, 2**32 - 1))
 def test_reduced_move_equals_the_net_arc_and_per_pair_moves(kind, seed):

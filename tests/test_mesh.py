@@ -18,6 +18,7 @@ from polycubelabel.mesh import (
     OpenSurfaceError,
     SurfaceMesh,
     UnreferencedVertexError,
+    _stable_order,
     component_roots,
     detect_feature_edges,
     interior_dihedral,
@@ -343,6 +344,53 @@ def test_vertex_fan_cycles(lprism_mesh):
         assert len(nbrs) == len(m.vertex_triangles(v))  # closed fan
 
 
+_CORNER_TABLES = ("triangle_edges", "triangle_adjacency", "_partner", "_corner_next")
+
+
+def test_corner_tables_are_built_on_first_read_and_read_only():
+    m = SurfaceMesh(*shapes.l_prism())
+    assert not set(_CORNER_TABLES) & set(vars(m))
+    for name in _CORNER_TABLES:
+        arr = getattr(m, name)
+        assert arr is getattr(m, name)  # computed once
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1
+
+
+@pytest.mark.parametrize("solid, walked", [
+    (shapes.l_prism, False),  # V - E + F = 2: no vertex can be pinched
+    (lambda: shapes.torus(nu=8, nv=4), True),  # V - E + F = 0
+    (cube_with_a_stray_vertex, True),
+    (two_disjoint_cubes, True),
+], ids=["l-prism", "torus", "stray-vertex", "two-cubes"])
+def test_fans_are_walked_only_where_euler_leaves_room_for_a_pinch(monkeypatch, solid, walked):
+    def no_walk(self):
+        raise AssertionError("fans walked")
+
+    monkeypatch.setattr(SurfaceMesh, "_check_fans", no_walk)
+    if walked:
+        with pytest.raises(AssertionError, match="fans walked"):
+            SurfaceMesh(*solid())
+    else:
+        SurfaceMesh(*solid())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 40), st.booleans())
+def test_stable_order_equals_the_stable_argsort(data, n, past_bound):
+    # a few distinct keys, so that most are tied, one of them the largest
+    # allowed; past the bound they reach the int64 maximum, where key * n
+    # overflows, so that only the stable argsort gives the right order
+    n_values = 2**63 if past_bound else (2**62 - 1) // max(n, 1)
+    pool = data.draw(st.lists(st.integers(0, n_values - 1), max_size=3)) + [n_values - 1]
+    keys = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                    dtype=np.int64)
+    order, sorted_keys = _stable_order(keys, n_values)
+    assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+    assert sorted_keys.tolist() == keys[order].tolist()
+
+
 def test_rebuild_is_deterministic():
     v, f = shapes.l_prism()
     a, b = SurfaceMesh(v, f), SurfaceMesh(v, f)
@@ -394,18 +442,16 @@ def test_connectivity_matches_dict_reference(case, supply_features):
     m = SurfaceMesh(v, f, feature_edges=features)
     ref = DictMesh(v, f, feature_edges=features)
 
-    assert np.array_equal(m.edges, ref.edges)
-    assert np.array_equal(m.edge_tris, ref.edge_tris)
-    assert np.array_equal(m.triangle_adjacency, ref.triangle_adjacency)
+    for name in ("vertices", "triangles", "edges", "edge_tris", "triangle_adjacency"):
+        assert np.array_equal(getattr(m, name), getattr(ref, name))
     for vid in range(m.n_vertices):
         assert m.vertex_triangles(vid) == ref.vertex_triangles(vid)
     for (a, b), e in ref.edge_index.items():
         assert m.edge_id(a, b) == m.edge_id(b, a) == e
     with pytest.raises(MeshError, match="no edge"):
         m.edge_id(int(f[0, 0]), m.n_vertices)
-    for j in range(3):
-        expected = [m.edge_id(t[j], t[(j + 1) % 3]) for t in m.triangles]
-        assert m.triangle_edges[:, j].tolist() == expected
+    assert m.triangle_edges.tolist() == [
+        [ref.edge_id(int(t[j]), int(t[(j + 1) % 3])) for j in range(3)] for t in f]
 
     assert m.feature_edges == ref.feature_edges
     assert m.ignored_feature_edges == ref.ignored_feature_edges
@@ -503,11 +549,38 @@ def test_non_manifold_edge_named_before_open_edges():
     assert sum({a, b} <= set(t) for t in tris) >= 3
 
 
-def test_pinched_vertex_rejected():
-    v, f, shared = two_cubes_sharing_a_vertex()
+def _sphere_with_two_antipodal_vertices_merged():
+    """``icosphere(2)`` with vertex 0's antipode replaced by vertex 0 and
+    removed: one piece whose vertex 0 has two fans, V - E + F = 1."""
+    v, f = shapes.icosphere(2)
+    v, f = np.asarray(v, dtype=np.float64), np.asarray(f)
+    far = int(np.argmin(v @ v[0]))
+    f = np.where(f == far, 0, f)
+    return np.delete(v, far, axis=0), np.where(f > far, f - 1, f), 0
+
+
+def _merged_sphere_and_a_stray_vertex():  # V - E + F = 2
+    v, f, pinched = _sphere_with_two_antipodal_vertices_merged()
+    return np.vstack([v, [[5.0, 5.0, 5.0]]]), f, pinched
+
+
+def _two_merged_spheres():  # V - E + F = 2
+    v, f, pinched = _sphere_with_two_antipodal_vertices_merged()
+    return np.vstack([v, v + 3.0]), np.vstack([f, f + len(v)]), pinched
+
+
+@pytest.mark.parametrize("solid", [
+    two_cubes_sharing_a_vertex,
+    _sphere_with_two_antipodal_vertices_merged,
+    _merged_sphere_and_a_stray_vertex,
+    _two_merged_spheres,
+], ids=["two-cubes", "merged-sphere", "merged-sphere-and-stray-vertex", "two-merged-spheres"])
+def test_pinched_vertex_rejected(solid):
+    # named before a stray vertex or a second piece, whatever V - E + F is
+    v, f, pinched = solid()
     with pytest.raises(NonManifoldVertexError) as err:
         SurfaceMesh(v, f)
-    assert err.value.vertex == shared
+    assert err.value.vertex == pinched
     assert isinstance(err.value, MeshError)
 
 

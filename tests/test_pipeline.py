@@ -316,6 +316,28 @@ def test_label_mesh_builds_one_graph_per_applied_outcome(counted):
     assert counted["builds"] == 1 + counted["applied"]
 
 
+def test_label_mesh_validates_each_graph_it_builds_once(monkeypatch):
+    # a noisy start that the validity routine repairs and the monotonicity
+    # routine takes over: the graph they hand over is validated once too
+    built, validated = [], []
+
+    class Recording(LabelingGraph):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    def recording(graph, rules):
+        validated.append(graph)
+        return validate(graph, rules)
+
+    monkeypatch.setattr(pl, "LabelingGraph", Recording)
+    monkeypatch.setattr(pl, "validate", recording)
+    m = noise_mesh("tilted-torus")
+    res = pl.label_mesh(m, init_labels=blob_labeling(m, np.random.default_rng(3), 4))
+    assert res.status.startswith("valid") and res.op_log
+    assert len(built) > 1 and [id(g) for g in validated] == [id(g) for g in built]
+
+
 # The random starts of a stress run: hundreds of outcomes repaint charts in
 # part, so every graph the repair builds from its parent, and every DP row
 # it looks up, is held to the bytes of the full build. Pinned before graphs

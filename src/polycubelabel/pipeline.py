@@ -28,8 +28,8 @@ raise the valence of invalid charts walled in by feature edges, fix
 invalid boundaries, fix invalid corners, then dissolve the other invalid
 charts. Each labeling's graph is built once and validated once: either
 where a routine starts from raw labels, or in `attempt`; `label_mesh` hands
-the graph and report the validity routine ends with to the monotonicity
-routine's body, `_monotonicity`.
+the graph and report the validity routine ends with to
+`run_monotonicity_routine`.
 """
 
 from __future__ import annotations
@@ -181,19 +181,20 @@ def run_validity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, 
     return st.graph.labels, st.graph, st.report, n
 
 
-def run_monotonicity_routine(graph: LabelingGraph, cfg: PipelineConfig = None, log=None):
+def run_monotonicity_routine(graph: LabelingGraph, cfg: PipelineConfig = None, log=None,
+                             *, _report=None):
     """Remove turning points from a valid labeling, keeping it valid.
 
     Starts from the labeling's graph and returns (labels, graph, report).
     Step order: join feature-linked turning-point pairs, pull corners onto
     feature turning-points, push boundaries across smooth turning-points,
-    then straighten the remaining smooth boundaries.
+    then straighten the remaining smooth boundaries. `label_mesh` passes
+    the graph's report under `cfg.rules` as `_report`, so that the graph is
+    not validated again.
     """
-    return _monotonicity(_State(graph, cfg or PipelineConfig(), log))
+    cfg = cfg or PipelineConfig()
+    st = _State(graph, cfg, log, _report)
 
-
-def _monotonicity(st: _State):
-    """The monotonicity routine from the state of a valid labeling."""
     def tps():
         return st.graph.turning_point_vertices()
 
@@ -251,7 +252,7 @@ def label_mesh(
 
         t2 = time.perf_counter()
         if report.is_valid:
-            labels, graph, report = _monotonicity(_State(graph, cfg, op_log, report))
+            labels, graph, report = run_monotonicity_routine(graph, cfg, op_log, _report=report)
         durations["monotonicity"] = time.perf_counter() - t2
     except Exception as exc:  # a crash is a result, not an abort
         st = _State(LabelingGraph(mesh, init_labels if init_labels is not None else

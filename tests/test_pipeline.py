@@ -318,8 +318,10 @@ def test_label_mesh_builds_one_graph_per_applied_outcome(counted):
 
 def test_label_mesh_validates_each_graph_it_builds_once(monkeypatch):
     # a noisy start that the validity routine repairs and the monotonicity
-    # routine takes over: the graph they hand over is validated once too
-    built, validated = [], []
+    # routine takes over: the graph they hand over is validated once too,
+    # and the routine is still reached through its module attribute, which
+    # perfbench's tracer wraps
+    built, validated, handed = [], [], []
 
     class Recording(LabelingGraph):
         def __init__(self, *args, **kwargs):
@@ -330,12 +332,19 @@ def test_label_mesh_validates_each_graph_it_builds_once(monkeypatch):
         validated.append(graph)
         return validate(graph, rules)
 
+    def monotonicity(graph, *args, **kwargs):
+        handed.append(graph)
+        return run_monotonicity(graph, *args, **kwargs)
+
+    run_monotonicity = pl.run_monotonicity_routine
     monkeypatch.setattr(pl, "LabelingGraph", Recording)
     monkeypatch.setattr(pl, "validate", recording)
+    monkeypatch.setattr(pl, "run_monotonicity_routine", monotonicity)
     m = noise_mesh("tilted-torus")
     res = pl.label_mesh(m, init_labels=blob_labeling(m, np.random.default_rng(3), 4))
     assert res.status.startswith("valid") and res.op_log
     assert len(built) > 1 and [id(g) for g in validated] == [id(g) for g in built]
+    assert len(handed) == 1 and handed[0] in built
 
 
 # The random starts of a stress run: hundreds of outcomes repaint charts in

@@ -8,7 +8,7 @@ labeling, a metrics report, and a color-coded PLY next to this script.
 from pathlib import Path
 
 from polycubelabel import io, shapes
-from polycubelabel.mesh import SurfaceMesh, detect_feature_edges
+from polycubelabel.mesh import SurfaceMesh
 from polycubelabel.labeling import LABEL_NAMES
 from polycubelabel.pipeline import label_mesh, metrics_report
 
@@ -17,8 +17,7 @@ out = here / "output"
 out.mkdir(exist_ok=True)
 
 verts, tris = shapes.subdivide(*shapes.l_prism(), 2)
-base = SurfaceMesh(verts, tris)
-mesh = SurfaceMesh(verts, tris, feature_edges=detect_feature_edges(base, 3.14159 / 4))
+mesh = SurfaceMesh(verts, tris)
 print(f"L-prism: {len(mesh.vertices)} vertices, {mesh.n_triangles} triangles, "
       f"{len(mesh.feature_edges)} feature edges")
 

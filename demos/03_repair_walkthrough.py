@@ -13,7 +13,7 @@ import numpy as np
 from polycubelabel import shapes
 from polycubelabel.graph import LabelingGraph
 from polycubelabel.labeling import naive_labeling
-from polycubelabel.mesh import SurfaceMesh, detect_feature_edges
+from polycubelabel.mesh import SurfaceMesh
 from polycubelabel.pipeline import run_monotonicity_routine, run_validity_routine
 
 
@@ -28,8 +28,7 @@ def show(tag, mesh, labels):
 
 # --- scene 1: half the cube lid flipped to the opposite label -------------
 verts, tris = shapes.subdivide(*shapes.cube(), 2)
-m = SurfaceMesh(verts, tris, feature_edges=detect_feature_edges(
-    SurfaceMesh(verts, tris), math.pi / 4))
+m = SurfaceMesh(verts, tris)
 labels = naive_labeling(m)
 lid = np.nonzero(m.normals[:, 2] > 0.9)[0]
 top_half = lid[m.vertices[m.triangles[lid, 0], 1] > 0.5]
@@ -42,8 +41,7 @@ print("  applied:", *log, sep="\n  ")
 
 # --- scene 2: cone apex surrounded by four lateral labels -----------------
 verts, tris = shapes.subdivide(*shapes.cone(8), 2)
-m = SurfaceMesh(verts, tris, feature_edges=detect_feature_edges(
-    SurfaceMesh(verts, tris), math.pi / 4))
+m = SurfaceMesh(verts, tris)
 labels = np.empty(m.n_triangles, dtype=np.int64)
 labels[m.normals[:, 2] < -0.9] = 5
 side = m.normals[:, 2] >= -0.9
@@ -62,8 +60,7 @@ print("  applied:", *log, sep="\n  ")
 verts, tris = shapes.torus()
 c, s = math.cos(0.5), math.sin(0.5)
 verts = verts @ np.array([[1, 0, 0], [0, c, -s], [0, s, c]]).T
-m = SurfaceMesh(verts, tris, feature_edges=detect_feature_edges(
-    SurfaceMesh(verts, tris), math.pi / 4))
+m = SurfaceMesh(verts, tris)
 labels = naive_labeling(m)
 print()
 g = show("tilted torus before", m, labels)

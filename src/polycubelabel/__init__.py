@@ -20,7 +20,7 @@ from .labeling import (
     fidelity_score,
     naive_labeling,
 )
-from .mesh import SurfaceMesh, detect_feature_edges, interior_dihedral
+from .mesh import SurfaceMesh
 from .validity import ValidityReport, ValidityRules, feature_edge_stats, validate
 
 __version__ = "0.1.0"
@@ -36,10 +36,8 @@ __all__ = [
     "ValidityRules",
     "alpha_expansion",
     "compute_labeling",
-    "detect_feature_edges",
     "feature_edge_stats",
     "fidelity_score",
-    "interior_dihedral",
     "load_mesh",
     "min_st_cut",
     "naive_labeling",

@@ -252,6 +252,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a directory, or a path that cannot be read or written
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except ValueError as exc:  # including MeshError and FileFormatError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .labeling import checked_labels
-from .mesh import SurfaceMesh, _read_only, component_roots
+from .mesh import SurfaceMesh, _norm, _read_only, component_roots
 
 _SIGN_TOL = 1e-9
 # axis of a boundary between labels l1 and l2: the third one, or -1 if shared
@@ -103,9 +103,6 @@ class Boundary:
     @property
     def endpoints(self) -> tuple:
         return () if self.cyclic else (self.vertices[0], self.vertices[-1])
-
-    def turning_point_vertices(self) -> tuple:
-        return tuple(self.vertices[i] for i in self.turning_points)
 
 
 @dataclass
@@ -358,8 +355,7 @@ class LabelingGraph:
         edge_axis = axis.repeat(bounds[1:] - bounds[:-1])
         d = self.mesh.vertices.take(self.edge_tails, axis=0)
         d -= self.mesh.vertices.take(heads, axis=0)
-        sq = d * d
-        proj = d[np.arange(len(d)), edge_axis] / np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+        proj = d[np.arange(len(d)), edge_axis] / _norm(d)
         raw = (proj >= _SIGN_TOL).astype(np.int64) - (proj <= -_SIGN_TOL)
         raw[edge_axis < 0] = 0
         # a run of one nonzero sign is its own optimum: no flip, no cost

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -84,18 +83,6 @@ class DisconnectedSurfaceError(MeshError):
         super().__init__(
             f"surface has {self.n_components} connected components; only one is supported"
         )
-
-
-class DihedralInfo(NamedTuple):
-    """Interior dihedral angle of one mesh edge.
-
-    ``theta_int`` is measured inside the solid, in (0, 2*pi): flat edges sit
-    at pi, convex edges below, reflex edges (solid angle > 180 degrees) above.
-    """
-
-    theta_int: float
-    is_convex: bool
-    is_reflex: bool
 
 
 _SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
@@ -236,8 +223,10 @@ class SurfaceMesh:
     """
 
     def __init__(self, vertices, triangles, feature_edges=None, feature_angle=math.pi / 4):
+        if np.iscomplexobj(vertices) or np.iscomplexobj(triangles):
+            raise MeshError("vertices and triangles must hold real numbers, not complex")
         v = np.array(vertices, dtype=np.float64, order="C")
-        t = np.array(triangles, dtype=np.int64, order="C")
+        t = np.asarray(triangles)
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshError("vertices must be an (V, 3) array")
         finite = np.isfinite(v).all(axis=1)
@@ -247,8 +236,12 @@ class SurfaceMesh:
             raise NonTriangleFaceError("triangles must be an (F, 3) array")
         if not len(t):
             raise MeshError("mesh has no triangles")
+        odd = np.flatnonzero((t != np.round(t)).any(axis=1)) if t.dtype.kind == "f" else ()
+        if len(odd):  # NaN too; checked before the cast would truncate them
+            raise MeshError(f"triangle {odd[0]} has a vertex index that is not a whole number")
         if t.min() < 0 or t.max() >= len(v):
             raise MeshError("triangle vertex index out of range")
+        t = np.array(t, dtype=np.int64, order="C")
         if not float(feature_angle) >= 0.0:  # also refuses NaN
             raise MeshError(f"feature angle must be 0 or more radians, got {feature_angle}")
 
@@ -371,11 +364,14 @@ class SurfaceMesh:
 
     def _supplied_feature_mask(self, supplied):
         """The supplied CAD edges by edge id, or None when none are given;
-        refuses a pair that is not a mesh edge."""
+        refuses an entry that is not two whole numbers, and a pair that is
+        not a mesh edge."""
         if supplied is None:
             return None
         given = np.zeros(self.n_edges, dtype=bool)
         for pair in supplied:
+            if len(pair) != 2 or not all(float(x).is_integer() for x in pair):
+                raise MeshError(f"feature edge {np.asarray(pair).tolist()} is not two vertex ids")
             a, b = int(pair[0]), int(pair[1])
             try:
                 given[self.edge_id(a, b)] = True
@@ -538,18 +534,3 @@ class SurfaceMesh:
         """Signed enclosed volume; positive for outward orientation."""
         v, t = self.vertices, self.triangles
         return float(np.einsum("ij,ij->i", v[t[:, 0]], _cross(v[t[:, 1]], v[t[:, 2]])).sum() / 6.0)
-
-
-def interior_dihedral(mesh: SurfaceMesh, edge) -> DihedralInfo:
-    """Interior dihedral angle of one edge, given by id or vertex pair."""
-    eid = mesh.edge_id(*edge) if not np.isscalar(edge) else int(edge)
-    if not 0 <= eid < mesh.n_edges:
-        raise MeshError(f"invalid edge id {eid}")
-    theta = float(mesh.dihedral_angles[eid])
-    return DihedralInfo(theta, theta < math.pi, theta > math.pi)
-
-
-def detect_feature_edges(mesh: SurfaceMesh, threshold: float) -> frozenset:
-    """Edges whose dihedral deviation |theta_int - pi| reaches ``threshold``."""
-    sharp = np.abs(mesh.dihedral_angles - np.pi) >= threshold
-    return frozenset(map(tuple, mesh.edges[sharp].tolist()))

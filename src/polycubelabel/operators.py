@@ -504,6 +504,16 @@ def _corner_angle(mesh: SurfaceMesh, t: int, v: int) -> float:
     return float(math.acos(np.clip(np.dot(a, b), -1.0, 1.0)))
 
 
+def _angle_sums(mesh: SurfaceMesh, v: int, keys) -> dict:
+    """The corner angles at vertex `v` of its triangles t, summed per key
+    `keys[t]` in triangle order."""
+    sums = {}
+    for t in mesh.vertex_triangles(v):
+        k = int(keys[t])
+        sums[k] = sums.get(k, 0.0) + _corner_angle(mesh, t, v)
+    return sums
+
+
 def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOutcome:
     """Relocate the nearest corner of a boundary onto one of its turning-points.
 
@@ -527,15 +537,8 @@ def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOut
 
     # which side does the turning-point lean into: the chart with the smaller
     # angular sector at the tp vertex (the side the V pokes into)
-    sums = {}
-    for t in mesh.vertex_triangles(tp):
-        cid = int(graph.chart_of[t])
-        sums[cid] = sums.get(cid, 0.0) + _corner_angle(mesh, t, tp)
-    side_candidates = {b.left_chart, b.right_chart}
-    wedge_chart = min(
-        (cid for cid in sums if cid in side_candidates),
-        key=lambda cid: (sums[cid], cid),
-    )
+    sums = _angle_sums(mesh, tp, graph.chart_of)
+    wedge_chart = min((b.left_chart, b.right_chart), key=lambda cid: (sums[cid], cid))
 
     # B_s: next boundary around corner c bordering the wedge chart
     corner = graph.corners[graph.corner_at[c]]
@@ -574,7 +577,7 @@ def move_boundary_near_turning_point(
 ) -> OperatorOutcome:
     """Push the better-anchored side's label over the other around a smooth
     turning-point; the larger sum of triangle corner angles at the vertex wins."""
-    mesh, labels = graph.mesh, graph.labels
+    mesh = graph.mesh
     if turning_point not in graph.turning_point_at:
         return _skip(graph, "not a turning point")
     b = graph.boundaries[graph.turning_point_at[turning_point][0]]
@@ -582,12 +585,8 @@ def move_boundary_near_turning_point(
     if mesh.is_feature_vertex(tp):  # feature turning-points belong to pull_closest_corner
         return _skip(graph, "a feature turning point")
 
-    angle_sum = {b.left_label: 0.0, b.right_label: 0.0}
-    for t in mesh.vertex_triangles(tp):
-        l = int(labels[t])
-        if l in angle_sum:
-            angle_sum[l] += _corner_angle(mesh, t, tp)
-    winner = min(angle_sum, key=lambda l: (-angle_sum[l], l))
+    sums = _angle_sums(mesh, tp, graph.labels)
+    winner = min((b.left_label, b.right_label), key=lambda l: (-sums[l], l))
     loser = b.right_label if winner == b.left_label else b.left_label
     loser_chart = b.left_chart if b.left_label == loser else b.right_chart
 

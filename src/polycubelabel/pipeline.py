@@ -43,7 +43,7 @@ import numpy as np
 
 from . import operators as ops
 from .graph import LabelingGraph
-from .labeling import CutEnergy, checked_labels, compute_labeling, fidelity_score
+from .labeling import LABEL_NAMES, CutEnergy, checked_labels, compute_labeling, fidelity_score
 from .mesh import SurfaceMesh
 from .validity import ValidityReport, ValidityRules, feature_edge_stats, validate
 
@@ -94,10 +94,6 @@ class _State:
         self.graph = graph
         self.report = validate(graph, cfg.rules) if report is None else report
 
-    @property
-    def valid(self):
-        return self.report.is_valid
-
     def attempt(self, op, *args, accept=None, **kw) -> bool:
         """Apply `op(graph, *args, **kw)` and commit the outcome if it changed
         the labeling and `accept(old_graph, new_graph, new_report)` holds (no
@@ -142,17 +138,6 @@ def _no_more_turning_points(old, new, report):
     return report.is_valid and new.total_turning_points <= old.total_turning_points
 
 
-def _remove_invalid_charts(st: _State):
-    """Dissolve the first invalid chart not surrounded by feature edges,
-    again and again, until that fails."""
-    _sweep(
-        lambda: itertools.islice(
-            (c for c in st.report.invalid_charts if not ops.is_feature_surrounded(st.graph, c)), 1
-        ),
-        lambda c: st.attempt(ops.remove_chart, c, energy=st.cfg.energy),
-    )
-
-
 def run_validity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, log=None):
     """Insert and remove charts until the labeling is valid (or give up).
 
@@ -163,7 +148,7 @@ def run_validity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, 
     cfg = cfg or PipelineConfig()
     st = _State(LabelingGraph(mesh, labels), cfg, log)
     n = 0
-    while not st.valid and n < cfg.max_iterations:
+    while not st.report.is_valid and n < cfg.max_iterations:
         n += 1
         _sweep(  # charts walled in by features cannot dissolve: add a neighbor
             lambda: (c for c in st.report.invalid_charts if ops.is_feature_surrounded(st.graph, c)),
@@ -177,7 +162,11 @@ def run_validity_routine(mesh: SurfaceMesh, labels, cfg: PipelineConfig = None, 
             lambda: st.report.invalid_corners,
             lambda c: st.attempt(ops.fix_invalid_corner, c, rules=cfg.rules),
         )
-        _remove_invalid_charts(st)
+        _sweep(  # dissolve the first other invalid chart, again and again, until that fails
+            lambda: itertools.islice((c for c in st.report.invalid_charts
+                                      if not ops.is_feature_surrounded(st.graph, c)), 1),
+            lambda c: st.attempt(ops.remove_chart, c, energy=cfg.energy),
+        )
     return st.graph.labels, st.graph, st.report, n
 
 
@@ -208,8 +197,7 @@ def run_monotonicity_routine(graph: LabelingGraph, cfg: PipelineConfig = None, l
                               accept=_fewer_turning_points)),
     )
     for targets, step in stages:
-        if st.graph.total_turning_points:
-            _sweep(targets, step)
+        _sweep(targets, step)
     if not st.graph.total_turning_points:
         return st.graph.labels, st.graph, st.report
 
@@ -285,13 +273,7 @@ def metrics_report(mesh: SurfaceMesh, result: PipelineResult) -> dict:
         "invalid_corners": len(result.report.invalid_corners),
         "fidelity": {"area_weighted": fid_area, "uniform": fid_uniform},
         "feature_edges": feature_edge_stats(mesh, result.labels),
-        "label_counts": {
-            name: int(c)
-            for name, c in zip(
-                ("+X", "-X", "+Y", "-Y", "+Z", "-Z"),
-                np.bincount(result.labels, minlength=6),
-            )
-        },
+        "label_counts": dict(zip(LABEL_NAMES, np.bincount(result.labels, minlength=6).tolist())),
         "iterations": result.iterations,
         "error": result.error,
         "durations_seconds": {k: round(v, 6) for k, v in result.durations.items()},

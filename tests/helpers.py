@@ -6,15 +6,15 @@ import numpy as np
 
 from polycubelabel import graphcut, shapes
 from polycubelabel.labeling import naive_labeling
-from polycubelabel.mesh import SurfaceMesh, detect_feature_edges
+from polycubelabel.mesh import SurfaceMesh
 
 from oracles import ring_grow
 
 
 def build(verts, tris, feature_angle=math.pi / 4):
     """Mesh with feature edges detected at the given dihedral threshold."""
-    m = SurfaceMesh(verts, tris)
-    return SurfaceMesh(verts, tris, feature_edges=detect_feature_edges(m, feature_angle))
+    detected = SurfaceMesh(verts, tris, feature_angle=feature_angle).feature_edges
+    return SurfaceMesh(verts, tris, feature_edges=detected)
 
 
 def grid_box(nx=4, ny=4, nz=4, size=1.0):

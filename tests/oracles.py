@@ -1545,7 +1545,7 @@ class ReferenceLabelingGraph:
 
     def turning_point_vertices(self) -> tuple:
         """Vertices holding a turning point of any boundary, sorted, once each."""
-        return tuple(sorted({v for b in self.boundaries for v in b.turning_point_vertices()}))
+        return tuple(sorted({b.vertices[i] for b in self.boundaries for i in b.turning_points}))
 
     def boundaries_between(self, c1: int, c2: int) -> list:
         pair = {c1, c2}

@@ -86,6 +86,20 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "{mesh}", "{flags}", "-o", "{dir}"],
+    ["label", "{mesh}", "-o", "{dir}"],
+    ["validate", "{mesh}", "{dir}"],
+], ids=["report-output", "label-output", "validate-labeling"])
+def test_a_directory_for_a_file_exits_2_with_one_line(argv, tmp_path, cube_files, capsys):
+    mesh, flags = cube_files
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    assert main([a.format(mesh=mesh, flags=flags, dir=adir) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: {adir}: ") and "Traceback" not in err
+
+
 def test_malformed_labeling_exits_2(tmp_path, cube_files, capsys):
     mesh, _ = cube_files
     bad = tmp_path / "bad.flags"

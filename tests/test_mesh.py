@@ -20,8 +20,6 @@ from polycubelabel.mesh import (
     UnreferencedVertexError,
     _stable_order,
     component_roots,
-    detect_feature_edges,
-    interior_dihedral,
 )
 from polycubelabel.graph import LabelingGraph
 from polycubelabel.operators import _barrier_region, _grow
@@ -67,7 +65,7 @@ def test_icosphere_edge_count():
     v, f = shapes.icosphere(2)
     m = SurfaceMesh(v, f)
     assert m.n_edges * 2 == 3 * m.n_triangles
-    assert detect_feature_edges(m, math.pi / 4) == frozenset()
+    assert m.feature_edges == frozenset()
 
 
 def test_torus_genus(torus_mesh):
@@ -163,30 +161,22 @@ def test_dihedral_coplanar():
     flat = [e for e in range(m.n_edges) if not m.feature_edge_mask[e]]
     assert len(flat) == 6  # one diagonal per face
     for e in flat:
-        info = interior_dihedral(m, e)
-        assert info.theta_int == pytest.approx(math.pi, abs=1e-12)
-        assert not info.is_convex and not info.is_reflex
+        assert m.dihedral_angles[e] == math.pi  # neither convex nor reflex
 
 
 def test_dihedral_cube_edges(cube_mesh):
     sharp = [e for e in range(cube_mesh.n_edges) if cube_mesh.feature_edge_mask[e]]
     assert len(sharp) == 12
     for e in sharp:
-        info = interior_dihedral(cube_mesh, e)
-        assert info.theta_int == pytest.approx(math.pi / 2, abs=1e-12)
-        assert info.is_convex
+        assert cube_mesh.dihedral_angles[e] == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_dihedral_reflex_lprism(lprism_mesh):
     m = lprism_mesh
-    reflex = [e for e in range(m.n_edges) if interior_dihedral(m, e).is_reflex]
+    reflex = np.flatnonzero(m.dihedral_angles > math.pi)
     # exactly one reentrant edge on the L-prism
     assert len(reflex) == 1
-    info = interior_dihedral(m, reflex[0])
-    assert info.theta_int == pytest.approx(3 * math.pi / 2, abs=1e-9)
-    for bad in (-1, m.n_edges):
-        with pytest.raises(MeshError, match=f"invalid edge id {bad}"):
-            interior_dihedral(m, bad)
+    assert m.dihedral_angles[reflex[0]] == pytest.approx(3 * math.pi / 2, abs=1e-9)
 
 
 def test_dihedral_orientation_independent(lprism_mesh):
@@ -197,9 +187,7 @@ def test_dihedral_orientation_independent(lprism_mesh):
     for a, b in [tuple(lprism_mesh.edges[e]) for e in range(lprism_mesh.n_edges)]:
         e1 = lprism_mesh.edge_id(a, b)
         e2 = m2.edge_id(a, b)
-        t1 = interior_dihedral(lprism_mesh, e1).theta_int
-        t2 = interior_dihedral(m2, e2).theta_int
-        assert t1 == pytest.approx(t2, abs=1e-12)
+        assert lprism_mesh.dihedral_angles[e1] == pytest.approx(m2.dihedral_angles[e2], abs=1e-12)
 
 
 def test_feature_detection_cube(cube_mesh):
@@ -217,7 +205,7 @@ def test_feature_detection_cube(cube_mesh):
 def test_supplied_features_filtered_by_angle():
     v, f = shapes.cube()
     plain = SurfaceMesh(v, f)
-    sharp = sorted(detect_feature_edges(plain, math.pi / 4))
+    sharp = sorted(plain.feature_edges)
     one_flat = next(
         tuple(plain.edges[e]) for e in range(plain.n_edges)
         if tuple(plain.edges[e]) not in sharp
@@ -230,11 +218,10 @@ def test_supplied_features_filtered_by_angle():
 
 
 @pytest.mark.parametrize("angle", [math.pi / 4, 0.1])
-def test_detect_feature_edges_matches_the_mesh_and_holds_ints(angle):
+def test_feature_edges_hold_ints(angle):
     m = SurfaceMesh(*shapes.subdivide(*shapes.l_prism(), 1), feature_angle=angle)
-    found = detect_feature_edges(m, angle)
-    assert found == m.feature_edges and found
-    assert all(type(i) is int for pair in found for i in pair)
+    found = m.feature_edges
+    assert found and all(type(i) is int for pair in found for i in pair)
     assert json.loads(json.dumps(sorted(found))) == [list(p) for p in sorted(found)]
 
 
@@ -262,7 +249,12 @@ def test_mesh_without_triangles_rejected(n_vertices):
     (lambda v, f: (v, np.hstack([f, f[:, :1]])), r"triangles must be an \(F, 3\) array"),
     (lambda v, f: (v, np.where(f == 7, 8, f)), "triangle vertex index out of range"),
     (lambda v, f: (v, np.where(f == 7, -1, f)), "triangle vertex index out of range"),
-], ids=["vertices-2d", "quads", "index-past-end", "index-negative"])
+    (lambda v, f: (v, f + 0.3), "triangle 0 has a vertex index that is not a whole number"),
+    (lambda v, f: (v, np.where(f == 7, np.nan, f)), "triangle 1 has a vertex index that is not"),
+    (lambda v, f: (v + 0j, f), "must hold real numbers, not complex"),
+    (lambda v, f: (v, f + 0j), "must hold real numbers, not complex"),
+], ids=["vertices-2d", "quads", "index-past-end", "index-negative", "index-fraction",
+        "index-nan", "complex-vertices", "complex-indices"])
 def test_arrays_of_the_wrong_shape_or_range_rejected(damage, match):
     with pytest.raises(MeshError, match=match):
         SurfaceMesh(*damage(*(np.asarray(a) for a in shapes.cube())))
@@ -330,6 +322,9 @@ def test_constructor_refuses_bad_features_without_the_dihedrals(monkeypatch):
     assert m.n_edges == 18
     with pytest.raises(MeshError, match=r"feature edge \(0, 6\) is not a mesh edge"):
         SurfaceMesh(v, f, feature_edges=[(6, 0)])  # the body diagonal
+    for pair in ((0.4, 1.9), (0, 1, 2)):  # once truncated to the edge (0, 1)
+        with pytest.raises(MeshError, match=rf"feature edge \[{pair[0]}, {pair[1]}.* vertex ids"):
+            SurfaceMesh(v, f, feature_edges=[(0, 1), pair])
     with pytest.raises(MeshError, match="feature angle must be 0 or more"):
         SurfaceMesh(v, f, feature_angle=math.nan)
     with pytest.raises(AssertionError, match="dihedral angles computed"):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from polycubelabel import graphcut, operators, shapes
 from polycubelabel.graph import LabelingGraph
 from polycubelabel.labeling import naive_labeling
-from polycubelabel.mesh import SurfaceMesh, detect_feature_edges
+from polycubelabel.mesh import SurfaceMesh
 from polycubelabel.operators import (
     OperatorOutcome,
     _chart_contour_loops,
@@ -68,8 +68,7 @@ def lattice(mesh):
 
 def box_mesh(extra_edges=()):
     v, f = grid_box(*DIMS)
-    base = SurfaceMesh(v, f)
-    feats = {tuple(sorted(e)) for e in detect_feature_edges(base, math.pi / 4)}
+    feats = set(SurfaceMesh(v, f).feature_edges)
     feats |= {tuple(sorted(e)) for e in extra_edges}
     # angle 0 keeps supplied flat-face paths active instead of "ignored"
     return SurfaceMesh(v, f, feature_edges=feats, feature_angle=0.0)
@@ -78,7 +77,7 @@ def box_mesh(extra_edges=()):
 def all_turning_points(graph):
     out = set()
     for b in graph.boundaries:
-        out.update(int(v) for v in b.turning_point_vertices())
+        out.update(int(b.vertices[i]) for i in b.turning_points)
     return out
 
 

@@ -358,6 +358,16 @@ RANDOM_STARTS = {
     3: (687, 696, "93599fb38f3495c88bf04bbe79ae2ad37fb869322ca1d3801aa15a99907b6a3c",
         "5369b81d3031489e86078b1acea3ba39b1af65bacc7d774f6fda9e31e93e060b"),
 }
+# (calls, applied outcomes) per operator on the same starts; ROADMAP item 8
+# states its aim in these counts. Operators the repair never calls are left out.
+RANDOM_START_CALLS = {
+    2: {"fix_invalid_boundary": (72, 72), "fix_invalid_corner": (225, 38),
+        "join_turning_points_pair": (1, 0), "move_boundary_near_turning_point": (2, 2),
+        "remove_chart": (44, 44), "straighten_boundary": (18, 6)},
+    3: {"fix_invalid_boundary": (214, 214), "fix_invalid_corner": (6378, 222),
+        "join_turning_points_pair": (15, 0), "move_boundary_near_turning_point": (6, 6),
+        "remove_chart": (232, 232), "straighten_boundary": (62, 21)},
+}
 
 
 @pytest.mark.parametrize("level", sorted(RANDOM_STARTS))
@@ -369,10 +379,27 @@ def test_random_start_on_an_icosphere_is_pinned(level, monkeypatch):
             super().__init__(mesh, labels, parent)
             built.append(parent is not None)
 
+    calls = {}  # operator name: [calls, applied outcomes]
+
+    def counted(op):
+        @functools.wraps(op)  # the op log names the operator
+        def call(*args, **kw):
+            out = op(*args, **kw)
+            count = calls.setdefault(op.__name__, [0, 0])
+            count[0] += 1
+            count[1] += bool(out.applied)
+            return out
+        return call
+
     monkeypatch.setattr(pl, "LabelingGraph", Recording)
+    for name in ("increase_chart_valence", "fix_invalid_boundary", "fix_invalid_corner",
+                 "remove_chart", "join_turning_points_pair", "pull_closest_corner",
+                 "move_boundary_near_turning_point", "straighten_boundary"):
+        monkeypatch.setattr(operators, name, counted(getattr(operators, name)))
     m = SurfaceMesh(*shapes.icosphere(level))
     res = pl.label_mesh(m, init_labels=np.random.default_rng(0).integers(0, 6, m.n_triangles))
     lines, builds, labels_sha, log_sha = RANDOM_STARTS[level]
+    assert {name: tuple(c) for name, c in calls.items()} == RANDOM_START_CALLS[level]
     assert res.status == "valid-with-turning-points"
     assert len(res.op_log) == lines
     assert built == [False] + [True] * (builds - 1)  # only the start is built cold

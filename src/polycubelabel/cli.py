@@ -8,8 +8,10 @@ goes to files named by flags, never to stdout.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 
 from .io import load_mesh, read_labeling, write_labeling, write_ply
@@ -92,9 +94,20 @@ def _write_json(path, payload):
         f.write("\n")
 
 
+def _check_outputs(*paths):
+    """Refuse an output path that is a directory or whose directory is
+    missing, with the error that writing it would raise, before any work."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _cmd_label(args) -> int:
     cfg = PipelineConfig(_energy(args), _rules(args), args.max_iterations)
     mesh = _load(args)
+    _check_outputs(args.output, args.report, args.log_ops, args.viz)
     result = label_mesh(mesh, cfg)
     print(f"status: {result.status}  charts={result.graph.n_charts} "
           f"turning-points={result.graph.total_turning_points}", file=sys.stderr)

@@ -17,10 +17,9 @@ into terminal arcs, so in exact arithmetic the smallest source side is
 unchanged; a margin of _EPS leaves float near-ties to the flow. Nodes with
 no arc left are sink side, and Dinic runs on the rest only, if any.
 
-alpha_expansion runs only the moves that can switch a node: not that of a
-label forbidden at every node, nor that of a label whose last move saw the
-same labeling (its docstring gives the conditions). Each skipped move would
-have returned a switch the loop refuses, so the labels are unchanged.
+alpha_expansion skips the move of a label whose last move saw the same
+labeling: it would return the switch the loop refused then, so the labels
+are unchanged.
 
 Each Dinic phase takes its levels as distances to t, from one breadth-first
 search from t over the residual arcs reversed (Dinitz 1970; Goldberg &
@@ -298,36 +297,26 @@ def alpha_expansion(costs, pairs, weights, init=None):
     Sweeps the labels in increasing order, accepting strict improvements,
     until a full sweep changes nothing (or after _MAX_SWEEPS sweeps).
 
-    A move that cannot switch a node is skipped, which leaves the result
-    bit-identical, as each move is a pure function of the labeling:
-    - the move of a label that the labeling has not changed since that
-      label's last move would return the same switch, again refused;
-    - the move of a label forbidden at every node (cost BIG), while every
-      node's current cost plus 3 times the weight total is below BIG / 4.
-      Each node then keeps s_cap >= 3 BIG / 4 after the common part is
-      pushed, more than its pair arcs out (at most twice the weight total)
-      plus _EPS, so the first fixing pass keeps every node. Otherwise, as
-      for an `init` on a forbidden label, the move runs.
+    The move of a label that the labeling has not changed since that
+    label's last move is skipped: each move is a pure function of the
+    labeling, so it would return the same switch, again refused, and the
+    result stays bit-identical.
 
     Returns (labels, energy). Raises ValueError for input that
     `_checked_potts` refuses, `init` being its labels.
     """
     costs, pairs, weights, cur = _checked_potts(costs, pairs, weights, init, "init")
-    n, n_labels = costs.shape
+    n_labels = costs.shape[1]
     if cur is None:
         cur = np.argmin(costs, axis=1).astype(np.int64)
     energy = _potts_energy(costs, pairs, weights, cur)
-    nodes = np.arange(n)
-    forbidden = np.all(costs >= BIG, axis=0).tolist()
-    room = BIG / 4 - 3.0 * float(weights.sum())  # see the docstring
     # the labeling's version, bumped by every accepted move, and the version
     # each label's move last ran on
     version, ran_on = 0, [-1] * n_labels
-    settled = bool(costs[nodes, cur].max(initial=-np.inf) < room)
     for _ in range(_MAX_SWEEPS):
         improved = False
         for alpha in range(n_labels):
-            if ran_on[alpha] == version or forbidden[alpha] and settled:
+            if ran_on[alpha] == version:
                 continue
             ran_on[alpha] = version
             switch = _expansion_move(costs, pairs, weights, cur, alpha)
@@ -339,7 +328,6 @@ def alpha_expansion(costs, pairs, weights, init=None):
                 cur, energy = cand, cand_energy
                 improved = True
                 version += 1
-                settled = bool(costs[nodes, cur].max() < room)
         if not improved:
             break
     return cur, energy

@@ -174,26 +174,18 @@ def restricted_relabel(
     Fixed neighbors act through their boundary edges: crossing such an edge
     into a different label costs that edge's smoothness weight, folded into
     the data term of the free triangle. `region` is a bool mask over the
-    triangles or triangle ids in 0..F-1. `allowed` optionally masks permitted
-    labels, either one (6,) row for all free triangles or one row each.
+    triangles or triangle ids in 0..F-1. `allowed` optionally masks the
+    labels the free triangles may take, one (6,) row for all of them; the
+    cut then runs over the allowed labels only, and a free triangle whose
+    label is not allowed starts on its cheapest allowed one, the lowest on
+    ties. Where `allowed` leaves one label, the region takes it with no cut.
     Raises ValueError for labels that `checked_labels` refuses or whose
     count is not F, a mask whose length is not F, a region id that is not a
-    triangle id, and, naming it, the first free triangle that `allowed`
-    leaves no label.
-
-    Where `allowed` leaves each of the k free triangles one label, they take
-    it and no cut runs, while k * pi * (fidelity + 6 * compactness) < BIG / 2;
-    the cut would return the same labels. Each free triangle's allowed label
-    costs at most fidelity * pi plus the weights of its edges out of the
-    region, and each other label at least BIG less a few ulps. No weight
-    exceeds compactness * pi and at most 3k edges touch the region, so the
-    painted labeling's energy is below BIG / 2 and every other labeling's
-    above it. From any other labeling the move to the one label of a
-    triangle not on it lowers the energy, and the cut accepts only strict
-    decreases, so it ends on the painted labeling. Past the bound the cut
-    runs, and refuses what `alpha_expansion` refuses.
+    triangle id, an `allowed` that is not six flags, naming its shape, and,
+    naming it, a free triangle that `allowed` leaves no label; the cut
+    refuses what `alpha_expansion` refuses.
     """
-    from .graphcut import BIG, alpha_expansion
+    from .graphcut import alpha_expansion
 
     n = mesh.n_triangles
     labels = checked_labels(labels, n)
@@ -211,26 +203,22 @@ def restricted_relabel(
             raise ValueError(f"region id {ids[bad[0]]} outside 0..{n - 1}")
         mask = np.zeros(n, dtype=bool)
         mask[ids.astype(np.int64)] = True
+    allowed = np.ones(6, dtype=bool) if allowed is None else np.asarray(allowed, dtype=bool)
+    if allowed.shape != (6,):
+        raise ValueError(f"allowed must be six flags, one a label, not of shape {allowed.shape}")
     idx = np.nonzero(mask)[0]
     if idx.size == 0:
         return labels
-    if allowed is not None:
-        allowed = np.broadcast_to(np.asarray(allowed, dtype=bool), (idx.size, 6))
-        choices = allowed.sum(axis=1)
-        empty = np.flatnonzero(choices == 0)
-        if empty.size:
-            raise ValueError(f"allowed leaves free triangle {idx[empty[0]]} no label")
-        if choices.max() == 1 and (
-                idx.size * math.pi * (energy.fidelity + 6.0 * energy.compactness) < BIG / 2):
-            labels[idx] = np.argmax(allowed, axis=1)  # see the docstring
-            return labels
+    columns = np.flatnonzero(allowed)
+    if not columns.size:
+        raise ValueError(f"allowed leaves free triangle {idx[0]} no label")
+    if columns.size == 1:
+        labels[idx] = columns[0]
+        return labels
     pos = np.full(n, -1, dtype=np.int64)
     pos[idx] = np.arange(idx.size)
 
     costs = data_costs(mesh.normals[idx], energy)
-    if allowed is not None:
-        costs = np.where(allowed, costs, BIG)
-
     w_all = smoothness_weights(mesh, energy)
     t1, t2 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
     both = mask[t1] & mask[t2]
@@ -241,11 +229,15 @@ def restricted_relabel(
         rows = pos[inner[half]]
         np.add.at(costs, rows, w_all[half, None])
         np.subtract.at(costs, (rows, labels[outer[half]]), w_all[half])
+    costs = costs[:, columns]
 
-    init = labels[idx].copy()
-    stuck = costs[np.arange(idx.size), init] >= BIG
+    # each free triangle's label as a column, its cheapest column where not allowed
+    current = labels[idx]
+    init = np.cumsum(allowed)[current] - 1
+    stuck = ~allowed[current]
     init[stuck] = np.argmin(costs[stuck], axis=1)
-    labels[idx], _ = alpha_expansion(costs, pairs, weights, init=init)
+    cut, _ = alpha_expansion(costs, pairs, weights, init=init)
+    labels[idx] = columns[cut]
     return labels
 
 

@@ -90,14 +90,30 @@ def test_missing_file_exits_2(tmp_path, capsys):
     ["report", "{mesh}", "{flags}", "-o", "{dir}"],
     ["label", "{mesh}", "-o", "{dir}"],
     ["validate", "{mesh}", "{dir}"],
-], ids=["report-output", "label-output", "validate-labeling"])
+    ["label", "{mesh}", "--report", "{dir}"],
+    ["label", "{mesh}", "--log-ops", "{dir}"],
+    ["label", "{mesh}", "--viz", "{dir}"],
+    ["label", "{mesh}", "-o", "{out}", "--report", "{dir}"],
+], ids=["report-output", "label-output", "validate-labeling", "label-report", "label-log-ops",
+        "label-viz", "label-good-output-then-report"])
 def test_a_directory_for_a_file_exits_2_with_one_line(argv, tmp_path, cube_files, capsys):
+    # label refuses before it labels: no status line, and no output written
     mesh, flags = cube_files
-    adir = tmp_path / "adir"
+    adir, out = tmp_path / "adir", tmp_path / "out.flags"
     adir.mkdir()
-    assert main([a.format(mesh=mesh, flags=flags, dir=adir) for a in argv]) == 2
+    assert main([a.format(mesh=mesh, flags=flags, dir=adir, out=out) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith(f"error: {adir}: ") and "Traceback" not in err
+    assert "status:" not in err and not out.exists()
+
+
+def test_label_refuses_an_output_in_a_missing_directory_before_labeling(tmp_path, cube_files,
+                                                                         capsys):
+    mesh, _ = cube_files
+    report, out = tmp_path / "nodir" / "report.json", tmp_path / "out.flags"
+    assert main(["label", str(mesh), "-o", str(out), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == f"error: no such file: {report}\n"
+    assert not out.exists()
 
 
 def test_malformed_labeling_exits_2(tmp_path, cube_files, capsys):

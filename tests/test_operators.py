@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from polycubelabel import graphcut, operators, shapes
 from polycubelabel.graph import LabelingGraph
-from polycubelabel.labeling import naive_labeling
+from polycubelabel.labeling import CutEnergy, naive_labeling
 from polycubelabel.mesh import SurfaceMesh
 from polycubelabel.operators import (
     OperatorOutcome,
@@ -145,6 +145,23 @@ def test_remove_chart_into_one_label_runs_no_cut(monkeypatch):
                                         allowed=np.arange(6) == 4)
     assert np.array_equal(want, out.labels)
     assert alphas == [0, 1, 2, 3, 4, 5]
+
+
+def test_remove_chart_keeps_neighbour_labels_at_a_huge_compactness():
+    # at compactness 1e300 a BIG cost no longer outweighs the weights, so a
+    # cut over all six labels could dissolve a chart into a label no
+    # neighbour carries (chart 3, among +Y, -Y and -Z, went to +X)
+    m = SurfaceMesh(*shapes.cone(8))
+    rng = np.random.default_rng(0)
+    labels = naive_labeling(m)
+    flip = rng.random(m.n_triangles) < 0.3
+    labels[flip] = rng.integers(0, 6, size=int(flip.sum()))
+    g = LabelingGraph(m, labels)
+    assert g.n_charts == 7
+    for c, chart in enumerate(g.charts):
+        out = run(remove_chart, g, c, energy=CutEnergy(compactness=1e300))
+        nbr_labels = set(g.chart_label[list(chart.neighbors)].tolist())
+        assert set(out.labels[chart.triangles].tolist()) <= nbr_labels
 
 
 def test_remove_chart_skips_constant_labeling(cube_mesh):

@@ -120,7 +120,7 @@ def spy_moves(monkeypatch):
 # -- test shapes with label patterns for the graph and validity oracles -------------
 
 
-def tilted_torus():
+def _graph_tilted_torus():
     """torus(24, 12) turned 0.3 rad about z, then 0.5 rad about x."""
     verts, tris = shapes.torus(nu=24, nv=12)
     cz, sz, cx, sx = math.cos(0.3), math.sin(0.3), math.cos(0.5), math.sin(0.5)
@@ -135,7 +135,7 @@ GRAPH_SHAPES = {
     "sphere": lambda: SurfaceMesh(*shapes.icosphere(2)),
     "torus": lambda: SurfaceMesh(*shapes.torus(nu=24, nv=12)),
     "cone": lambda: SurfaceMesh(*shapes.cone(16)),
-    "tilted-torus": tilted_torus,
+    "tilted-torus": _graph_tilted_torus,
 }
 _graph_meshes = {}
 
@@ -168,3 +168,46 @@ def noisy_labeling(shape, noise, seed):
     flip = rng.random(m.n_triangles) < noise
     labels[flip] = rng.integers(0, 6, size=int(flip.sum()))
     return m, labels
+
+
+# -- the shapes and label noise of the operator tests and the repair census ----------
+
+
+def paint_blobs(mesh, rng, n_blobs):
+    """The naive labeling with `n_blobs` blobs of random labels painted over
+    it, each two edge-adjacent triangle rings around a random triangle."""
+    labels = naive_labeling(mesh)
+    for _ in range(n_blobs):
+        region = {int(rng.integers(mesh.n_triangles))}
+        for _ in range(2):
+            region |= {int(u) for t in region for u in mesh.triangle_adjacency[t]}
+        labels[sorted(region)] = int(rng.integers(6))
+    return labels
+
+
+def tilted_torus(nu, nv):
+    """torus(nu, nv) turned 0.3 rad about z, then 0.5 rad about x."""
+    v, f = shapes.torus(nu=nu, nv=nv)
+    c, s = math.cos(0.5), math.sin(0.5)
+    rot = np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
+    return build(shapes.rotate_z(v, 0.3) @ rot.T, f)
+
+
+NOISE_SHAPES = {
+    "cube": lambda: build(*shapes.subdivide(*shapes.cube(), 2)),
+    "l-prism": lambda: build(*shapes.subdivide(*shapes.l_prism(), 2)),
+    "wedge": lambda: build(*shapes.subdivide(*shapes.wedge(), 2)),
+    "cylinder": lambda: build(*shapes.cylinder(16)),
+    "cone": lambda: build(*shapes.subdivide(*shapes.cone(16), 1)),
+    "sphere": lambda: build(*shapes.icosphere(2)),
+    "torus": lambda: build(*shapes.torus()),
+    "tilted-torus": lambda: tilted_torus(48, 24),  # turning points for the pull
+}
+_noise_meshes = {}
+
+
+def noise_mesh(shape):
+    """The mesh of a NOISE_SHAPES entry, built once."""
+    if shape not in _noise_meshes:
+        _noise_meshes[shape] = NOISE_SHAPES[shape]()
+    return _noise_meshes[shape]

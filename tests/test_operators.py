@@ -37,7 +37,8 @@ from polycubelabel.operators import (
 from polycubelabel.validity import corner_is_valid, validate
 
 import oracles
-from helpers import build, grid_box, noisy_labeling, spy_moves
+from helpers import (NOISE_SHAPES, build, grid_box, noise_mesh, noisy_labeling, paint_blobs,
+                     spy_moves, tilted_torus)
 from oracles import (reference_alpha_expansion, reference_fix_invalid_corner,
                      reference_join_turning_points_pair, reference_restricted_relabel,
                      reference_straighten_boundary)
@@ -524,7 +525,7 @@ def test_join_turning_points_pair_as_the_reference_on_a_creased_torus():
     bend by 60 degrees and so are feature edges: many turning-point pairs
     that a lost feature path joins."""
     m = tilted_torus(12, 6)
-    graphs = (LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs))
+    graphs = (LabelingGraph(m, paint_blobs(m, np.random.default_rng(seed), n_blobs))
               for seed in range(10) for n_blobs in range(5))
     assert sum(map(_assert_joins_as_the_reference, graphs)) >= 30
 
@@ -545,29 +546,9 @@ def test_feature_surrounded_classification(cube_mesh):
 # ------------------------------------------------------------ pinned outcomes
 
 
-def blob_labeling(mesh, rng, n_blobs):
-    """The naive labeling with `n_blobs` blobs of random labels painted over
-    it, each two edge-adjacent triangle rings around a random triangle."""
-    labels = naive_labeling(mesh)
-    for _ in range(n_blobs):
-        region = {int(rng.integers(mesh.n_triangles))}
-        for _ in range(2):
-            region |= {int(u) for t in region for u in mesh.triangle_adjacency[t]}
-        labels[sorted(region)] = int(rng.integers(6))
-    return labels
-
-
-def tilted_torus(nu, nv):
-    """torus(nu, nv) turned 0.3 rad about z, then 0.5 rad about x."""
-    v, f = shapes.torus(nu=nu, nv=nv)
-    c, s = math.cos(0.5), math.sin(0.5)
-    rot = np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
-    return build(shapes.rotate_z(v, 0.3) @ rot.T, f)
-
-
 def pinned_graphs():
     m = build(*shapes.subdivide(*shapes.l_prism(), 2))
-    yield LabelingGraph(m, blob_labeling(m, np.random.default_rng(3), 4))
+    yield LabelingGraph(m, paint_blobs(m, np.random.default_rng(3), 4))
     m = tilted_torus(24, 12)
     yield LabelingGraph(m, naive_labeling(m))
     for make in (s_curve_box, l_hook_box):
@@ -677,26 +658,6 @@ def test_precondition_exits_allocate_no_labeling():
 
 # ------------------------------------------------- contours and label noise
 
-NOISE_SHAPES = {
-    "cube": lambda: build(*shapes.subdivide(*shapes.cube(), 2)),
-    "l-prism": lambda: build(*shapes.subdivide(*shapes.l_prism(), 2)),
-    "wedge": lambda: build(*shapes.subdivide(*shapes.wedge(), 2)),
-    "cylinder": lambda: build(*shapes.cylinder(16)),
-    "cone": lambda: build(*shapes.subdivide(*shapes.cone(16), 1)),
-    "sphere": lambda: build(*shapes.icosphere(2)),
-    "torus": lambda: build(*shapes.torus()),
-    "tilted-torus": lambda: tilted_torus(48, 24),  # turning points for the pull
-}
-_noise_meshes = {}
-
-
-def noise_mesh(shape):
-    """The mesh of a NOISE_SHAPES entry, built once."""
-    if shape not in _noise_meshes:
-        _noise_meshes[shape] = NOISE_SHAPES[shape]()
-    return _noise_meshes[shape]
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(NOISE_SHAPES)), st.integers(0, 4), st.integers(0, 2**32 - 1))
 def test_contour_loops_close_on_label_noise(shape, n_blobs, seed):
@@ -704,7 +665,7 @@ def test_contour_loops_close_on_label_noise(shape, n_blobs, seed):
     edge once, and the operators that walk contours and boundaries never
     raise, so they need no guard for open or missing pieces."""
     m = noise_mesh(shape)
-    g = LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs))
+    g = LabelingGraph(m, paint_blobs(m, np.random.default_rng(seed), n_blobs))
     for chart in g.charts:
         loops = _chart_contour_loops(g, chart.index)
         for loop in loops:
@@ -725,7 +686,7 @@ def test_straighten_boundary_walks_as_the_reference_on_label_noise(shape, n_blob
     margin, on the labelings of the contour test."""
     m = noise_mesh(shape)
     _assert_straightens_as_the_reference(
-        LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs)))
+        LabelingGraph(m, paint_blobs(m, np.random.default_rng(seed), n_blobs)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -736,13 +697,13 @@ def test_join_turning_points_pair_as_the_reference_on_label_noise(shape, n_blobs
     contour test."""
     m = noise_mesh(shape)
     _assert_joins_as_the_reference(
-        LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs)))
+        LabelingGraph(m, paint_blobs(m, np.random.default_rng(seed), n_blobs)))
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(sorted(NOISE_SHAPES)), st.integers(0, 4), st.integers(0, 2**32 - 1))
 def test_operators_as_their_copying_reference_on_label_noise(shape, n_blobs, seed):
     m = noise_mesh(shape)
-    g = LabelingGraph(m, blob_labeling(m, np.random.default_rng(seed), n_blobs))
+    g = LabelingGraph(m, paint_blobs(m, np.random.default_rng(seed), n_blobs))
     for op in PINNED:
         _assert_as_the_copying_reference(op, g)

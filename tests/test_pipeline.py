@@ -21,9 +21,8 @@ from polycubelabel.labeling import CutEnergy, naive_labeling
 from polycubelabel.mesh import SurfaceMesh
 from polycubelabel.validity import validate
 
-from helpers import build
-from test_operators import (NOISE_SHAPES, blob_labeling, box_mesh, cone_quadrants, noise_mesh,
-                            rotated_torus, split_top_box, top_cell)
+from helpers import NOISE_SHAPES, build, noise_mesh, paint_blobs
+from test_operators import box_mesh, cone_quadrants, rotated_torus, split_top_box, top_cell
 
 
 def test_cube_end_to_end(cube_mesh):
@@ -341,7 +340,7 @@ def test_label_mesh_validates_each_graph_it_builds_once(monkeypatch):
     monkeypatch.setattr(pl, "validate", recording)
     monkeypatch.setattr(pl, "run_monotonicity_routine", monotonicity)
     m = noise_mesh("tilted-torus")
-    res = pl.label_mesh(m, init_labels=blob_labeling(m, np.random.default_rng(3), 4))
+    res = pl.label_mesh(m, init_labels=paint_blobs(m, np.random.default_rng(3), 4))
     assert res.status.startswith("valid") and res.op_log
     assert len(built) > 1 and [id(g) for g in validated] == [id(g) for g in built]
     assert len(handed) == 1 and handed[0] in built
@@ -414,7 +413,7 @@ def test_pipeline_invariants_on_label_noise(shape, n_blobs, seed):
     crashes, a valid result re-validates from a fresh graph, and the same
     start gives the same labels and op log twice."""
     m = noise_mesh(shape)
-    start = blob_labeling(m, np.random.default_rng(seed), n_blobs)
+    start = paint_blobs(m, np.random.default_rng(seed), n_blobs)
     res = pl.label_mesh(m, init_labels=start)
     assert res.status != "failed", res.error
     if res.status != "invalid":

@@ -66,6 +66,9 @@ def _labeling_flags(p):
 
 
 def _load(args):
+    if not args.feature_angle >= 0.0:  # also refuses NaN
+        raise ValueError("--feature-angle: feature angle must be 0 or more degrees,"
+                         f" got {args.feature_angle:g}")
     return load_mesh(
         args.mesh,
         feature_edges=args.feature_edges,

@@ -173,36 +173,26 @@ def restricted_relabel(
 
     Fixed neighbors act through their boundary edges: crossing such an edge
     into a different label costs that edge's smoothness weight, folded into
-    the data term of the free triangle. `region` is a bool mask over the
-    triangles or triangle ids in 0..F-1. `allowed` optionally masks the
-    labels the free triangles may take, one (6,) row for all of them; the
-    cut then runs over the allowed labels only, and a free triangle whose
-    label is not allowed starts on its cheapest allowed one, the lowest on
-    ties. Where `allowed` leaves one label, the region takes it with no cut.
-    Raises ValueError for labels that `checked_labels` refuses or whose
-    count is not F, a mask whose length is not F, a region id that is not a
-    triangle id, an `allowed` that is not six flags, naming its shape, and,
-    naming it, a free triangle that `allowed` leaves no label; the cut
+    the data term of the free triangle. `region` is a (F,) bool mask over
+    the triangles. `allowed` optionally masks the labels the free triangles
+    may take, one (6,) row for all of them; the cut then runs over the
+    allowed labels only, and a free triangle whose label is not allowed
+    starts on its cheapest allowed one, the lowest on ties. Where `allowed`
+    leaves one label, the region takes it with no cut. Raises ValueError for
+    labels that `checked_labels` refuses or whose count is not F, a region
+    that is not a (F,) bool mask (triangle ids, a set, 0/1 ints), naming its
+    dtype and shape, an `allowed` that is not six flags, naming its shape,
+    and, naming it, a free triangle that `allowed` leaves no label; the cut
     refuses what `alpha_expansion` refuses.
     """
     from .graphcut import alpha_expansion
 
     n = mesh.n_triangles
     labels = checked_labels(labels, n)
-    region = np.asarray(sorted(region) if isinstance(region, (set, frozenset)) else region)
-    if region.dtype == bool:
-        if region.shape != (n,):
-            raise ValueError(f"region mask of length {region.size} for {n} triangles")
-        mask = region.copy()
-    else:
-        ids = region.ravel()
-        if ids.size and ids.dtype.kind not in "iu":
-            raise ValueError(f"region id {ids[0]} is not a triangle id")
-        bad = np.flatnonzero((ids < 0) | (ids >= n))
-        if bad.size:
-            raise ValueError(f"region id {ids[bad[0]]} outside 0..{n - 1}")
-        mask = np.zeros(n, dtype=bool)
-        mask[ids.astype(np.int64)] = True
+    mask = np.asarray(region)
+    if mask.dtype != bool or mask.shape != (n,):
+        raise ValueError(f"region must be a bool mask of shape ({n},),"
+                         f" not of dtype {mask.dtype} and shape {mask.shape}")
     allowed = np.ones(6, dtype=bool) if allowed is None else np.asarray(allowed, dtype=bool)
     if allowed.shape != (6,):
         raise ValueError(f"allowed must be six flags, one a label, not of shape {allowed.shape}")

@@ -14,20 +14,23 @@ rebuild the LabelingGraph after an applied operator.
 
 Every operator ends in one outcome step, `_apply`, which applies its edit
 (region paints in order, or remove_chart's one restricted cut) to one copy
-of the labels and reads `changed` off the edited regions. An operator that
+of the labels and reads `changed` off the labels that moved. An operator that
 does not apply returns `_skip`: the graph's own read-only labels, nothing
 changed, and a `reason` that names the exit, one fixed string each. A new
 chart takes `_closest_label`, the allowed label nearest the region's
 area-weighted mean normal.
 
-Regions come from two primitives. `_grow` takes a disk: the triangles
-within a few rings of the seeds, ring by ring, inside an allowed set (the
-strip of fix_invalid_boundary, the disks around a corner or a turning
-point). `_barrier_region` takes the triangles of some charts reached from
-the seeds without crossing a traced path: the components of one
-`component_roots` pass over the edges inside the charts that the path does
-not cut (increase_chart_valence, join_turning_points_pair,
-pull_closest_corner, straighten_boundary).
+A region is one thing from the primitive that finds it to the edit that
+relabels it: a (F,) bool mask over the triangles, which selects them in
+ascending id order. Seeds and barriers stay ids. Regions come from two
+primitives. `_grow` takes a disk: the triangles within a few rings of the
+seeds, ring by ring, inside an allowed mask (the strip of
+fix_invalid_boundary, the disks around a corner or a turning point).
+`_barrier_region` takes the triangles of some charts reached from the seeds
+without crossing a traced path: the components of one `component_roots`
+pass over the edges inside the charts that the path does not cut
+(increase_chart_valence, join_turning_points_pair, pull_closest_corner,
+straighten_boundary). remove_chart's region is its chart's mask.
 
 All tie-breaks (label choices, path steps, target scans) resolve toward the
 lowest encoding / index so repeated runs are bit-identical.
@@ -84,8 +87,9 @@ def _skip(graph: LabelingGraph, reason: str) -> OperatorOutcome:
 def _apply(graph: LabelingGraph, edit, energy: CutEnergy = CutEnergy()) -> OperatorOutcome:
     """The outcome of `edit`, an ordered tuple of `(region, label)` paints or
     a tuple of one `(region, allowed)` restricted cut, `allowed` a (6,) bool
-    mask; regions are triangle ids. `changed` holds the edited triangles
-    whose label moved; an edit that moves none is not applied."""
+    mask; every region is a (F,) bool mask over the triangles. `changed`
+    holds the triangles whose label moved; an edit that moves none is not
+    applied."""
     labels = graph.labels
     if isinstance(edit[0][1], np.ndarray):  # allowed labels: a restricted cut
         [(region, allowed)] = edit
@@ -94,8 +98,7 @@ def _apply(graph: LabelingGraph, edit, energy: CutEnergy = CutEnergy()) -> Opera
         out = labels.copy()
         for region, label in edit:
             out[region] = label
-    edited = np.concatenate([region for region, _ in edit])  # frozenset drops repeats
-    moved = edited[out[edited] != labels[edited]]
+    moved = np.flatnonzero(out != labels)
     if not moved.size:
         return _skip(graph, "the edit changes no label")
     return OperatorOutcome(out, frozenset(moved.tolist()))
@@ -125,40 +128,29 @@ def _fresh_label(mesh: SurfaceMesh, region, taken_axes):
     return _closest_label(mesh, region, [l for l in range(6) if l >> 1 not in taken_axes])
 
 
-def _distinct(ids) -> np.ndarray:
-    """The distinct values of an int array, ascending: ``np.unique``, which
-    hashes and takes about four times longer on a few hundred ids."""
-    ids = np.sort(ids)
-    keep = np.empty(len(ids), dtype=bool)
-    keep[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-    return ids[keep]
-
-
 def _grow(mesh: SurfaceMesh, seeds, allowed=None, *, rings) -> np.ndarray:
-    """Sorted ids of the triangles within `rings` triangle rings of the
-    allowed seeds (the seeds being ring 1), grown over edge-adjacent
-    allowed triangles. `allowed` is a bool mask over triangles."""
+    """The triangles within `rings` triangle rings of the allowed seed ids
+    (the seeds being ring 1, also at `rings` 0), grown over edge-adjacent
+    allowed triangles. The region and `allowed` are (F,) bool masks."""
     free = np.array(np.ones(mesh.n_triangles) if allowed is None else allowed, dtype=bool)
+    region = np.zeros(mesh.n_triangles, dtype=bool)
     frontier = np.fromiter(seeds, dtype=np.int64)
-    frontier = _distinct(frontier[free[frontier]])
-    free[frontier] = False
-    region, ring = [frontier], 1
-    while frontier.size and ring < rings:
-        nbrs = mesh.triangle_adjacency[frontier].ravel()
-        frontier = _distinct(nbrs[free[nbrs]])
-        free[frontier] = False
-        region.append(frontier)
-        ring += 1
-    return np.sort(np.concatenate(region))
+    for _ in range(max(rings, 1)):
+        ring = np.zeros(mesh.n_triangles, dtype=bool)
+        ring[frontier] = True
+        ring &= free
+        free &= ~ring
+        region |= ring
+        frontier = mesh.triangle_adjacency[ring].ravel()
+    return region
 
 
 def _barrier_region(mesh: SurfaceMesh, seeds, allowed, barrier) -> np.ndarray:
-    """Sorted ids of the triangles reached from the allowed seeds over
-    edge-adjacent allowed triangles, never across a `barrier` edge id: the
-    components of one `component_roots` pass over the edges between allowed
-    triangles that are not barrier edges, those that hold an allowed seed.
-    `allowed` is a bool mask over triangles."""
+    """The triangles reached from the allowed seed ids over edge-adjacent
+    allowed triangles, never across a `barrier` edge id: the components of
+    one `component_roots` pass over the edges between allowed triangles that
+    are not barrier edges, those that hold an allowed seed. The region and
+    `allowed` are (F,) bool masks."""
     t1, t2 = mesh.edge_tris.T
     joins = allowed[t1] & allowed[t2]
     joins[list(barrier)] = False
@@ -166,7 +158,7 @@ def _barrier_region(mesh: SurfaceMesh, seeds, allowed, barrier) -> np.ndarray:
     seeds = np.fromiter(seeds, dtype=np.int64)
     held = np.zeros(mesh.n_triangles, dtype=bool)
     held[root[seeds[allowed[seeds]]]] = True  # a triangle outside `allowed` is its own root
-    return held[root].nonzero()[0]
+    return held[root]
 
 
 def _chart_contour_loops(graph: LabelingGraph, chart_id: int) -> list:
@@ -268,7 +260,7 @@ def remove_chart(graph: LabelingGraph, chart_id: int,
         return _skip(graph, "the labeling is one chart")
     allowed = np.zeros(6, dtype=bool)
     allowed[graph.chart_label[list(chart.neighbors)]] = True
-    return _apply(graph, ((chart.triangles, allowed),), energy)
+    return _apply(graph, ((graph.chart_of == chart_id, allowed),), energy)
 
 
 def fix_invalid_boundary(
@@ -306,7 +298,7 @@ def fix_invalid_corner(graph: LabelingGraph, corner_id: int, radius: int = DISK_
     allowed = np.isin(graph.chart_of, incident_charts)
     for r in range(max(radius, 1), 0, -1):
         region = _grow(mesh, star, rings=r)
-        if allowed[region].all():
+        if not (region & ~allowed).any():
             break  # at r = 1 the disk is the vertex star, which always fits
     return _apply(graph, ((region, _fresh_label(mesh, region, used_axes)),))
 
@@ -437,7 +429,7 @@ def increase_chart_valence(graph: LabelingGraph, chart_id: int) -> OperatorOutco
 
     # region: flood the base chart between the two paths
     region = _barrier_region(mesh, seeds, allowed, barrier)
-    if len(region) == int(allowed.sum()):
+    if region.sum() == allowed.sum():
         return _skip(graph, "the paths pinch off no proper subregion")
     label = _fresh_label(mesh, region, {chart_axis} | set((labels[region] >> 1).tolist()))
     if label is None:
@@ -475,23 +467,26 @@ def join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> Operator
         sides.append(mesh.edge_sides(u, w))
         path_edges.append(eid)
         w = u
-    left, right = map(set, zip(*sides))
+    sides = np.array(sides)  # (left, right) triangle per path edge
+    left, right = np.zeros((2, mesh.n_triangles), dtype=bool)
+    left[sides[:, 0]] = True
+    right[sides[:, 1]] = True
 
     around = {int(labels[t]) for v in (t1, t2) for t in mesh.vertex_triangles(v)}
-    label = _closest_label(mesh, sorted(left | right), [l for l in range(6) if l not in around])
+    label = _closest_label(mesh, left | right, [l for l in range(6) if l not in around])
     if label is None:
         return _skip(graph, "every label meets one of them")
 
     def side_fidelity(side):
-        n = mesh.normals[sorted(side)]
-        return float(np.mean(n @ LABEL_DIRECTIONS[label]))
+        return float(np.mean(mesh.normals[side] @ LABEL_DIRECTIONS[label]))
 
-    side = left if side_fidelity(left) >= side_fidelity(right) - 1e-12 else right
+    k = 0 if side_fidelity(left) >= side_fidelity(right) - 1e-12 else 1
+    side = (left, right)[k]
     # extend to the adjacent facets on the same side of the crease
-    allowed = np.isin(graph.chart_of, graph.chart_of[sorted(side)])
-    region = _barrier_region(mesh, side, allowed, path_edges)
-    if len(region) == int(allowed.sum()):
-        region = sorted(side)  # flood leaked around the path; keep the thin strip
+    allowed = np.isin(graph.chart_of, graph.chart_of[side])
+    region = _barrier_region(mesh, sides[:, k], allowed, path_edges)
+    if region.sum() == allowed.sum():
+        region = side  # flood leaked around the path; keep the thin strip
     return _apply(graph, ((region, label),))
 
 
@@ -567,7 +562,7 @@ def pull_closest_corner(graph: LabelingGraph, turning_point: int) -> OperatorOut
 
     allowed = graph.chart_of == wedge_chart
     region = _barrier_region(mesh, mesh.edge_tris[list(seg_edges)].ravel(), allowed, path.edges)
-    if len(region) == int(allowed.sum()):
+    if region.sum() == allowed.sum():
         return _skip(graph, "the new path pinches off no wedge")
     return _apply(graph, ((region, int(graph.chart_label[other_chart])),))
 
@@ -643,6 +638,6 @@ def straighten_boundary(graph: LabelingGraph, boundary_id: int) -> OperatorOutco
     sides = mesh.edge_tris[path]
     left_seeds = np.where(mesh.edges[path, 0] == verts[:-1], sides[:, 0], sides[:, 1])
     region_left = _barrier_region(mesh, left_seeds, union, eids)
-    if len(region_left) == int(union.sum()):
+    if region_left.sum() == union.sum():
         return _skip(graph, "the new path does not separate the charts")
-    return _apply(graph, ((union.nonzero()[0], b.right_label), (region_left, b.left_label)))
+    return _apply(graph, ((union, b.right_label), (region_left, b.left_label)))

@@ -828,7 +828,7 @@ def reference_fix_invalid_corner(graph, corner_id, radius=DISK_RADIUS, rules=Val
     incident_charts = sorted({int(graph.chart_of[t]) for t in star})
     allowed = np.isin(graph.chart_of, incident_charts)
     for r in range(max(radius, 1), 0, -1):
-        region = _grow(mesh, star, rings=r)
+        region = np.flatnonzero(_grow(mesh, star, rings=r))
         if allowed[region].all():
             break  # at r = 1 the disk is the vertex star, which always fits
     used_axes = set((graph.chart_label[incident_charts] >> 1).tolist())
@@ -984,7 +984,9 @@ def copying_remove_chart(graph: LabelingGraph, chart_id: int,
         return _skip(labels)
     allowed = np.zeros(6, dtype=bool)
     allowed[graph.chart_label[list(chart.neighbors)]] = True
-    out = restricted_relabel(graph.mesh, labels, chart.triangles, allowed=allowed, energy=energy)
+    region = np.zeros(graph.mesh.n_triangles, dtype=bool)
+    region[chart.triangles] = True
+    out = restricted_relabel(graph.mesh, labels, region, allowed=allowed, energy=energy)
     return _outcome(labels, out)
 
 
@@ -997,7 +999,8 @@ def copying_fix_invalid_boundary(
     if b.axis is not None:  # orthogonal boundary: nothing to fix
         return _skip(labels)
     allowed = np.isin(graph.chart_of, (b.left_chart, b.right_chart))
-    region = _grow(mesh, mesh.edge_tris[list(b.edge_ids)].ravel(), allowed, rings=width)
+    region = np.flatnonzero(_grow(mesh, mesh.edge_tris[list(b.edge_ids)].ravel(), allowed,
+                                  rings=width))
     shared_axis = b.left_label >> 1
     return _paint(labels, region, _fresh_label(mesh, region, {shared_axis}))
 
@@ -1022,7 +1025,7 @@ def copying_fix_invalid_corner(graph: LabelingGraph, corner_id: int, radius: int
         return _skip(labels)
     allowed = np.isin(graph.chart_of, incident_charts)
     for r in range(max(radius, 1), 0, -1):
-        region = _grow(mesh, star, rings=r)
+        region = np.flatnonzero(_grow(mesh, star, rings=r))
         if allowed[region].all():
             break  # at r = 1 the disk is the vertex star, which always fits
     return _paint(labels, region, _fresh_label(mesh, region, used_axes))
@@ -1148,7 +1151,7 @@ def copying_increase_chart_valence(graph: LabelingGraph, chart_id: int) -> Opera
         barrier |= set(p.edges)
 
     # region: flood the base chart between the two paths
-    region = _barrier_region(mesh, seeds, allowed, barrier)
+    region = np.flatnonzero(_barrier_region(mesh, seeds, allowed, barrier))
     if len(region) == int(allowed.sum()):
         return _skip(labels)  # paths failed to pinch off a proper subregion
     forbidden_axes = {chart_axis} | {int(labels[t]) >> 1 for t in region}
@@ -1199,7 +1202,7 @@ def copying_join_turning_points_pair(graph: LabelingGraph, t1: int, t2: int) -> 
     side = left if side_fidelity(left) >= side_fidelity(right) - 1e-12 else right
     # extend to the adjacent facets on the same side of the crease
     allowed = np.isin(graph.chart_of, graph.chart_of[sorted(side)])
-    region = _barrier_region(mesh, side, allowed, path_edges)
+    region = np.flatnonzero(_barrier_region(mesh, side, allowed, path_edges))
     if len(region) == int(allowed.sum()):
         region = sorted(side)  # flood leaked around the path; keep the thin strip
     return _paint(labels, region, label)
@@ -1264,7 +1267,8 @@ def copying_pull_closest_corner(graph: LabelingGraph, turning_point: int) -> Ope
         return _skip(labels)
 
     allowed = graph.chart_of == wedge_chart
-    region = _barrier_region(mesh, mesh.edge_tris[list(seg_edges)].ravel(), allowed, path.edges)
+    region = np.flatnonzero(
+        _barrier_region(mesh, mesh.edge_tris[list(seg_edges)].ravel(), allowed, path.edges))
     if len(region) == int(allowed.sum()):
         return _skip(labels)
     return _paint(labels, region, int(graph.chart_label[other_chart]))
@@ -1293,7 +1297,7 @@ def copying_move_boundary_near_turning_point(
     loser_chart = b.left_chart if b.left_label == loser else b.right_chart
 
     allowed = graph.chart_of == loser_chart
-    region = _grow(mesh, mesh.vertex_triangles(tp), allowed, rings=radius)
+    region = np.flatnonzero(_grow(mesh, mesh.vertex_triangles(tp), allowed, rings=radius))
     return _paint(labels, region, winner)
 
 
@@ -1344,7 +1348,7 @@ def copying_straighten_boundary(graph: LabelingGraph, boundary_id: int) -> Opera
     path = np.array(eids)
     sides = mesh.edge_tris[path]
     left_seeds = np.where(mesh.edges[path, 0] == verts[:-1], sides[:, 0], sides[:, 1])
-    region_left = _barrier_region(mesh, left_seeds, union, eids)
+    region_left = np.flatnonzero(_barrier_region(mesh, left_seeds, union, eids))
     if len(region_left) == int(union.sum()):
         return _skip(labels)  # new path failed to separate the union
     out = labels.copy()

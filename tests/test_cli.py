@@ -270,13 +270,22 @@ def test_mesh_without_triangles_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "-10"])
-def test_nan_or_negative_feature_angle_exits_2(tmp_path, capsys, value):
-    mesh = tmp_path / "l.obj"
-    io.write_obj(mesh, *shapes.l_prism())
+def test_nan_or_negative_feature_angle_exits_2(tmp_path, cube_files, capsys, value):
+    # refused in the degrees the flag takes, by every command that reads a mesh
+    mesh, flags = map(str, cube_files)
     out = tmp_path / "out.flags"
-    assert main(["label", str(mesh), "-o", str(out), f"--feature-angle={value}"]) == 2
-    assert "feature angle must be 0 or more" in capsys.readouterr().err
+    assert main(["label", mesh, "-o", str(out), f"--feature-angle={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "feature angle must be 0 or more" in err
+    assert "--feature-angle" in err and "degrees" in err and value in err
+    assert err.count("\n") == 1
     assert not out.exists()
+    for args in (["validate", mesh, flags], ["report", mesh, flags, "-o", str(out)],
+                 ["graph", mesh, flags, "-o", str(out)], ["viz", mesh, flags, "-o", str(out)],
+                 ["fix", mesh, flags, "--op", "remove_chart", "--target", "0", "-o", str(out)]):
+        assert main(args + [f"--feature-angle={value}"]) == 2, args[0]
+        assert capsys.readouterr().err == err, args[0]
+        assert not out.exists()
 
 
 def test_report_command(tmp_path, cube_files):

@@ -149,9 +149,9 @@ def test_cut_energy_reaches_the_cut_only_whole():
     with pytest.raises(TypeError):
         compute_labeling(m, fidelity=-3.0)
     with pytest.raises(TypeError):
-        restricted_relabel(m, labels, np.arange(m.n_triangles), fidelity=-3.0)
+        restricted_relabel(m, labels, np.ones(m.n_triangles, dtype=bool), fidelity=-3.0)
     assert np.array_equal(compute_labeling(m, CutEnergy()), labels)
-    assert np.array_equal(restricted_relabel(m, labels ^ 1, np.arange(m.n_triangles)), labels)
+    assert np.array_equal(restricted_relabel(m, labels ^ 1, np.ones(m.n_triangles, dtype=bool)), labels)
 
 
 # -- fidelity ----------------------------------------------------------------
@@ -259,20 +259,32 @@ def test_restricted_relabel_empty_region(cube_mesh):
     assert out is not base
 
 
-def test_restricted_relabel_accepts_index_sets(cube_mesh):
-    base = naive_labeling(cube_mesh)
-    a = restricted_relabel(cube_mesh, base, {3, 1})
-    b = restricted_relabel(cube_mesh, base, np.array([1, 3]))
-    assert np.array_equal(a, b)
+def test_restricted_relabel_refuses_every_region_but_a_triangle_mask():
+    # the region {5, 6, 7} of subdivide(cube, 1) as 0/1 ints was once read as
+    # the ids {0, 1}, and relabeled triangles 0 and 1
+    m = SurfaceMesh(*shapes.subdivide(*shapes.cube(), 1))
+    base = naive_labeling(m)
+    ints = np.isin(np.arange(m.n_triangles), [5, 6, 7]).astype(np.int64)
+    for region, form in [(ints, r"dtype int64 and shape \(48,\)"),
+                         ([5, 6, 7], r"dtype int64 and shape \(3,\)"),
+                         ({5, 6, 7}, r"dtype object and shape \(\)"),
+                         (np.ones(47, dtype=bool), r"dtype bool and shape \(47,\)")]:
+        with pytest.raises(ValueError, match=r"region must be a bool mask of shape \(48,\), not of "
+                           + form):
+            restricted_relabel(m, base, region, allowed=np.arange(6) == 3)
+    got = restricted_relabel(m, base, ints == 1, allowed=np.arange(6) == 3)
+    assert np.flatnonzero(got != base).tolist() == [5, 6, 7]
 
 
 def test_restricted_relabel_refuses_a_free_triangle_with_no_allowed_label(cube_mesh):
     base = naive_labeling(cube_mesh)
+    tris = np.arange(cube_mesh.n_triangles)
     with pytest.raises(ValueError, match="free triangle 0 no label"):
-        restricted_relabel(cube_mesh, base, [0, 1], allowed=np.zeros(6, dtype=bool))
+        restricted_relabel(cube_mesh, base, tris < 2, allowed=np.zeros(6, dtype=bool))
     for shape in ((2, 6), (5,)):  # one row per free triangle, or too few labels
         with pytest.raises(ValueError, match=rf"not of shape \({shape[0]},"):
-            restricted_relabel(cube_mesh, base, [3, 7], allowed=np.ones(shape, dtype=bool))
+            restricted_relabel(cube_mesh, base, np.isin(tris, [3, 7]),
+                               allowed=np.ones(shape, dtype=bool))
 
 
 def _cuboid_mesh():
@@ -285,17 +297,20 @@ def _with(labels, at, value):
     return out
 
 
+FIRST = np.arange(48) == 0  # a region of triangle 0 of the 48 of _cuboid_mesh
+
+
 @pytest.mark.parametrize("make_labels, region, match", [
-    (lambda base: base, [-1], "region id -1 outside 0..47"),
-    (lambda base: base, [3, 48], "region id 48 outside 0..47"),
-    (lambda base: base, np.ones(53, dtype=bool), "region mask of length 53 for 48 triangles"),
-    (lambda base: base, np.ones(47, dtype=bool), "region mask of length 47 for 48 triangles"),
-    (lambda base: base, [0.5, 2.0], "region id 0.5 is not a triangle id"),
-    (lambda base: base[:47], [0], "47 labels for 48 triangles"),
-    (lambda base: np.append(base, 0), [0], "49 labels for 48 triangles"),
-    (lambda base: _with(base, 3, 7), [0], "label 7 of triangle 3 outside 0..5"),
-    (lambda base: _with(base, 5, -1), [0], r"label -1 of triangle 5 outside 0\.\.5"),
-    (lambda base: _with(base.astype(float), 2, 1.5), [0], "label 1.5 of triangle 2 is not an integer"),
+    (lambda base: base, [-1], r"not of dtype int64 and shape \(1,\)"),
+    (lambda base: base, [3, 48], r"not of dtype int64 and shape \(2,\)"),
+    (lambda base: base, np.ones(53, dtype=bool), r"not of dtype bool and shape \(53,\)"),
+    (lambda base: base, np.ones(47, dtype=bool), r"not of dtype bool and shape \(47,\)"),
+    (lambda base: base, [0.5, 2.0], r"not of dtype float64 and shape \(2,\)"),
+    (lambda base: base[:47], FIRST, "47 labels for 48 triangles"),
+    (lambda base: np.append(base, 0), FIRST, "49 labels for 48 triangles"),
+    (lambda base: _with(base, 3, 7), FIRST, "label 7 of triangle 3 outside 0..5"),
+    (lambda base: _with(base, 5, -1), FIRST, r"label -1 of triangle 5 outside 0\.\.5"),
+    (lambda base: _with(base.astype(float), 2, 1.5), FIRST, "label 1.5 of triangle 2 is not an integer"),
 ], ids=["id-negative", "id-past-F", "mask-too-long", "mask-too-short", "id-not-integer",
         "labels-too-few", "labels-too-many", "label-past-5", "label-negative", "label-not-integer"])
 def test_restricted_relabel_refuses_input_outside_its_contract(make_labels, region, match):
@@ -305,15 +320,16 @@ def test_restricted_relabel_refuses_input_outside_its_contract(make_labels, regi
         restricted_relabel(m, make_labels(base), region)
 
 
-def test_restricted_relabel_takes_every_triangle_id_and_whole_masks():
+def test_restricted_relabel_takes_whole_masks_and_refuses_triangle_ids():
     m = _cuboid_mesh()
     base = naive_labeling(m)
     ids = np.arange(m.n_triangles)
-    assert np.array_equal(restricted_relabel(m, base, ids), base)
-    assert np.array_equal(restricted_relabel(m, base.tolist(), [0, 47]), base)
+    assert np.array_equal(restricted_relabel(m, base, ids >= 0), base)
+    assert np.array_equal(restricted_relabel(m, base.tolist(), (ids == 0) | (ids == 47)), base)
     assert np.array_equal(restricted_relabel(m, base, ids == 47), base)
-    assert np.array_equal(restricted_relabel(m, base, np.array([], dtype=np.int64)), base)
-    assert np.array_equal(restricted_relabel(m, base, []), base)
+    for region in (ids, [0, 47], np.array([], dtype=np.int64), []):
+        with pytest.raises(ValueError, match=r"region must be a bool mask of shape \(48,\)"):
+            restricted_relabel(m, base, region)
 
 
 RELABEL_MESHES = {
@@ -340,14 +356,12 @@ def _relabel_or_refusal(relabel, *args, **kw):
 @given(
     st.sampled_from(sorted(RELABEL_MESHES)),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["mask", "ids"]),
     st.sampled_from(["shared", "two-labels", "random"]),
     st.sampled_from(labeling.SMOOTHNESS_MODES),
     st.sampled_from([0.0, 0.5, 1.0, 1e3, 1e15, 1e16, 1e17, 1e300, 1e307]),
     st.sampled_from([0.0, 3.0, 1e15]),
 )
-def test_restricted_relabel_as_the_reference_cut(shape, seed, form, kind, mode, compactness,
-                                                 fidelity):
+def test_restricted_relabel_as_the_reference_cut(shape, seed, kind, mode, compactness, fidelity):
     """A region that `allowed` leaves one label takes it with no cut, at any
     energy; every other region gets one cut. Up to a compactness of 1e17
     the labels and refusals are the reference cut's, bit for bit; past it,
@@ -362,7 +376,7 @@ def test_restricted_relabel_as_the_reference_cut(shape, seed, form, kind, mode, 
     labels[flip] = rng.integers(0, 6, size=int(flip.sum()))
     ids = np.array(sorted(ring_grow(m, [int(rng.integers(m.n_triangles))],
                                     int(rng.integers(1, 4)))))
-    region = np.isin(np.arange(m.n_triangles), ids) if form == "mask" else rng.permutation(ids)
+    region = np.isin(np.arange(m.n_triangles), ids)
     if kind == "random":
         allowed = rng.random(6) < 0.5
     else:

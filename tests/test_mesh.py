@@ -506,12 +506,13 @@ def test_grow_matches_ring_and_flood_references(case):
     seeds = rng.choice(m.n_triangles, size=int(rng.integers(0, 5)), replace=False).tolist()
     barrier = set(rng.choice(m.n_edges, size=int(rng.integers(0, m.n_edges // 3 + 1)),
                              replace=False).tolist())
-    assert (_barrier_region(m, seeds, allowed, barrier).tolist()
+    assert (np.flatnonzero(_barrier_region(m, seeds, allowed, barrier)).tolist()
             == sorted(flood(ref, seeds, allowed, barrier)))
     inside = [t for t in seeds if allowed[t]]
     for rings in range(5):
-        assert _grow(m, seeds, rings=rings).tolist() == sorted(ring_grow(ref, seeds, rings))
-        assert (_grow(m, inside, allowed, rings=rings).tolist()
+        assert (np.flatnonzero(_grow(m, seeds, rings=rings)).tolist()
+                == sorted(ring_grow(ref, seeds, rings)))
+        assert (np.flatnonzero(_grow(m, inside, allowed, rings=rings)).tolist()
                 == sorted(ring_grow(ref, inside, rings, allowed)))
 
 
@@ -657,5 +658,5 @@ def test_barrier_region_matches_the_flood_reference_inside_two_charts(shape, n_b
     inside = np.flatnonzero(allowed[m.edge_tris].all(axis=1))
     barrier = set(rng.choice(inside, size=int(rng.integers(len(inside) + 1)), replace=False).tolist())
     seeds = rng.choice(m.n_triangles, size=int(rng.integers(1, 6)), replace=False).tolist()
-    assert (_barrier_region(m, seeds, allowed, barrier).tolist()
+    assert (np.flatnonzero(_barrier_region(m, seeds, allowed, barrier)).tolist()
             == sorted(flood(m, seeds, allowed, barrier)))

@@ -606,6 +606,23 @@ def test_outcomes_are_pinned(op):
     assert digest.hexdigest() == PINNED[op]
 
 
+def test_every_region_an_operator_edits_is_a_triangle_mask(monkeypatch):
+    regions, apply = [], operators._apply
+
+    def spy(graph, edit, *args):
+        regions.extend((op, graph.mesh.n_triangles, region) for region, _ in edit)
+        return apply(graph, edit, *args)
+
+    monkeypatch.setattr(operators, "_apply", spy)
+    for g in pinned_graphs():
+        for op in PINNED:
+            for target in every_target(g, op):
+                op(g, *target)
+    assert {op for op, _, _ in regions} == set(PINNED)
+    for op, n, region in regions:
+        assert (type(region), region.dtype, region.shape) == (np.ndarray, bool, (n,)), op.__name__
+
+
 def _assert_as_the_copying_reference(op, graph):
     """`op` gives the outcome of its copy in `oracles`, which builds its own
     labeling at every exit, at every target of `graph`; returns how many

@@ -108,11 +108,11 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
-def _closest_label(mesh: SurfaceMesh, tris, candidates):
-    """The candidate label nearest the area-weighted mean normal of `tris`,
+def _closest_label(mesh: SurfaceMesh, region, candidates):
+    """The candidate label nearest the area-weighted mean normal of `region`,
     or None without candidates. The highest dot wins; scanning the
     candidates in ascending order makes ties deterministic."""
-    n = (mesh.normals[tris] * mesh.areas[tris, None]).sum(axis=0)
+    n = (mesh.normals[region] * mesh.areas[region, None]).sum(axis=0)
     norm = np.linalg.norm(n)
     direction = n / norm if norm > 0 else np.zeros(3)
     best, best_dot = None, -np.inf
